@@ -12,8 +12,7 @@ Subcommands:
 
 CSV output is RFC 4180 with a header row and 17-significant-digit
 scientific notation; every row carries its provenance (method, scheme, N,
-reference id). ``LQDISC_THREADS`` caps the worker pool used for the
-convergence grid. Timing always runs sequentially.
+reference id). Everything runs sequentially.
 """
 
 from __future__ import annotations
@@ -22,11 +21,9 @@ import argparse
 import csv
 import json
 import math
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,28 +84,6 @@ class StudyConfig:
         for n in self.steps:
             if n < 1:
                 raise DomainError(f"steps must be >= 1, got {n}")
-            if "doubling" in self.methods and n & (n - 1):
-                raise DomainError(
-                    f"steps must be powers of two when doubling is "
-                    f"included, got {n}")
-
-
-def _pool_size() -> int:
-    cap = os.environ.get("LQDISC_THREADS")
-    if cap is not None and cap.strip():
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            raise DomainError(
-                f"LQDISC_THREADS must be an integer, got {cap!r}") from None
-    return min(8, os.cpu_count() or 1)
-
-
-def _doublings_for(n: int) -> int:
-    j = max(n, 1).bit_length() - 1
-    if 2 ** j != n:
-        raise DomainError(f"steps={n} is not a power of two")
-    return j
 
 
 def errors_against(core, ref) -> dict:
@@ -133,30 +108,27 @@ def fit_order(steps, errors, floor: float = ORDER_FIT_FLOOR):
 
 
 def convergence_rows(deq: DeqSystem, methods, schemes, steps,
-                     reference=None, max_workers: int | None = None) -> list[dict]:
+                     reference=None) -> list[dict]:
     """Evaluate the (method, scheme, N) grid; rows in deterministic order."""
     ref = reference if reference is not None else discretize_expm(deq)
-    grid = [(m, s, n) for m in methods for s in schemes for n in steps]
-
-    def work(point):
-        m, s, n = point
-        tb = named_tableau(s)
-        if m == "fixed":
-            core = integrate(build_coefficients(deq, tb, n), deq)
-        elif m == "doubling":
-            core = discretize_step_doubling(deq, tb, _doublings_for(n))
-        else:
+    rows = []
+    for m in methods:
+        if m not in ("fixed", "doubling"):
             raise DomainError(f"convergence grid supports fixed and "
                               f"doubling, got {m!r}")
-        row = {"method": m, "scheme": s, "N": n}
-        row.update(errors_against(core, ref))
-        return row
-
-    workers = max_workers if max_workers is not None else _pool_size()
-    if workers == 1 or len(grid) == 1:
-        return [work(p) for p in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, grid))
+        for s in schemes:
+            tb = named_tableau(s)
+            for n in steps:
+                coeffs = build_coefficients(deq, tb, n)
+                if m == "fixed":
+                    core = integrate(coeffs, deq)
+                else:
+                    core = discretize_step_doubling(
+                        deq, tb, n.bit_length() - 1, coeffs=coeffs)
+                row = {"method": m, "scheme": s, "N": n}
+                row.update(errors_against(core, ref))
+                rows.append(row)
+    return rows
 
 
 def fitted_orders(rows: list[dict]) -> list[dict]:
@@ -210,7 +182,7 @@ def bench_rows(deq: DeqSystem, methods, schemes, steps, reps: int,
                     run_t, core = _median_time(
                         lambda: integrate(coeffs, deq), reps)
                 else:
-                    j = _doublings_for(n)
+                    j = n.bit_length() - 1
                     run_t, core = _median_time(
                         lambda: discretize_step_doubling(
                             deq, tb, j, coeffs=coeffs), reps)
@@ -383,7 +355,7 @@ def run_validation(seed: int = 0, count: int = 50,
     """Cross-method, oracle, and structural checks on random systems."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    j = _doublings_for(steps)
+    j = steps.bit_length() - 1
     rng = np.random.default_rng(seed)
     tb = named_tableau("rk4")
     t0 = time.perf_counter()
@@ -456,7 +428,7 @@ def cmd_discretize(args) -> int:
     tableau = ButcherTableau.from_file(args.tableau) if args.tableau else None
     dlq = build_discrete_lq(plant, cost, method=args.method,
                             scheme=args.scheme, steps=args.steps,
-                            doublings=args.doublings, tableau=tableau)
+                            tableau=tableau)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     json_path, csv_path = out / "result.json", out / "stages.csv"
@@ -603,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--scheme", default="rk4",
                    help=f"named scheme, one of {', '.join(SCHEME_NAMES)}")
     d.add_argument("--steps", type=int, default=1024)
-    d.add_argument("--doublings", type=int, default=None)
     d.add_argument("--tableau", default=None,
                    help="JSON file with a custom Butcher tableau")
     d.add_argument("--out", default=".")

@@ -15,14 +15,21 @@ matrices come in two shapes: a single block [[A_c, B_c], [0, 0]] for plain
 plants, and the three-block form (H_1c, H_2c, H_3c stacked diagonally with
 combination selectors E_1 = [I, I, -I], E_2 = [I; I; I]) for delayed plants.
 
+Every method computes the same object, an `Interval`: the transitions
+and discounted integrals over one span of time. Two spans compose by one
+law (`compose`), so the methods differ only in their seed interval (one
+Runge-Kutta step, or the exact exponentials over Ts/2^s) and in how they
+compose it: `fixed` folds the seed N times, `doubling` and `expm` power it.
+
 `oracle_quadrature` evaluates every target by matrix exponentials at
 composite-Simpson nodes; it is the slow ground truth the fast methods are
-tested against.
+tested against, and uses neither seeds nor `compose`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,20 +105,6 @@ class DeqSystem:
 
 
 @dataclass(frozen=True, eq=False)
-class TargetSet:
-    """All discretization targets evaluated at one time point."""
-
-    A: Mat
-    A_v: Mat
-    B_1: Mat
-    B_2: Mat
-    B_o: Mat
-    Q: Mat
-    M: Mat
-    R_ww: Mat | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class CoreResult:
     """Discretization output (A, B_o, Q, M, optional R_ww) with provenance."""
 
@@ -123,8 +116,92 @@ class CoreResult:
     method: str
     scheme: str | None = None
     steps: int | None = None
-    doublings: int | None = None
-    iterations: int | None = None
+    doublings: int | None = None   # squarings: j for doubling, s for expm
+
+
+class Interval(NamedTuple):
+    """Transitions and discounted integrals over one span of time h.
+
+    Exact for the expm seed; a Runge-Kutta step's approximation for the
+    fixed-step seed. A_v and B_2 are None for plain plants.
+
+    A, A_v        e^{A_c h} and e^{V A_c h}
+    B_1, B_2      int_0^h e^{A_c s} ds B_1c, int_0^h e^{V A_c s} ds B_2c_bar
+    omega_q       e^{H_cq h}, and omega_m = e^{H_cm h}
+    X_q           int_0^h omega_q(s)' S omega_q(s) ds, S = E_1' Qbar_c E_1
+    Y_m           int_0^h omega_m(s)' ds E_1' Mbar_c
+    R             int_0^h A(s) G_c G_c' A(s)' ds (None without diffusion)
+
+    In the E_2-projected form omega_q and omega_m carry a right factor E_2,
+    so X_q and Y_m are already Q and M.
+    """
+
+    A: Mat
+    B_1: Mat
+    A_v: Mat | None
+    B_2: Mat | None
+    omega_q: Mat
+    X_q: Mat
+    omega_m: Mat
+    Y_m: Mat
+    R: Mat | None
+
+
+def compose(a: Interval, b: Interval) -> Interval:
+    """The span `a` followed by the span `b`.
+
+    The integrals over `b` are carried back through the transitions of
+    `a`; `a` may be E_2-projected, `b` may not.
+    """
+    return Interval(
+        A=b.A @ a.A,
+        B_1=a.B_1 + a.A @ b.B_1,
+        A_v=None if a.A_v is None else b.A_v @ a.A_v,
+        B_2=None if a.B_2 is None else a.B_2 + a.A_v @ b.B_2,
+        omega_q=b.omega_q @ a.omega_q,
+        X_q=a.X_q + a.omega_q.T @ b.X_q @ a.omega_q,
+        omega_m=b.omega_m @ a.omega_m,
+        Y_m=a.Y_m + a.omega_m.T @ b.Y_m,
+        R=None if a.R is None else a.R + a.A @ b.R @ a.A.T)
+
+
+def power(seed: Interval, n: int) -> Interval:
+    """`seed` composed with itself n >= 1 times by binary powering:
+    floor(log2 n) squarings and one more compose per further set bit."""
+    if n < 1:
+        raise DomainError(f"power needs n >= 1, got {n}")
+    out = None
+    while True:
+        if n & 1:
+            out = seed if out is None else compose(out, seed)
+        n >>= 1
+        if not n:
+            return out
+        seed = compose(seed, seed)
+
+
+def projected_identity(sys: DeqSystem, like: Interval) -> Interval:
+    """The zero-length span in E_2-projected form, with the optional parts
+    of `like`. Folding from it carries omega E_2 (n_h x n_xu) instead of
+    omega; composing it before a full interval projects that interval."""
+    eye = np.eye(sys.n_x)
+    zero_b = np.zeros((sys.n_x, sys.n_in))
+    return Interval(
+        A=eye, B_1=zero_b,
+        A_v=None if like.A_v is None else eye,
+        B_2=None if like.B_2 is None else zero_b,
+        omega_q=sys.E2, X_q=np.zeros((sys.n_xu, sys.n_xu)),
+        omega_m=sys.E2, Y_m=np.zeros((sys.n_xu, sys.n_z)),
+        R=None if like.R is None else np.zeros((sys.n_x, sys.n_x)))
+
+
+def core_result(iv: Interval, method: str, **provenance) -> CoreResult:
+    """Read (A, B_o, Q, M, R_ww) off an E_2-projected interval."""
+    return CoreResult(
+        A=iv.A, B_o=iv.B_1 if iv.B_2 is None else iv.B_1 + iv.B_2,
+        Q=symmetrize(iv.X_q), M=iv.Y_m,
+        R_ww=None if iv.R is None else symmetrize(iv.R),
+        method=method, **provenance)
 
 
 def build_deq(plant, cost: CostSpec) -> DeqSystem:
@@ -137,6 +214,9 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
     """
     if cost.mu < 0:
         raise DomainError(f"discount must be >= 0, got {cost.mu}")
+    if isinstance(plant, DelayRealization) and plant.Ts != cost.Ts:
+        raise DomainError(f"delays were realized at Ts={plant.Ts}, but the "
+                          f"cost has Ts={cost.Ts}")
     if isinstance(plant, ContinuousStateSpace):
         if plant.delays is not None and any(t > 0 for t in plant.delays):
             raise DimensionError(
@@ -202,7 +282,8 @@ def _simpson_weights(panels: int, h: float) -> np.ndarray:
 
 
 def oracle_quadrature(sys: DeqSystem, t: float | None = None,
-                      panels: int = 4096, G_c: Mat | None = None) -> TargetSet:
+                      panels: int = 4096, G_c: Mat | None = None
+                      ) -> CoreResult:
     """Evaluate every target at t by composite Simpson over expm nodes.
 
     Error decays as O(panels^-4). `G_c` overrides the system's diffusion
@@ -246,11 +327,10 @@ def oracle_quadrature(sys: DeqSystem, t: float | None = None,
             XV = XV @ PV
             XH = XH @ PH
 
-    B_1 = SA @ sys.B_1c
-    B_2 = SV @ sys.B_2c_bar
-    return TargetSet(A=XA, A_v=XV, B_1=B_1, B_2=B_2, B_o=B_1 + B_2,
-                     Q=symmetrize(SQ), M=SM,
-                     R_ww=symmetrize(SR) if SR is not None else None)
+    return CoreResult(A=XA, B_o=SA @ sys.B_1c + SV @ sys.B_2c_bar,
+                      Q=symmetrize(SQ), M=SM,
+                      R_ww=symmetrize(SR) if SR is not None else None,
+                      method="oracle", steps=panels)
 
 
 def b_alternative(A_c: Mat, B_c: Mat, Ts: float, N: int) -> Mat:

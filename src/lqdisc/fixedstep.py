@@ -3,8 +3,9 @@
 Because every right-hand side in the system is linear with a constant
 generator, the Runge-Kutta stage combinations collapse into constant
 matrices (Lambda, Theta, Omega...) that are computed once per (tableau,
-step size) and then applied N times with plain matrix multiplies: no expm
-and no linear solves inside the propagation loop.
+step size). They form the one-step seed `Interval`, which `integrate`
+folds N times with `compose`: no expm and no linear solves inside the
+propagation loop.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from .matcore import (DimensionError, DomainError, Mat, SingularMatrixError,
                       solve, symmetrize)
-from .exactdefs import CoreResult, DeqSystem
+from .exactdefs import (CoreResult, DeqSystem, Interval, compose,
+                        core_result, projected_identity)
 
 _TABLEAU_TOL = 1e-12
 
@@ -213,31 +215,18 @@ def propagation(tableau: ButcherTableau, G: Mat, dt: float):
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Everything the propagation loop needs, immutable and shareable."""
+    """The one-step seed interval at dt = Ts / n_steps, immutable and
+    shareable."""
 
     scheme: str
     dt: float
     n_steps: int
-    lam: Mat
-    theta1: Mat
-    stages_a: tuple
-    omega_q: Mat
-    stages_q: tuple
-    omega_m: Mat
-    stages_m: tuple
-    b1c_t: Mat
-    q_c_t: Mat
-    m_c_t: Mat
-    lam_v: Mat | None = None
-    theta2: Mat | None = None
-    stages_v: tuple | None = None
-    b2c_t: Mat | None = None
-    r_c: Mat | None = None
+    seed: Interval
 
 
 def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
                        n_steps: int) -> CoefficientSet:
-    """Precompute all propagation coefficients for N = n_steps substeps."""
+    """Precompute the one-step interval for N = n_steps substeps."""
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     dt = sys.Ts / n_steps
@@ -265,56 +254,26 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
             r_c = r_c + bi * (li @ GG @ li.T)
         r_c = symmetrize(dt * r_c)
 
-    lam_v = theta2 = None
-    stages_v = None
-    b2c_t = None
+    lam_v = b_2 = None
     if sys.delay:
-        lam_v, theta2, stages_v = propagation(tableau, sys.V @ sys.A_c, dt)
-        stages_v = tuple(stages_v)
-        b2c_t = dt * sys.B_2c_bar
+        lam_v, theta2, _ = propagation(tableau, sys.V @ sys.A_c, dt)
+        b_2 = theta2 @ (dt * sys.B_2c_bar)
 
+    seed = Interval(A=lam, B_1=theta1 @ (dt * sys.B_1c), A_v=lam_v, B_2=b_2,
+                    omega_q=omega_q, X_q=q_c_t, omega_m=omega_m, Y_m=m_c_t,
+                    R=r_c)
     return CoefficientSet(scheme=tableau.name, dt=dt, n_steps=n_steps,
-                          lam=lam, theta1=theta1, stages_a=tuple(stages_a),
-                          omega_q=omega_q, stages_q=tuple(stages_q),
-                          omega_m=omega_m, stages_m=tuple(stages_m),
-                          b1c_t=dt * sys.B_1c, q_c_t=q_c_t, m_c_t=m_c_t,
-                          lam_v=lam_v, theta2=theta2, stages_v=stages_v,
-                          b2c_t=b2c_t, r_c=r_c)
+                          seed=seed)
 
 
 def integrate(coeffs: CoefficientSet, sys: DeqSystem) -> CoreResult:
-    """Run the N-step propagation; a fixed number of multiplies per step."""
-    n_x, n_xu, n_z = sys.n_x, sys.n_xu, sys.n_z
-    A = np.eye(n_x)
-    A_v = np.eye(n_x)
-    B_1 = np.zeros_like(coeffs.b1c_t)
-    B_2 = np.zeros_like(coeffs.b1c_t)
-    H_q = np.eye(sys.n_h)
-    H_m = np.eye(sys.n_h)
-    Q = np.zeros((n_xu, n_xu))
-    M = np.zeros((n_xu, n_z))
-    R = np.zeros((n_x, n_x)) if coeffs.r_c is not None else None
-    E2 = sys.E2
-    delay = sys.delay
-
+    """Fold the seed N times from the E_2-projected identity; a fixed
+    number of multiplies per step."""
+    iv = projected_identity(sys, coeffs.seed)
     for _ in range(coeffs.n_steps):
-        T = H_q @ E2
-        Q += T.T @ coeffs.q_c_t @ T
-        M += (H_m @ E2).T @ coeffs.m_c_t
-        if R is not None:
-            R += A @ coeffs.r_c @ A.T
-        B_1 += coeffs.theta1 @ A @ coeffs.b1c_t
-        if delay:
-            B_2 += coeffs.theta2 @ A_v @ coeffs.b2c_t
-            A_v = coeffs.lam_v @ A_v
-        A = coeffs.lam @ A
-        H_q = coeffs.omega_q @ H_q
-        H_m = coeffs.omega_m @ H_m
-
-    return CoreResult(A=A, B_o=B_1 + B_2, Q=symmetrize(Q), M=M,
-                      R_ww=symmetrize(R) if R is not None else None,
-                      method="fixed", scheme=coeffs.scheme,
-                      steps=coeffs.n_steps)
+        iv = compose(iv, coeffs.seed)
+    return core_result(iv, "fixed", scheme=coeffs.scheme,
+                       steps=coeffs.n_steps)
 
 
 def discretize_fixed(sys: DeqSystem, tableau: ButcherTableau,

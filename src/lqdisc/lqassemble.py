@@ -21,7 +21,8 @@ from .matcore import DimensionError, DomainError, Mat, is_psd
 from .model import (ContinuousStateSpace, CostSpec, DelayRealization,
                     DelayedTransferModel, realize_delays)
 from .exactdefs import CoreResult, DeqSystem, build_deq
-from .fixedstep import ButcherTableau, discretize_fixed, named_tableau
+from .fixedstep import (ButcherTableau, build_coefficients, discretize_fixed,
+                        named_tableau)
 from .stepdouble import discretize_step_doubling
 from .vanloan import discretize_expm
 
@@ -39,7 +40,6 @@ class StageCosts:
     t_k: np.ndarray
     scale: np.ndarray          # e^{-mu t_k}
     Q_k: tuple
-    M_k: tuple
     q_k: tuple
     rho_k: np.ndarray
 
@@ -111,9 +111,10 @@ def assemble_augmented(core: CoreResult, realization) -> tuple[Mat, Mat, Mat, Ma
 def stage_costs(Q: Mat, M: Mat, cost: CostSpec) -> StageCosts:
     """Discounted per-stage sequences for k = 0 .. N-1.
 
-    Q_k = e^{-mu t_k} Q, q_k = M_k zbar_k, and rho_k uses the closed form
-    e^{-mu t_k} (1 - e^{-mu Ts}) / (2 mu) * zbar'Q_c zbar, switching to a
-    series expansion around the mu = 0 limit when mu*Ts is below 1e-8.
+    Q_k = e^{-mu t_k} Q, q_k = e^{-mu t_k} M zbar_k, and rho_k uses the
+    closed form e^{-mu t_k} (1 - e^{-mu Ts}) / (2 mu) * zbar'Q_c zbar,
+    switching to a series expansion around the mu = 0 limit when mu*Ts is
+    below 1e-8.
     """
     N, Ts, mu = cost.N, cost.Ts, cost.mu
     t_k = np.arange(N) * Ts
@@ -125,15 +126,14 @@ def stage_costs(Q: Mat, M: Mat, cost: CostSpec) -> StageCosts:
         rho_gain = (Ts / 2.0) * (1.0 - x / 2.0 + x * x / 6.0)
     else:
         rho_gain = -math.expm1(-x) / (2.0 * mu)
-    Q_k, M_k, q_k, rho_k = [], [], [], np.zeros(N)
+    Q_k, q_k, rho_k = [], [], np.zeros(N)
     for k in range(N):
         zb = cost.zbar_at(k)
         Q_k.append(scale[k] * Q)
-        M_k.append(scale[k] * M)
-        q_k.append(M_k[k] @ zb)
+        q_k.append((scale[k] * M) @ zb)
         rho_k[k] = scale[k] * rho_gain * float(zb @ cost.Q_c @ zb)
-    return StageCosts(t_k=t_k, scale=scale, Q_k=tuple(Q_k), M_k=tuple(M_k),
-                      q_k=tuple(q_k), rho_k=rho_k)
+    return StageCosts(t_k=t_k, scale=scale, Q_k=tuple(Q_k), q_k=tuple(q_k),
+                      rho_k=rho_k)
 
 
 def expected_stage_cost(Q_k: Mat, q_k, rho_k: float, x_mean, u,
@@ -186,7 +186,7 @@ def realize_plant(plant, Ts: float):
 
 
 def discretize_core(sys: DeqSystem, method: str, scheme: str = "rk4",
-                    steps: int = 1024, doublings: int | None = None,
+                    steps: int = 1024,
                     tableau: ButcherTableau | None = None) -> CoreResult:
     """Dispatch to one of the three discretization methods."""
     if method == "expm":
@@ -195,24 +195,20 @@ def discretize_core(sys: DeqSystem, method: str, scheme: str = "rk4",
     if method == "fixed":
         return discretize_fixed(sys, tb, steps)
     if method == "doubling":
-        if doublings is None:
-            doublings = int(round(math.log2(steps)))
-            if 2 ** doublings != steps:
-                raise DomainError(
-                    f"steps={steps} is not a power of two; pass doublings")
-        return discretize_step_doubling(sys, tb, doublings)
+        coeffs = build_coefficients(sys, tb, steps)
+        return discretize_step_doubling(sys, tb, steps.bit_length() - 1,
+                                        coeffs=coeffs)
     raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
 
 
 def build_discrete_lq(plant, cost: CostSpec, method: str = "expm",
                       scheme: str = "rk4", steps: int = 1024,
-                      doublings: int | None = None,
                       tableau: ButcherTableau | None = None) -> DiscreteLQ:
     """Full pipeline: realize, discretize, augment, and build stage costs."""
     realization = realize_plant(plant, cost.Ts)
     sys = build_deq(realization, cost)
     core = discretize_core(sys, method, scheme=scheme, steps=steps,
-                           doublings=doublings, tableau=tableau)
+                           tableau=tableau)
     A_aug, B_aug, C_aug, D_aug = assemble_augmented(core, realization)
     stages = stage_costs(core.Q, core.M, cost)
     provenance = {

@@ -180,10 +180,15 @@ class CostSpec:
         if not is_psd(q):
             raise ModelError("cost.Qc", "must be positive semidefinite")
         object.__setattr__(self, "Q_c", q)
-        if self.mu < 0:
-            raise ModelError("cost.mu", "discount must be >= 0")
-        if self.Ts <= 0:
-            raise ModelError("cost.Ts", "sampling time must be > 0")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ModelError("cost.mu", f"discount must be finite and >= 0, "
+                                        f"got {self.mu}")
+        if not (math.isfinite(self.Ts) and self.Ts > 0):
+            raise ModelError("cost.Ts", f"sampling time must be finite and "
+                                        f"> 0, got {self.Ts}")
+        if not float(self.N).is_integer():
+            raise ModelError("cost.N", f"horizon must be an integer, "
+                                       f"got {self.N}")
         if self.N < 1:
             raise ModelError("cost.N", "horizon must be >= 1")
         zbar = np.atleast_2d(np.asarray(self.zbar, dtype=float))
@@ -575,7 +580,7 @@ def parse_model(doc: dict):
     kw = dict(
         mu=_number(_require(cost_doc, "mu", "cost"), "cost.mu"),
         Ts=_number(_require(cost_doc, "Ts", "cost"), "cost.Ts"),
-        N=int(_number(_require(cost_doc, "N", "cost"), "cost.N")),
+        N=_number(_require(cost_doc, "N", "cost"), "cost.N"),
         zbar=_matrix(_require(cost_doc, "zbar", "cost"), "cost.zbar"),
     )
     if "x0" in cost_doc:

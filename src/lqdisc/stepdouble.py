@@ -1,120 +1,42 @@
-"""Step-doubling discretization: N = 2^j substeps in j squaring iterations.
+"""Step-doubling discretization: N substeps by binary powering.
 
 The fixed-step recurrences are geometric in the constant coefficients, so
-the N-step sums collapse under doubling:
+the one-step seed interval composed with itself reaches N steps in
+floor(log2 N) squarings, plus one compose per further set bit of N.
+Composing an interval with itself updates each integral with the factors
+of the half it doubles, before the transitions are squared:
 
-    A~(2n)   = A~(n) A~(n)
-    B~o(2n)  = B~o(n) (I + A~(n))
-    H~(2n)   = H~(n) H~(n)
-    M~(2n)   = M~(n) (I + H~m(n)')
-    Q~(2n)   = Q~(n) + H~q(n)' Q~(n) H~q(n)
+    X_q(2n) = X_q(n) + Omega_q(n)' X_q(n) Omega_q(n)
+    Y_m(2n) = Y_m(n) + Omega_m(n)' Y_m(n)
+    R(2n)   = R(n) + A(n) R(n) A(n)'
 
-M~ and Q~ must be updated before the factors they reference are squared.
-R_ww is not part of the published recurrences; it doubles the same way
-(R~(2n) = R~(n) + Lam^n R~(n) (Lam^n)') and is validated against the
-fixed-step R_ww as an extension.
+R_ww is not part of the published recurrences; it composes the same way
+and is validated against the fixed-step R_ww as an extension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .matcore import DomainError, Mat, symmetrize
-from .exactdefs import CoreResult, DeqSystem
+from .matcore import DomainError
+from .exactdefs import (CoreResult, DeqSystem, compose, core_result, power,
+                        projected_identity)
 from .fixedstep import ButcherTableau, CoefficientSet, build_coefficients
-
-
-@dataclass(eq=False)
-class DoublingState:
-    """Running factors at the current power n, plus the shared constants."""
-
-    a_t: Mat                # Lam_bar^n
-    b_o_t: Mat              # sum_{i<n} Lam_bar^i
-    h_q_t: Mat              # Omega_q^n
-    h_m_t: Mat              # Omega_m^n
-    m_t: Mat                # sum_{i<n} (Omega_m^i)'
-    q_t: Mat                # sum_{i<n} (Omega_q^i)' Q~_c (Omega_q^i)
-    power: int
-    iterations: int
-    n_x: int
-    theta_o: Mat
-    b_oc_t: Mat
-    m_c_t: Mat
-    q_c_t: Mat
-    r_t: Mat | None = None  # sum_{i<n} Lam^i R~_c (Lam^i)'
-
-
-def init_state(coeffs: CoefficientSet, sys: DeqSystem) -> DoublingState:
-    """State at power n = 1 (one fixed step)."""
-    n_x = sys.n_x
-    if sys.delay:
-        z = np.zeros((n_x, n_x))
-        lam_bar = np.block([[coeffs.lam, z], [z, coeffs.lam_v]])
-        theta_o = np.hstack([coeffs.theta1, coeffs.theta2])
-        b_oc_t = np.vstack([coeffs.b1c_t, coeffs.b2c_t])
-    else:
-        lam_bar = coeffs.lam
-        theta_o = coeffs.theta1
-        b_oc_t = coeffs.b1c_t
-    return DoublingState(
-        a_t=lam_bar, b_o_t=np.eye(lam_bar.shape[0]),
-        h_q_t=coeffs.omega_q, h_m_t=coeffs.omega_m,
-        m_t=np.eye(sys.n_h), q_t=coeffs.q_c_t.copy(),
-        power=1, iterations=0, n_x=n_x,
-        theta_o=theta_o, b_oc_t=b_oc_t,
-        m_c_t=coeffs.m_c_t, q_c_t=coeffs.q_c_t,
-        r_t=None if coeffs.r_c is None else coeffs.r_c.copy())
-
-
-def double(state: DoublingState) -> DoublingState:
-    """Advance the state from power n to 2n in place.
-
-    The sum factors (m_t, q_t, r_t, b_o_t) are updated first; squaring the
-    transition factors before that would corrupt them.
-    """
-    state.m_t = state.m_t @ (np.eye(state.m_t.shape[0]) + state.h_m_t.T)
-    state.q_t = state.q_t + state.h_q_t.T @ state.q_t @ state.h_q_t
-    if state.r_t is not None:
-        lam_n = state.a_t[: state.n_x, : state.n_x]
-        state.r_t = state.r_t + lam_n @ state.r_t @ lam_n.T
-    state.b_o_t = state.b_o_t @ (np.eye(state.a_t.shape[0]) + state.a_t)
-    state.a_t = state.a_t @ state.a_t
-    state.h_q_t = state.h_q_t @ state.h_q_t
-    state.h_m_t = state.h_m_t @ state.h_m_t
-    state.power *= 2
-    state.iterations += 1
-    return state
-
-
-def extract(state: DoublingState, sys: DeqSystem,
-            coeffs: CoefficientSet) -> CoreResult:
-    """Read the discretization result out of a doubled state."""
-    n_x = state.n_x
-    A = state.a_t[:n_x, :n_x].copy()
-    B_o = state.theta_o @ state.b_o_t @ state.b_oc_t
-    M = sys.E2.T @ (state.m_t @ state.m_c_t)
-    Q = symmetrize(sys.E2.T @ state.q_t @ sys.E2)
-    R = None if state.r_t is None else symmetrize(state.r_t)
-    j = state.iterations
-    return CoreResult(A=A, B_o=B_o, Q=Q, M=M, R_ww=R, method="doubling",
-                      scheme=coeffs.scheme, steps=state.power, doublings=j,
-                      iterations=j)
 
 
 def discretize_step_doubling(sys: DeqSystem, tableau: ButcherTableau,
                              j: int, coeffs: CoefficientSet | None = None
                              ) -> CoreResult:
-    """Discretize with N = 2^j substeps using j doubling iterations."""
+    """Discretize with N = 2^j substeps, or with coeffs.n_steps substeps
+    (any N >= 1) when coefficients are given; j is then floor(log2 N),
+    the number of squarings."""
     if j < 0:
         raise DomainError(f"doubling exponent must be >= 0, got {j}")
     if coeffs is None:
         coeffs = build_coefficients(sys, tableau, 2 ** j)
-    elif coeffs.n_steps != 2 ** j:
+    elif coeffs.n_steps.bit_length() - 1 != j:
         raise DomainError(
-            f"coefficient set was built for N={coeffs.n_steps}, not 2^{j}")
-    state = init_state(coeffs, sys)
-    for _ in range(j):
-        double(state)
-    return extract(state, sys, coeffs)
+            f"coefficient set was built for N={coeffs.n_steps}, which takes "
+            f"{coeffs.n_steps.bit_length() - 1} doublings, not {j}")
+    iv = power(coeffs.seed, coeffs.n_steps)
+    return core_result(compose(projected_identity(sys, iv), iv), "doubling",
+                       scheme=coeffs.scheme, steps=coeffs.n_steps,
+                       doublings=j)

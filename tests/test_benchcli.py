@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 
 from lqdisc.matcore import DomainError
 from lqdisc.benchcli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
-                             StudyConfig, _pool_size, fit_order, main)
+                             StudyConfig, fit_order, main)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 MIMO = str(MODELS / "mimo_delayed.json")
@@ -101,13 +100,10 @@ def _run_convergence(out_dir, extra=()):
     return (out_dir / "convergence.csv").read_bytes()
 
 
-def test_convergence_output_is_reproducible(tmp_path, monkeypatch):
+def test_convergence_output_is_reproducible(tmp_path):
     first = _run_convergence(tmp_path / "a")
     second = _run_convergence(tmp_path / "b")
     assert first == second
-    monkeypatch.setenv("LQDISC_THREADS", "1")
-    serial = _run_convergence(tmp_path / "c")
-    assert serial == first
     assert b"\r\n" in first  # RFC 4180
 
 
@@ -185,16 +181,7 @@ def test_study_config_invariants():
     with pytest.raises(DomainError, match="steps"):
         StudyConfig(model_path="m", methods=("fixed",), schemes=("rk4",),
                     steps=(0,))
-    with pytest.raises(DomainError, match="powers of two"):
-        StudyConfig(model_path="m", methods=("fixed", "doubling"),
-                    schemes=("rk4",), steps=(48,))
-
-
-def test_pool_size_env(monkeypatch):
-    monkeypatch.setenv("LQDISC_THREADS", "3")
-    assert _pool_size() == 3
-    monkeypatch.setenv("LQDISC_THREADS", "abc")
-    with pytest.raises(DomainError, match="LQDISC_THREADS"):
-        _pool_size()
-    monkeypatch.delenv("LQDISC_THREADS")
-    assert 1 <= _pool_size() <= 8
+    # doubling powers the seed for any N, not only powers of two
+    mixed = StudyConfig(model_path="m", methods=("fixed", "doubling"),
+                        schemes=("rk4",), steps=(48,))
+    assert mixed.steps == (48,)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lqdisc.matcore import DimensionError, DomainError, expm, is_psd, max_abs
-from lqdisc.model import ContinuousStateSpace, CostSpec
+from lqdisc.model import ContinuousStateSpace, CostSpec, realize_delays
 from lqdisc.exactdefs import DeqSystem, b_alternative, build_deq, oracle_quadrature
 
 
@@ -88,6 +88,9 @@ def test_build_deq_rejects_unrealized_delays():
     cost = CostSpec(Q_c=[[1.0]], mu=0.0, Ts=1.0, N=1, zbar=[[0.0]])
     with pytest.raises(DimensionError, match="realize_delays"):
         build_deq(plant, cost)
+    # realized, but for another sampling time than the cost's
+    with pytest.raises(DomainError, match="Ts=0.5.*Ts=1.0"):
+        build_deq(realize_delays(plant, 0.5), cost)
 
 
 def test_oracle_self_convergence_is_fourth_order(mimo_deq):

@@ -157,14 +157,16 @@ def test_coefficients_deterministic_and_integrate_pure(scalar_deq):
     t = named_tableau("rk4")
     c1 = build_coefficients(scalar_deq, t, 32)
     c2 = build_coefficients(scalar_deq, t, 32)
-    assert np.array_equal(c1.lam, c2.lam)
-    assert np.array_equal(c1.q_c_t, c2.q_c_t)
-    lam_before = c1.lam.copy()
-    q_before = c1.q_c_t.copy()
+    present = [name for name, x in c1.seed._asdict().items() if x is not None]
+    assert set(present) == {"A", "B_1", "omega_q", "X_q", "omega_m", "Y_m",
+                            "R"}
+    for name in present:
+        assert np.array_equal(getattr(c1.seed, name), getattr(c2.seed, name))
+    before = {name: getattr(c1.seed, name).copy() for name in present}
     r1 = integrate(c1, scalar_deq)
     r2 = integrate(c1, scalar_deq)
-    assert np.array_equal(c1.lam, lam_before)
-    assert np.array_equal(c1.q_c_t, q_before)
+    for name in present:
+        assert np.array_equal(getattr(c1.seed, name), before[name])
     assert np.array_equal(r1.A, r2.A)
     assert np.array_equal(r1.Q, r2.Q)
     assert np.array_equal(r1.R_ww, r2.R_ww)

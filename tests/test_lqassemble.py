@@ -259,15 +259,23 @@ def test_export_csv_format(tmp_path, mimo_model):
     assert "e" in rows[1][2]
 
 
-def test_build_discrete_lq_provenance_and_errors(scalar_model):
+def test_build_discrete_lq_provenance_and_errors(scalar_model, mimo_model):
     plant, cost = scalar_model
     dlq = build_discrete_lq(plant, cost, method="doubling", steps=1024)
     assert dlq.provenance["doublings"] == 10
     assert dlq.provenance["steps"] == 1024
     with pytest.raises(DomainError, match="unknown method"):
         build_discrete_lq(plant, cost, method="magic")
-    with pytest.raises(DomainError, match="power of two"):
-        build_discrete_lq(plant, cost, method="doubling", steps=1000)
+    # any N: 9 squarings and 5 more composes reach 1000 = 0b1111101000
+    for plant, cost in (scalar_model, mimo_model):
+        doubled = build_discrete_lq(plant, cost, method="doubling",
+                                    steps=1000)
+        fixed = build_discrete_lq(plant, cost, method="fixed", steps=1000)
+        assert doubled.provenance["steps"] == 1000
+        assert doubled.provenance["doublings"] == 9
+        for name in ("A", "B_o", "Q", "M"):
+            gap = max_abs(getattr(doubled, name) - getattr(fixed, name))
+            assert gap <= 1e-12, (name, gap)
 
 
 def test_realize_plant_dispatch(mimo_model, scalar_model):

@@ -1,6 +1,7 @@
 """Tests for model parsing, delay splitting, and plant realization."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,9 @@ def test_cost_spec_from_weight_root():
     ("cost.mu", dict(mu=-0.1)),
     ("cost.N", dict(N=0)),
     ("cost.zbar", dict(zbar=[[1.0]])),
+    ("cost.N", dict(N=2.7)),
+    ("cost.mu", dict(mu=math.nan)),
+    ("cost.Ts", dict(Ts=math.inf)),
 ])
 def test_cost_spec_error_paths(field, kw):
     base = dict(Q_c=np.eye(2), mu=0.2, Ts=1.0, N=3, zbar=[[1.0, 0.5]])
@@ -274,6 +278,15 @@ def test_parse_model_paths():
     with pytest.raises(ModelError) as exc:
         parse_model(bad)
     assert exc.value.path == "cost"
+
+    # JSON that parses (NaN and Infinity literals included) but is not a
+    # valid cost: no truncation, no silent non-finite value
+    for key, value in (("N", 2.7), ("mu", math.nan), ("Ts", math.inf)):
+        bad = _mimo_doc()
+        bad["cost"][key] = value
+        with pytest.raises(ModelError) as exc:
+            parse_model(json.loads(json.dumps(bad)))
+        assert exc.value.path == f"cost.{key}"
 
 
 def test_parse_model_state_space_form():

@@ -1,12 +1,12 @@
-"""Tests for the step-doubling propagation against the fixed-step loop."""
+"""Tests for the step-doubling propagation against the fixed-step fold."""
 
 import numpy as np
 import pytest
 
 from lqdisc.matcore import DomainError, max_abs
+from lqdisc.exactdefs import compose, core_result, power, projected_identity
 from lqdisc.fixedstep import build_coefficients, integrate, named_tableau
-from lqdisc.stepdouble import (discretize_step_doubling, double, extract,
-                               init_state)
+from lqdisc.stepdouble import discretize_step_doubling
 from lqdisc.vanloan import rww_expm
 
 RK4 = named_tableau("rk4")
@@ -34,46 +34,41 @@ def test_doubling_matches_fixed_scalar(scalar_deq, j):
 
 
 def test_doubled_factors_are_geometric_sums(mimo_deq):
-    """After 3 doublings the factors equal their closed-form 8-step sums."""
-    coeffs = build_coefficients(mimo_deq, RK4, 8)
-    state = init_state(coeffs, mimo_deq)
-    lam_bar = state.a_t.copy()
-    for _ in range(3):
-        double(state)
+    """Three squarings of the seed equal its closed-form 8-step sums."""
+    seed = build_coefficients(mimo_deq, RK4, 8).seed
+    got = power(seed, 8)
 
-    def power_sum(X, weight=None):
-        acc = np.zeros_like(X)
+    def power_sum(X, term):
+        acc = 0.0
         P = np.eye(X.shape[0])
         for _ in range(8):
-            acc = acc + (P if weight is None else P.T @ weight @ P)
+            acc = acc + term(P)
             P = X @ P
         return acc
 
-    assert max_abs(state.a_t - np.linalg.matrix_power(lam_bar, 8)) < 1e-13
-    assert max_abs(state.h_q_t - np.linalg.matrix_power(coeffs.omega_q, 8)) < 1e-13
-    assert max_abs(state.h_m_t - np.linalg.matrix_power(coeffs.omega_m, 8)) < 1e-13
-    assert max_abs(state.b_o_t - power_sum(lam_bar)) < 1e-13
-    assert max_abs(state.m_t - power_sum(coeffs.omega_m).T) < 1e-13
-    assert max_abs(state.q_t - power_sum(coeffs.omega_q, coeffs.q_c_t)) < 1e-13
-    assert state.power == 8
-    assert state.iterations == 3
+    for name in ("A", "A_v", "omega_q", "omega_m"):
+        want = np.linalg.matrix_power(getattr(seed, name), 8)
+        assert max_abs(getattr(got, name) - want) < 1e-13, name
+    assert max_abs(got.B_1 - power_sum(seed.A, lambda P: P @ seed.B_1)) < 1e-13
+    assert max_abs(got.B_2 - power_sum(seed.A_v, lambda P: P @ seed.B_2)) < 1e-13
+    assert max_abs(got.Y_m - power_sum(
+        seed.omega_m, lambda P: P.T @ seed.Y_m)) < 1e-13
+    assert max_abs(got.X_q - power_sum(
+        seed.omega_q, lambda P: P.T @ seed.X_q @ P)) < 1e-13
 
 
 def test_double_updates_sums_before_squares(scalar_deq):
-    """One doubling: sums see the power-1 factors, transitions square."""
-    coeffs = build_coefficients(scalar_deq, RK4, 2)
-    state = init_state(coeffs, scalar_deq)
-    lam = state.a_t.copy()
-    double(state)
-    eye_h = np.eye(coeffs.omega_m.shape[0])
-    eye_a = np.eye(lam.shape[0])
-    assert max_abs(state.m_t - (eye_h + coeffs.omega_m.T)) < 1e-15
-    want_q = coeffs.q_c_t + coeffs.omega_q.T @ coeffs.q_c_t @ coeffs.omega_q
-    assert max_abs(state.q_t - want_q) < 1e-15
-    assert max_abs(state.b_o_t - (eye_a + lam)) < 1e-15
-    assert max_abs(state.a_t - lam @ lam) < 1e-15
-    want_r = coeffs.r_c + lam @ coeffs.r_c @ lam.T
-    assert max_abs(state.r_t - want_r) < 1e-15
+    """One squaring: sums see the power-1 factors, transitions square."""
+    seed = build_coefficients(scalar_deq, RK4, 2).seed
+    got = compose(seed, seed)
+    lam, om_q, om_m = seed.A, seed.omega_q, seed.omega_m
+    assert max_abs(got.Y_m - (seed.Y_m + om_m.T @ seed.Y_m)) < 1e-15
+    assert max_abs(got.X_q - (seed.X_q + om_q.T @ seed.X_q @ om_q)) < 1e-15
+    assert max_abs(got.B_1 - (seed.B_1 + lam @ seed.B_1)) < 1e-15
+    assert max_abs(got.A - lam @ lam) < 1e-15
+    assert max_abs(got.omega_q - om_q @ om_q) < 1e-15
+    assert max_abs(got.R - (seed.R + lam @ seed.R @ lam.T)) < 1e-15
+    assert got.A_v is None and got.B_2 is None   # plain plant
 
 
 def test_zero_doublings_is_one_fixed_step(mimo_deq):
@@ -92,6 +87,8 @@ def test_doubling_argument_validation(scalar_deq):
     coeffs = build_coefficients(scalar_deq, RK4, 6)
     with pytest.raises(DomainError, match="N=6"):
         discretize_step_doubling(scalar_deq, RK4, 3, coeffs=coeffs)
+    with pytest.raises(DomainError, match="n >= 1"):
+        power(coeffs.seed, 0)
 
 
 def test_doubled_noise_covariance_matches_expm(scalar_deq):
@@ -109,11 +106,13 @@ def test_doubling_provenance(mimo_deq):
 
 
 def test_extract_reuses_state(mimo_deq):
+    """Squaring the seed twice by hand and projecting it gives the result
+    of discretize_step_doubling bit for bit."""
     coeffs = build_coefficients(mimo_deq, RK4, 4)
-    state = init_state(coeffs, mimo_deq)
-    double(state)
-    double(state)
+    iv = compose(coeffs.seed, coeffs.seed)
+    iv = compose(iv, iv)
     direct = discretize_step_doubling(mimo_deq, RK4, 2, coeffs=coeffs)
-    manual = extract(state, mimo_deq, coeffs)
-    assert np.array_equal(manual.A, direct.A)
-    assert np.array_equal(manual.Q, direct.Q)
+    manual = core_result(compose(projected_identity(mimo_deq, iv), iv),
+                         "doubling")
+    for name in ("A", "B_o", "Q", "M"):
+        assert np.array_equal(getattr(manual, name), getattr(direct, name))

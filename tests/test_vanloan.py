@@ -8,7 +8,7 @@ import pytest
 from lqdisc.matcore import expm, is_psd, is_symmetric, max_abs
 from lqdisc.model import ContinuousStateSpace, CostSpec
 from lqdisc.exactdefs import build_deq, oracle_quadrature
-from lqdisc.vanloan import build_blocks, discretize_expm, rww_expm
+from lqdisc.vanloan import discretize_expm, exact_seed, rww_expm
 
 
 def _ie(a):
@@ -32,21 +32,39 @@ def test_integrator_weights_exact():
     assert max_abs(got.M - (-2.0) * np.array([[1.0], [0.5]])) < 1e-14
 
 
-def test_scalar_discounted_closed_forms():
-    mu = 0.2
-    got = discretize_expm(_scalar_sys(mu))
+def _scalar_q_m(mu):
+    """Closed-form Q and M of dx = -x + u, z = x over Ts = 1."""
     want_q = np.array([
         [_ie(mu + 2.0), _ie(mu + 1.0) - _ie(mu + 2.0)],
         [_ie(mu + 1.0) - _ie(mu + 2.0),
          _ie(mu) - 2.0 * _ie(mu + 1.0) + _ie(mu + 2.0)],
     ])
     want_m = -np.array([[_ie(mu + 1.0)], [_ie(mu) - _ie(mu + 1.0)]])
+    return want_q, want_m
+
+
+def test_scalar_discounted_closed_forms():
+    mu = 0.2
+    got = discretize_expm(_scalar_sys(mu))
+    want_q, want_m = _scalar_q_m(mu)
     assert abs(got.A[0, 0] - math.exp(-1.0)) < 1e-14
     assert abs(got.B_o[0, 0] + math.expm1(-1.0)) < 1e-14
     assert max_abs(got.Q - want_q) < 1e-14
     assert max_abs(got.M - want_m) < 1e-14
     assert got.R_ww[0, 0] == pytest.approx(-math.expm1(-2.0) / 2.0, abs=1e-14)
     assert got.method == "expm"
+
+
+def test_large_discount_stays_finite():
+    """At mu Ts = 2000 a single Van Loan exponential overflows (e^1000);
+    the seed is taken at Ts/2^s and squared, so Q stays exact."""
+    mu = 2000.0
+    got = discretize_expm(_scalar_sys(mu))
+    want_q, want_m = _scalar_q_m(mu)
+    assert got.doublings == 11
+    assert np.all(np.isfinite(got.Q))
+    assert max_abs(got.Q - want_q) < 1e-18
+    assert max_abs(got.M - want_m) < 1e-18
 
 
 def test_mimo_matches_quadrature_oracle(mimo_deq):
@@ -99,10 +117,14 @@ def test_rww_random_system_matches_oracle():
 
 
 def test_block_factors_are_plain_exponentials(mimo_deq):
-    t = mimo_deq.Ts
-    blocks = build_blocks(mimo_deq, t)
-    assert max_abs(blocks.phi1_22 - expm(t * mimo_deq.H_cq)) < 1e-13
-    assert max_abs(blocks.phi2_22 - expm(t * mimo_deq.H_cm.T)) < 1e-13
-    assert max_abs(blocks.phi3 - expm(t * mimo_deq.H_c)) < 1e-13
-    # no diffusion matrix on the transfer model: no noise blocks
-    assert blocks.c3_12 is None and blocks.c3_22 is None
+    sys, t = mimo_deq, 0.25 * mimo_deq.Ts
+    seed = exact_seed(sys, t)
+    n_x = sys.n_x
+    assert max_abs(seed.omega_q - expm(t * sys.H_cq)) < 1e-13
+    assert max_abs(seed.omega_m - expm(t * sys.H_cm)) < 1e-13
+    assert max_abs(seed.A - expm(t * sys.A_c)) < 1e-13
+    assert max_abs(seed.A_v - expm(t * sys.V @ sys.A_c)) < 1e-13
+    assert max_abs(seed.B_1 - expm(t * sys.H_1c)[:n_x, n_x:]) < 1e-13
+    assert max_abs(seed.B_2 - expm(t * sys.H_2c)[:n_x, n_x:]) < 1e-13
+    # no diffusion matrix on the transfer model: no noise integral
+    assert seed.R is None
