@@ -22,8 +22,8 @@ Runge-Kutta step, or the exact exponentials over Ts/2^s) and in how they
 compose it: `fixed` folds the seed N times, `doubling` and `expm` power it.
 
 `oracle_quadrature` evaluates every target by matrix exponentials at
-composite-Simpson nodes; it is the slow ground truth the fast methods are
-tested against, and uses neither seeds nor `compose`.
+composite-Simpson nodes, a chunk of nodes at a time; it is the ground
+truth the methods are tested against, and uses neither seeds nor `compose`.
 """
 
 from __future__ import annotations
@@ -274,6 +274,30 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
                      G_c=G_c, source=plant)
 
 
+# Nodes (or steps) evaluated per chunk by the validation references; a
+# power of two, so the chunk powers P^0 .. P^{C-1} take log2(C) products.
+_CHUNK = 64
+
+
+def _powers(D: Mat) -> tuple[np.ndarray, Mat]:
+    """For P = I + D: the stack P^i - I, i < C = _CHUNK, and P^C - I.
+
+    Built by log2(C) stacked products, each doubling the stack with
+    P^{i+n} - I = D_i + D_n + D_i D_n. When P is near I, products of P
+    itself add a rounding error the size of an ulp of 1 per power, which
+    the differences D_i avoid.
+    """
+    stack = np.zeros((_CHUNK,) + D.shape)
+    n, step = 1, D
+    while n < _CHUNK:
+        new = np.matmul(stack[:n], step, out=stack[n:2 * n])
+        new += stack[:n]
+        new += step
+        step = step + step + step @ step
+        n *= 2
+    return stack, step
+
+
 def _simpson_weights(panels: int, h: float) -> np.ndarray:
     w = np.full(panels + 1, 2.0)
     w[1::2] = 4.0
@@ -286,6 +310,17 @@ def oracle_quadrature(sys: DeqSystem, t: float | None = None,
                       ) -> CoreResult:
     """Evaluate every target at t by composite Simpson over expm nodes.
 
+    The node exponentials e^{X s_k}, s_k = k t/panels, are powers of the
+    three node steps P = e^{A_c h}, e^{V A_c h} and e^{H_c h} (the only
+    three `expm` calls). They are formed a chunk of C = 64 nodes at a
+    time: the powers P^0 .. P^{C-1} once, a chunk base P^{cC} advanced by
+    P^C, and the chunk's nodes as one stacked product of the base with
+    those powers (Gamma as (E_1 base) (P^i E_2)). The Simpson sums are
+    weighted contractions over the chunk, so memory is O(C n_h^2) for any
+    panel count. Every node is a plain power of a node exponential and
+    every integral a plain weighted sum: the result shares no seed, no
+    `compose` and no Runge-Kutta coefficient with the methods it checks.
+
     Error decays as O(panels^-4). `G_c` overrides the system's diffusion
     matrix; R_ww is None when neither is given.
     """
@@ -297,44 +332,63 @@ def oracle_quadrature(sys: DeqSystem, t: float | None = None,
         G_c = sys.G_c
     h = t / panels
     w = _simpson_weights(panels, h)
-    disc = np.exp(-sys.mu * h * np.arange(panels + 1))
+    wd = w * np.exp(-sys.mu * h * np.arange(panels + 1))
 
-    n_x = sys.n_x
-    PA = expm(sys.A_c * h)
-    PV = expm(sys.V @ sys.A_c * h)
-    PH = expm(sys.H_c * h)
+    n_x, n_h = sys.n_x, sys.n_h
+    powA, stepA = _powers(expm(sys.A_c * h) - np.eye(n_x))
+    powV, stepV = _powers(expm(sys.V @ sys.A_c * h) - np.eye(n_x))
+    dH, stepH = _powers(expm(sys.H_c * h) - np.eye(n_h))
+    powA += np.eye(n_x)                  # e^{A_c h i}, i < C
+    powV += np.eye(n_x)
+    powHE2 = dH @ sys.E2                 # e^{H_c h i} E_2, i < C
+    powHE2 += sys.E2
     GG = G_c @ G_c.T if G_c is not None else None
 
-    XA = np.eye(n_x)                     # e^{A_c s_k}
-    XV = np.eye(n_x)                     # e^{V A_c s_k}
-    XH = np.eye(sys.n_h)                 # e^{H_c s_k}
+    XA = np.eye(n_x)                     # chunk bases e^{A_c s_k}, ...
+    XV = np.eye(n_x)
+    XH = np.eye(n_h)
     SA = np.zeros((n_x, n_x))            # int e^{A_c s} ds
     SV = np.zeros((n_x, n_x))
     SQ = np.zeros((sys.n_xu, sys.n_xu))
-    SM = np.zeros((sys.n_xu, sys.n_z))
+    SG = np.zeros((sys.n_xu, sys.n_xu))  # int e^{-mu s} Gamma(s) ds
     SR = np.zeros((n_x, n_x)) if GG is not None else None
 
-    for k in range(panels + 1):
-        SA += w[k] * XA
-        SV += w[k] * XV
-        G = sys.E1 @ XH @ sys.E2
-        SQ += (w[k] * disc[k]) * (G.T @ (sys.Qbar_c @ G))
-        SM += (w[k] * disc[k]) * (G.T @ sys.Mbar_c)
+    for k in range(0, panels + 1, _CHUNK):
+        m = min(_CHUNK, panels + 1 - k)
+        wk, wdk = w[k:k + m], wd[k:k + m]
+        SA += XA @ np.tensordot(wk, powA[:m], 1)
+        SV += XV @ np.tensordot(wk, powV[:m], 1)
+        G = (sys.E1 @ XH) @ powHE2[:m]   # Gamma(s_{k+i}), i < m
+        SG += np.tensordot(wdk, G, 1)
+        SQ += np.tensordot(wdk[:, None, None] * G, sys.Qbar_c @ G,
+                           axes=([0, 1], [0, 1]))
         if GG is not None:
-            SR += w[k] * (XA @ GG @ XA.T)
-        if k < panels:
-            XA = XA @ PA
-            XV = XV @ PV
-            XH = XH @ PH
+            XAk = XA @ powA[:m]
+            SR += np.tensordot(wk[:, None, None] * XAk,
+                               (GG @ XAk.transpose(0, 2, 1)),
+                               axes=([0, 2], [0, 1]))
+        if k + m <= panels:
+            XA = XA + XA @ stepA
+            XV = XV + XV @ stepV
+            XH = XH + XH @ stepH
 
-    return CoreResult(A=XA, B_o=SA @ sys.B_1c + SV @ sys.B_2c_bar,
-                      Q=symmetrize(SQ), M=SM,
+    return CoreResult(A=XA @ powA[m - 1],
+                      B_o=SA @ sys.B_1c + SV @ sys.B_2c_bar,
+                      Q=symmetrize(SQ), M=SG.T @ sys.Mbar_c,
                       R_ww=symmetrize(SR) if SR is not None else None,
                       method="oracle", steps=panels)
 
 
 def b_alternative(A_c: Mat, B_c: Mat, Ts: float, N: int) -> Mat:
     """Integrate dB/dt = A_c B + B_c, B(0) = 0, with N classic-RK4 steps.
+
+    On this linear ODE one RK4 step of size h is exactly B <- T B + c with
+    T = sum_{k<=4} (h A_c)^k / k! and c = h sum_{k<=3} (h A_c)^k / (k+1)! B_c,
+    so B_N = sum_{k<N} T^k c = N c + sum_{k<N} (T^k - I) c. The sum is
+    taken a chunk of 64 steps at a time from the differences T^i - I,
+    i < 64, which stay accurate where T itself is I plus a rounding error.
+    It uses no matrix exponential and none of the discretization code, so
+    it stays independent of the methods it checks.
 
     The other form of the same integral (dB/dt = e^{A_c t} B_c) is what the
     fixed-step method uses; keeping both routes lets tests cross-check them.
@@ -344,11 +398,17 @@ def b_alternative(A_c: Mat, B_c: Mat, Ts: float, N: int) -> Mat:
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     h = Ts / N
-    B = np.zeros_like(B_c)
-    for _ in range(N):
-        k1 = A_c @ B + B_c
-        k2 = A_c @ (B + 0.5 * h * k1) + B_c
-        k3 = A_c @ (B + 0.5 * h * k2) + B_c
-        k4 = A_c @ (B + h * k3) + B_c
-        B = B + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return B
+    Z = h * A_c
+    Z2 = Z @ Z
+    eye = np.eye(A_c.shape[0])
+    D = Z + Z2 @ (eye / 2 + Z / 6 + Z2 / 24)             # T - I
+    c = h * ((eye + Z / 2 + Z2 @ (eye / 6 + Z / 24)) @ B_c)
+    powD, stepD = _powers(D)
+    partial = np.cumsum(powD, axis=0)    # sum_{i<m} (T^i - I) at [m - 1]
+    S = np.zeros_like(D)                 # sum_{i<k} (T^i - I)
+    base = np.zeros_like(D)              # T^k - I at the chunk start k
+    for k in range(0, N, _CHUNK):
+        m = min(_CHUNK, N - k)
+        S += m * base + partial[m - 1] + base @ partial[m - 1]
+        base = base + stepD + base @ stepD
+    return N * c + S @ c

@@ -68,16 +68,18 @@ class ContinuousStateSpace:
             if g.shape[0] != n_x:
                 raise ModelError("state_space.G_c", f"expected {n_x} rows, got {g.shape[0]}")
             object.__setattr__(self, "G_c", g)
-        for name in ("A_c", "B_c", "C_c", "D_c"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name in ("A_c", "B_c", "C_c", "D_c", "G_c"):
+            m = getattr(self, name)
+            if m is not None and not np.all(np.isfinite(m)):
                 raise ModelError(f"state_space.{name}", "non-finite entries")
         if self.delays is not None:
             d = tuple(float(t) for t in self.delays)
             if len(d) != self.n_u:
                 raise ModelError("state_space.delays",
                                  f"expected {self.n_u} entries, got {len(d)}")
-            if any(t < 0 for t in d):
-                raise ModelError("state_space.delays", "delays must be >= 0")
+            if not all(math.isfinite(t) and t >= 0 for t in d):
+                raise ModelError("state_space.delays",
+                                 "delays must be finite and >= 0")
             object.__setattr__(self, "delays", d)
 
     @property
@@ -91,6 +93,19 @@ class ContinuousStateSpace:
     @property
     def n_z(self):
         return self.C_c.shape[0]
+
+
+def _coefficients(value, path: str) -> np.ndarray:
+    """Finite polynomial coefficients as a float vector."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ModelError(path, "expected a list of numbers") from None
+    if arr.ndim != 1:
+        raise ModelError(path, "expected a list of numbers")
+    if not np.all(np.isfinite(arr)):
+        raise ModelError(path, "non-finite coefficients")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -108,15 +123,20 @@ class TransferChannel:
     tau: float
 
     def __post_init__(self):
-        path = f"channel({self.i},{self.j})"
-        num = np.trim_zeros(np.asarray(self.num, dtype=float), "f")
-        den = np.trim_zeros(np.asarray(self.den, dtype=float), "f")
+        path = f"channel({self.i:g},{self.j:g})"
+        for name in ("i", "j"):
+            index = getattr(self, name)
+            if not (float(index).is_integer() and index >= 1):
+                raise ModelError(f"{path}.{name}", "index must be an integer >= 1")
+            object.__setattr__(self, name, int(index))
+        num = np.trim_zeros(_coefficients(self.num, f"{path}.num"), "f")
+        den = np.trim_zeros(_coefficients(self.den, f"{path}.den"), "f")
         if den.size == 0:
-            raise ModelError(path, "denominator is zero")
+            raise ModelError(f"{path}.den", "denominator is zero")
         if num.size > den.size:
             raise ModelError(path, "improper channel (deg num > deg den)")
-        if self.tau < 0:
-            raise ModelError(path, "delay must be >= 0")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ModelError(f"{path}.tau", "delay must be finite and >= 0")
         num = num / den[0]
         den = den / den[0]
         object.__setattr__(self, "num", tuple(num))
@@ -197,6 +217,8 @@ class CostSpec:
                              f"rows must have length n_z={q.shape[0]}, got {zbar.shape[1]}")
         if zbar.shape[0] < 1:
             raise ModelError("cost.zbar", "at least one reference row required")
+        if not np.all(np.isfinite(zbar)):
+            raise ModelError("cost.zbar", "non-finite entries")
         object.__setattr__(self, "zbar", zbar)
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "Ts", float(self.Ts))
@@ -566,10 +588,10 @@ def parse_model(doc: dict):
             path = f"model.transfer.channels[{k}]"
             _reject_unknown(chd, _CH_KEYS, path)
             channels.append(TransferChannel(
-                i=int(_number(_require(chd, "i", path), f"{path}.i")),
-                j=int(_number(_require(chd, "j", path), f"{path}.j")),
-                num=tuple(_require(chd, "num", path)),
-                den=tuple(_require(chd, "den", path)),
+                i=_number(_require(chd, "i", path), f"{path}.i"),
+                j=_number(_require(chd, "j", path), f"{path}.j"),
+                num=_require(chd, "num", path),
+                den=_require(chd, "den", path),
                 tau=_number(_require(chd, "tau", path), f"{path}.tau"),
             ))
         plant = DelayedTransferModel(tuple(channels))

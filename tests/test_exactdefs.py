@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from lqdisc.matcore import DimensionError, DomainError, expm, is_psd, max_abs
+from lqdisc import exactdefs, fixedstep, vanloan
+from lqdisc.matcore import (DimensionError, DomainError, expm, is_psd, max_abs,
+                            symmetrize)
 from lqdisc.model import ContinuousStateSpace, CostSpec, realize_delays
 from lqdisc.exactdefs import DeqSystem, b_alternative, build_deq, oracle_quadrature
 
@@ -140,3 +143,120 @@ def test_deq_dimensions(mimo_deq, scalar_deq):
     # plain plants use identity selectors
     assert np.array_equal(scalar_deq.E1, np.eye(2))
     assert np.array_equal(scalar_deq.E2, np.eye(2))
+
+
+def _random_deq(seed, n_x, n_u, kind, mu, diffusion):
+    """A random stable plant (no, fractional or integer delays) and cost."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n_x, n_x))
+    A -= (max(np.linalg.eigvals(A).real) + rng.uniform(0.3, 1.0)) * np.eye(n_x)
+    delays = {"none": None,
+              "fractional": tuple(rng.uniform(0.1, 1.9, size=n_u)),
+              "integer": tuple(float(d) for d in rng.integers(0, 3, size=n_u)),
+              }[kind]
+    plant = ContinuousStateSpace(
+        A, rng.normal(size=(n_x, n_u)), rng.normal(size=(1, n_x)),
+        rng.normal(size=(1, n_u)),
+        G_c=rng.normal(size=(n_x, 1)) if diffusion else None, delays=delays)
+    cost = CostSpec(Q_c=[[1.5]], mu=mu, Ts=1.0, N=1, zbar=[[0.0]])
+    if delays is not None:
+        plant = realize_delays(plant, cost.Ts)
+    return build_deq(plant, cost)
+
+
+def _node_by_node_simpson(sys, panels):
+    """Composite Simpson with every node exponential taken on its own."""
+    h = sys.Ts / panels
+    R = None if sys.G_c is None else np.zeros((sys.n_x, sys.n_x))
+    B = np.zeros_like(sys.B_1c)
+    Q = np.zeros((sys.n_xu, sys.n_xu))
+    M = np.zeros((sys.n_xu, sys.n_z))
+    for k in range(panels + 1):
+        s = k * h
+        w = (h / 3.0) * (1.0 if k in (0, panels) else 4.0 if k % 2 else 2.0)
+        XA = expm(sys.A_c * s)
+        B += w * (XA @ sys.B_1c + expm(sys.V @ sys.A_c * s) @ sys.B_2c_bar)
+        G = sys.E1 @ expm(sys.H_c * s) @ sys.E2
+        Q += w * math.exp(-sys.mu * s) * G.T @ sys.Qbar_c @ G
+        M += w * math.exp(-sys.mu * s) * G.T @ sys.Mbar_c
+        if R is not None:
+            R += w * XA @ sys.G_c @ sys.G_c.T @ XA.T
+    return dict(A=XA, B_o=B, Q=symmetrize(Q), M=M,
+                R_ww=None if R is None else symmetrize(R))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(1, 3),
+       n_u=st.integers(1, 2),
+       kind=st.sampled_from(("none", "fractional", "integer")),
+       mu=st.sampled_from((0.0, 0.2, 1.0)), diffusion=st.booleans(),
+       panels=st.integers(1, 150).map(lambda p: 2 * p))
+# node counts around the 64-node chunk: 63, 65, 127 and 129
+@example(seed=1, n_x=2, n_u=2, kind="fractional", mu=0.2, diffusion=True,
+         panels=62)
+@example(seed=2, n_x=3, n_u=1, kind="integer", mu=1.0, diffusion=False,
+         panels=64)
+@example(seed=3, n_x=1, n_u=2, kind="none", mu=0.0, diffusion=True,
+         panels=126)
+@example(seed=4, n_x=2, n_u=1, kind="fractional", mu=0.0, diffusion=False,
+         panels=128)
+def test_chunked_oracle_matches_node_by_node_simpson(seed, n_x, n_u, kind, mu,
+                                                     diffusion, panels):
+    sys = _random_deq(seed, n_x, n_u, kind, mu, diffusion)
+    got = oracle_quadrature(sys, panels=panels)
+    want = _node_by_node_simpson(sys, panels)
+    assert (got.R_ww is None) == (want["R_ww"] is None)
+    for q, ref in want.items():
+        if ref is not None:
+            gap = max_abs(getattr(got, q) - ref)
+            assert gap <= 1e-12 * max(max_abs(ref), 1.0), (q, gap)
+
+
+def _rk4_loop(A_c, B_c, Ts, N):
+    h = Ts / N
+    B = np.zeros_like(B_c)
+    for _ in range(N):
+        k1 = A_c @ B + B_c
+        k2 = A_c @ (B + 0.5 * h * k1) + B_c
+        k3 = A_c @ (B + 0.5 * h * k2) + B_c
+        k4 = A_c @ (B + h * k3) + B_c
+        B = B + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return B
+
+
+@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 2048])
+def test_b_alternative_equals_stepwise_rk4(N):
+    rng = np.random.default_rng(N)
+    for n_x in (1, 3, 6):
+        A = rng.normal(size=(n_x, n_x)) - 1.5 * np.eye(n_x)
+        B_c = rng.normal(size=(n_x, 2))
+        want = _rk4_loop(A, B_c, 1.3, N)
+        gap = max_abs(b_alternative(A, B_c, 1.3, N) - want)
+        assert gap <= 1e-12 * max(max_abs(want), 1.0), (n_x, gap)
+
+
+def test_references_stay_independent_of_the_methods(monkeypatch, mimo_deq,
+                                                    scalar_deq):
+    """The oracle and b_alternative reach none of the methods' code: three
+    node exponentials for the oracle, no exponential for b_alternative."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reference reached a discretization method")
+
+    for module, name in ((exactdefs, "compose"), (exactdefs, "power"),
+                         (vanloan, "exact_seed"),
+                         (fixedstep, "build_coefficients")):
+        monkeypatch.setattr(module, name, forbidden)
+    calls = []
+
+    def counted(X):
+        calls.append(X.shape)
+        return expm(X)
+
+    monkeypatch.setattr(exactdefs, "expm", counted)
+    for sys in (mimo_deq, scalar_deq):
+        calls.clear()
+        oracle_quadrature(sys, panels=256)
+        assert len(calls) == 3
+        calls.clear()
+        b_alternative(sys.A_c, sys.B_1c, sys.Ts, 2048)
+        assert calls == []

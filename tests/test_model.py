@@ -78,6 +78,19 @@ def test_transfer_channel_validation():
         TransferChannel(1, 1, (1.0, 0.0, 0.0), (2.0, 1.0), tau=0.0)
     with pytest.raises(ModelError, match="delay"):
         TransferChannel(1, 1, (1.0,), (1.0, 1.0), tau=-0.5)
+    # a non-integral index, a non-finite or non-numeric value: named by field
+    for field, kw in (("num", dict(num=(math.nan,))),
+                      ("den", dict(den=(1.0, math.nan))),
+                      ("num", dict(num="1.0")),
+                      ("i", dict(i=1.5)),
+                      ("j", dict(j=0)),
+                      ("tau", dict(tau=math.nan)),
+                      ("tau", dict(tau=math.inf))):
+        args = dict(i=1, j=2, num=(1.0,), den=(1.0, 1.0), tau=0.0)
+        args.update(kw)
+        with pytest.raises(ModelError) as exc:
+            TransferChannel(**args)
+        assert exc.value.path == f"channel({args['i']:g},{args['j']:g}).{field}"
 
 
 def _mimo_channels():
@@ -204,6 +217,12 @@ def test_state_space_validation_paths():
                              delays=(0.1, 0.2))
     with pytest.raises(ModelError, match="state_space.B_c"):
         ContinuousStateSpace([[0.0]], [[1.0], [2.0]], [[1.0]], [[0.0]])
+    for field, kw in (("delays", dict(delays=(math.nan,))),
+                      ("delays", dict(delays=(math.inf,))),
+                      ("G_c", dict(G_c=[[math.inf]]))):
+        with pytest.raises(ModelError) as exc:
+            ContinuousStateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]], **kw)
+        assert exc.value.path == f"state_space.{field}"
 
 
 def test_cost_spec_reference_held_last():
@@ -228,6 +247,7 @@ def test_cost_spec_from_weight_root():
     ("cost.N", dict(N=2.7)),
     ("cost.mu", dict(mu=math.nan)),
     ("cost.Ts", dict(Ts=math.inf)),
+    ("cost.zbar", dict(zbar=[[1.0, math.nan]])),
 ])
 def test_cost_spec_error_paths(field, kw):
     base = dict(Q_c=np.eye(2), mu=0.2, Ts=1.0, N=3, zbar=[[1.0, 0.5]])
@@ -281,12 +301,27 @@ def test_parse_model_paths():
 
     # JSON that parses (NaN and Infinity literals included) but is not a
     # valid cost: no truncation, no silent non-finite value
-    for key, value in (("N", 2.7), ("mu", math.nan), ("Ts", math.inf)):
+    for key, value in (("N", 2.7), ("mu", math.nan), ("Ts", math.inf),
+                       ("zbar", [[1.0, math.nan]])):
         bad = _mimo_doc()
         bad["cost"][key] = value
         with pytest.raises(ModelError) as exc:
             parse_model(json.loads(json.dumps(bad)))
         assert exc.value.path == f"cost.{key}"
+
+    # channel fields: no truncated index, no non-finite coefficient or delay
+    for key, value, field in (
+            ("i", 1.5, "channel(1.5,1).i"),
+            ("j", 0, "channel(1,0).j"),
+            ("num", [math.nan], "channel(1,1).num"),
+            ("den", [4.5, math.nan, 1.0], "channel(1,1).den"),
+            ("tau", math.nan, "channel(1,1).tau"),
+            ("tau", math.inf, "channel(1,1).tau")):
+        bad = _mimo_doc()
+        bad["model"]["transfer"]["channels"][0][key] = value
+        with pytest.raises(ModelError) as exc:
+            parse_model(json.loads(json.dumps(bad)))
+        assert exc.value.path == field
 
 
 def test_parse_model_state_space_form():
@@ -300,6 +335,14 @@ def test_parse_model_state_space_form():
     with pytest.raises(ModelError) as exc:
         parse_model(doc)
     assert exc.value.path == "model.state_space.A_c"
+
+    for key, value, field in (("delays", [math.nan], "state_space.delays"),
+                              ("G_c", [[math.inf]], "state_space.G_c")):
+        doc = json.loads((MODELS / "scalar.json").read_text())
+        doc["model"]["state_space"][key] = value
+        with pytest.raises(ModelError) as exc:
+            parse_model(json.loads(json.dumps(doc)))
+        assert exc.value.path == field
 
 
 def test_load_model_rejects_invalid_json(tmp_path):
