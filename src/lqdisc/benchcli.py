@@ -66,11 +66,9 @@ _QUANTITIES = ("A", "B_o", "M", "Q")
 class StudyConfig:
     """Validated description of a convergence or timing study."""
 
-    model_path: str
     methods: tuple
     schemes: tuple
     steps: tuple
-    reference: str = REFERENCE_ID
     out_dir: str = "."
     reps: int = 9
 
@@ -425,10 +423,10 @@ def _int_list(value: str, flag: str) -> tuple:
 
 def cmd_discretize(args) -> int:
     plant, cost = _load(args.model)
-    tableau = ButcherTableau.from_file(args.tableau) if args.tableau else None
-    dlq = build_discrete_lq(plant, cost, method=args.method,
-                            scheme=args.scheme, steps=args.steps,
-                            tableau=tableau)
+    scheme = (ButcherTableau.from_file(args.tableau) if args.tableau
+              else args.scheme or "rk4")
+    dlq = build_discrete_lq(plant, cost, method=args.method, scheme=scheme,
+                            steps=args.steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     json_path, csv_path = out / "result.json", out / "stages.csv"
@@ -444,8 +442,7 @@ def cmd_discretize(args) -> int:
 
 def cmd_convergence(args) -> int:
     plant, cost = _load(args.model)
-    config = StudyConfig(model_path=args.model,
-                         methods=_split_arg(args.method),
+    config = StudyConfig(methods=_split_arg(args.method),
                          schemes=_split_arg(args.scheme),
                          steps=_int_list(args.steps, "--steps"),
                          out_dir=args.out)
@@ -499,8 +496,7 @@ def cmd_bench(args) -> int:
     plant, cost = _load(args.model)
     if args.reps < 5:
         raise DomainError(f"timing needs --reps >= 5, got {args.reps}")
-    config = StudyConfig(model_path=args.model,
-                         methods=_split_arg(args.method),
+    config = StudyConfig(methods=_split_arg(args.method),
                          schemes=_split_arg(args.scheme),
                          steps=_int_list(args.steps, "--steps"),
                          out_dir=args.out, reps=args.reps)
@@ -572,11 +568,15 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("discretize", help="discretize one model")
     d.add_argument("--model", required=True, help="model JSON file")
     d.add_argument("--method", default="expm", choices=METHODS)
-    d.add_argument("--scheme", default="rk4",
-                   help=f"named scheme, one of {', '.join(SCHEME_NAMES)}")
     d.add_argument("--steps", type=int, default=1024)
-    d.add_argument("--tableau", default=None,
-                   help="JSON file with a custom Butcher tableau")
+    scheme = d.add_mutually_exclusive_group()
+    # no default: argparse lets a value equal to the default pass the group
+    scheme.add_argument("--scheme",
+                        help=f"named scheme, one of {', '.join(SCHEME_NAMES)} "
+                             "(default rk4)")
+    scheme.add_argument("--tableau", default=None,
+                        help="JSON file with a custom Butcher tableau "
+                             "(instead of --scheme)")
     d.add_argument("--out", default=".")
     d.add_argument("--verify", action="store_true",
                    help="print errors against the expm method")

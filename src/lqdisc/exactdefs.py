@@ -47,7 +47,6 @@ class DeqSystem:
     B_2c_bar: Mat
     V: Mat
     C_c: Mat
-    D_o: Mat
     mu: float
     Ts: float
     H_c: Mat
@@ -61,7 +60,6 @@ class DeqSystem:
     H_2c: Mat | None = None
     H_3c: Mat | None = None
     G_c: Mat | None = None
-    source: object = None
 
     @property
     def n_x(self):
@@ -90,18 +88,6 @@ class DeqSystem:
         if self.delay:
             return expm(self.H_1c * t) + expm(self.H_2c * t) - expm(self.H_3c * t)
         return expm(self.H_c * t)
-
-    def h_q(self, t: float) -> Mat:
-        return expm(self.H_cq * t)
-
-    def h_m(self, t: float) -> Mat:
-        return expm(self.H_cm * t)
-
-    def gamma_q(self, t: float) -> Mat:
-        return self.E1 @ self.h_q(t) @ self.E2
-
-    def gamma_m(self, t: float) -> Mat:
-        return self.E1 @ self.h_m(t) @ self.E2
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,13 +251,13 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
     Qbar_c = symmetrize(-Mbar_c @ CD)  # = CD' Q_c CD
 
     return DeqSystem(delay=delay, A_c=A_c, B_1c=B_1c, B_2c_bar=B_2c_bar, V=V,
-                     C_c=C_c, D_o=D_o, mu=cost.mu, Ts=cost.Ts, H_c=H_c,
+                     C_c=C_c, mu=cost.mu, Ts=cost.Ts, H_c=H_c,
                      H_cq=H_cq, H_cm=H_cm, E1=E1, E2=E2, Qbar_c=Qbar_c,
                      Mbar_c=Mbar_c,
                      H_1c=H_1c if delay else None,
                      H_2c=H_2c if delay else None,
                      H_3c=H_3c if delay else None,
-                     G_c=G_c, source=plant)
+                     G_c=G_c)
 
 
 # Nodes (or steps) evaluated per chunk by the validation references; a
@@ -306,8 +292,7 @@ def _simpson_weights(panels: int, h: float) -> np.ndarray:
 
 
 def oracle_quadrature(sys: DeqSystem, t: float | None = None,
-                      panels: int = 4096, G_c: Mat | None = None
-                      ) -> CoreResult:
+                      panels: int = 4096) -> CoreResult:
     """Evaluate every target at t by composite Simpson over expm nodes.
 
     The node exponentials e^{X s_k}, s_k = k t/panels, are powers of the
@@ -321,15 +306,13 @@ def oracle_quadrature(sys: DeqSystem, t: float | None = None,
     every integral a plain weighted sum: the result shares no seed, no
     `compose` and no Runge-Kutta coefficient with the methods it checks.
 
-    Error decays as O(panels^-4). `G_c` overrides the system's diffusion
-    matrix; R_ww is None when neither is given.
+    Error decays as O(panels^-4). R_ww is None when the system has no
+    diffusion matrix G_c.
     """
     if panels < 2 or panels % 2:
         raise DomainError(f"panels must be even and >= 2, got {panels}")
     if t is None:
         t = sys.Ts
-    if G_c is None:
-        G_c = sys.G_c
     h = t / panels
     w = _simpson_weights(panels, h)
     wd = w * np.exp(-sys.mu * h * np.arange(panels + 1))
@@ -342,7 +325,7 @@ def oracle_quadrature(sys: DeqSystem, t: float | None = None,
     powV += np.eye(n_x)
     powHE2 = dH @ sys.E2                 # e^{H_c h i} E_2, i < C
     powHE2 += sys.E2
-    GG = G_c @ G_c.T if G_c is not None else None
+    GG = sys.G_c @ sys.G_c.T if sys.G_c is not None else None
 
     XA = np.eye(n_x)                     # chunk bases e^{A_c s_k}, ...
     XV = np.eye(n_x)

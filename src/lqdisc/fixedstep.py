@@ -35,9 +35,14 @@ class ButcherTableau:
     kind: str
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        c = np.asarray(self.c, dtype=float).reshape(-1)
+        try:
+            a = np.atleast_2d(np.asarray(self.a, dtype=float))
+            b = np.asarray(self.b, dtype=float).reshape(-1)
+            c = np.asarray(self.c, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise DomainError(f"tableau {self.name}: non-numeric entries") from None
+        if not all(np.all(np.isfinite(x)) for x in (a, b, c)):
+            raise DomainError(f"tableau {self.name}: non-finite entries")
         s = b.size
         if a.shape != (s, s) or c.size != s:
             raise DimensionError(
@@ -64,18 +69,24 @@ class ButcherTableau:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ButcherTableau":
+        if not isinstance(doc, dict):
+            raise DomainError("tableau: top level must be an object")
         extra = set(doc) - {"name", "a", "b", "c", "kind"}
         if extra:
-            raise DomainError(f"tableau file: unknown keys {sorted(extra)}")
+            raise DomainError(f"tableau: unknown keys {sorted(extra)}")
         try:
             return cls(name=doc["name"], a=doc["a"], b=doc["b"], c=doc["c"],
                        kind=doc["kind"])
         except KeyError as exc:
-            raise DomainError(f"tableau file: missing key {exc.args[0]!r}") from None
+            raise DomainError(f"tableau: missing key {exc.args[0]!r}") from None
 
     @classmethod
     def from_file(cls, path) -> "ButcherTableau":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a JSON tableau; any error is a DomainError naming the file."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"tableau file {path}: {exc}") from None
 
 
 def _esdirk34() -> ButcherTableau:
@@ -128,7 +139,7 @@ def _esdirk4() -> ButcherTableau:
 
 
 def _named_tableaus() -> dict:
-    t = {
+    return {
         "explicit-euler": ButcherTableau("explicit-euler", [[0.0]], [1.0], [0.0],
                                          "explicit"),
         "implicit-euler": ButcherTableau("implicit-euler", [[1.0]], [1.0], [1.0],
@@ -146,7 +157,6 @@ def _named_tableaus() -> dict:
         "esdirk34": _esdirk34(),
         "esdirk4": _esdirk4(),
     }
-    return t
 
 
 TABLEAUS = _named_tableaus()
@@ -215,11 +225,9 @@ def propagation(tableau: ButcherTableau, G: Mat, dt: float):
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """The one-step seed interval at dt = Ts / n_steps, immutable and
-    shareable."""
+    """The one-step seed interval at dt = Ts / n_steps; immutable."""
 
     scheme: str
-    dt: float
     n_steps: int
     seed: Interval
 
@@ -262,8 +270,7 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
     seed = Interval(A=lam, B_1=theta1 @ (dt * sys.B_1c), A_v=lam_v, B_2=b_2,
                     omega_q=omega_q, X_q=q_c_t, omega_m=omega_m, Y_m=m_c_t,
                     R=r_c)
-    return CoefficientSet(scheme=tableau.name, dt=dt, n_steps=n_steps,
-                          seed=seed)
+    return CoefficientSet(scheme=tableau.name, n_steps=n_steps, seed=seed)
 
 
 def integrate(coeffs: CoefficientSet, sys: DeqSystem) -> CoreResult:

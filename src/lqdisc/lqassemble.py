@@ -3,8 +3,8 @@
 Combines a discretization core (A, B_o, Q, M, R_ww) with the delay
 realization and the CostSpec into: the augmented state-space matrices
 (state extended with the last m_bar inputs), the per-stage discounted cost
-sequences Q_k, q_k, rho_k, and expected-cost evaluations for Gaussian
-state uncertainty and integrated process noise.
+sequences q_k, rho_k (with Q_k = e^{-mu t_k} Q), and expected-cost
+evaluations for Gaussian state uncertainty and integrated process noise.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ METHODS = ("fixed", "doubling", "expm")
 
 @dataclass(frozen=True, eq=False)
 class StageCosts:
-    """Per-stage cost pieces: l_k(x,u) = 1/2 w'Q_k w + q_k'w + rho_k."""
+    """Per-stage cost pieces: l_k(x,u) = 1/2 w'Q_k w + q_k'w + rho_k,
+    with Q_k = scale[k] Q."""
 
     t_k: np.ndarray
     scale: np.ndarray          # e^{-mu t_k}
-    Q_k: tuple
-    q_k: tuple
+    q_k: np.ndarray            # one row per stage, (N, n_xu)
     rho_k: np.ndarray
 
 
@@ -111,7 +111,8 @@ def assemble_augmented(core: CoreResult, realization) -> tuple[Mat, Mat, Mat, Ma
 def stage_costs(Q: Mat, M: Mat, cost: CostSpec) -> StageCosts:
     """Discounted per-stage sequences for k = 0 .. N-1.
 
-    Q_k = e^{-mu t_k} Q, q_k = e^{-mu t_k} M zbar_k, and rho_k uses the
+    The stage weight Q_k = e^{-mu t_k} Q is scale[k] Q and is not stored.
+    q_k = e^{-mu t_k} M zbar_k, one row per stage, and rho_k uses the
     closed form e^{-mu t_k} (1 - e^{-mu Ts}) / (2 mu) * zbar'Q_c zbar,
     switching to a series expansion around the mu = 0 limit when mu*Ts is
     below 1e-8.
@@ -126,14 +127,10 @@ def stage_costs(Q: Mat, M: Mat, cost: CostSpec) -> StageCosts:
         rho_gain = (Ts / 2.0) * (1.0 - x / 2.0 + x * x / 6.0)
     else:
         rho_gain = -math.expm1(-x) / (2.0 * mu)
-    Q_k, q_k, rho_k = [], [], np.zeros(N)
-    for k in range(N):
-        zb = cost.zbar_at(k)
-        Q_k.append(scale[k] * Q)
-        q_k.append((scale[k] * M) @ zb)
-        rho_k[k] = scale[k] * rho_gain * float(zb @ cost.Q_c @ zb)
-    return StageCosts(t_k=t_k, scale=scale, Q_k=tuple(Q_k), q_k=tuple(q_k),
-                      rho_k=rho_k)
+    Z = cost.zbar_at(np.arange(N))       # zbar_k, one row per stage
+    q_k = scale[:, None] * (Z @ M.T)
+    rho_k = scale * rho_gain * np.sum((Z @ cost.Q_c) * Z, axis=1)
+    return StageCosts(t_k=t_k, scale=scale, q_k=q_k, rho_k=rho_k)
 
 
 def expected_stage_cost(Q_k: Mat, q_k, rho_k: float, x_mean, u,
@@ -185,13 +182,14 @@ def realize_plant(plant, Ts: float):
     raise DimensionError(f"cannot realize {type(plant).__name__}")
 
 
-def discretize_core(sys: DeqSystem, method: str, scheme: str = "rk4",
-                    steps: int = 1024,
-                    tableau: ButcherTableau | None = None) -> CoreResult:
-    """Dispatch to one of the three discretization methods."""
+def discretize_core(sys: DeqSystem, method: str,
+                    scheme: str | ButcherTableau = "rk4",
+                    steps: int = 1024) -> CoreResult:
+    """Dispatch to one of the three discretization methods; `scheme` is a
+    bundled scheme name or a ButcherTableau."""
     if method == "expm":
         return discretize_expm(sys)
-    tb = tableau if tableau is not None else named_tableau(scheme)
+    tb = scheme if isinstance(scheme, ButcherTableau) else named_tableau(scheme)
     if method == "fixed":
         return discretize_fixed(sys, tb, steps)
     if method == "doubling":
@@ -202,13 +200,12 @@ def discretize_core(sys: DeqSystem, method: str, scheme: str = "rk4",
 
 
 def build_discrete_lq(plant, cost: CostSpec, method: str = "expm",
-                      scheme: str = "rk4", steps: int = 1024,
-                      tableau: ButcherTableau | None = None) -> DiscreteLQ:
+                      scheme: str | ButcherTableau = "rk4",
+                      steps: int = 1024) -> DiscreteLQ:
     """Full pipeline: realize, discretize, augment, and build stage costs."""
     realization = realize_plant(plant, cost.Ts)
     sys = build_deq(realization, cost)
-    core = discretize_core(sys, method, scheme=scheme, steps=steps,
-                           tableau=tableau)
+    core = discretize_core(sys, method, scheme=scheme, steps=steps)
     A_aug, B_aug, C_aug, D_aug = assemble_augmented(core, realization)
     stages = stage_costs(core.Q, core.M, cost)
     provenance = {
@@ -238,7 +235,7 @@ def export_result_json(dlq: DiscreteLQ, path) -> None:
         "stages": {
             "t_k": _listed(dlq.stages.t_k),
             "rho_k": _listed(dlq.stages.rho_k),
-            "q_k": [_listed(q) for q in dlq.stages.q_k],
+            "q_k": _listed(dlq.stages.q_k),
         },
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

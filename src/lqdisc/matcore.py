@@ -2,7 +2,7 @@
 
 Thin wrappers around numpy/scipy that add the dimension and conditioning
 checks the rest of the package relies on: matrix exponential, pivot-checked
-linear solve, block assembly/extraction, and symmetry/PSD helpers.
+linear solve, block assembly, and symmetry/PSD helpers.
 """
 
 from __future__ import annotations
@@ -102,18 +102,6 @@ def block(parts) -> Mat:
         if len(widths) != 1:
             raise DimensionError(f"block column {j} has differing widths {widths}")
     return np.block(grid)
-
-
-def subblock(X: Mat, rows: tuple[int, int], cols: tuple[int, int]) -> Mat:
-    """Extract X[rows[0]:rows[1], cols[0]:cols[1]] as a copy."""
-    X = asmat(X)
-    r0, r1 = rows
-    c0, c1 = cols
-    if not (0 <= r0 <= r1 <= X.shape[0] and 0 <= c0 <= c1 <= X.shape[1]):
-        raise DimensionError(
-            f"subblock range ({rows}, {cols}) outside shape {X.shape}"
-        )
-    return X[r0:r1, c0:c1].copy()
 
 
 def inf_norm(X: Mat) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matcore import DomainError, Mat, asmat, is_psd, is_symmetric, max_abs
+from .matcore import DomainError, Mat, asmat, is_psd, is_symmetric
 
 # |tau/Ts - round(tau/Ts)| below this counts as an integer delay (v = 0).
 INTEGER_DELAY_TOL = 1e-12
@@ -188,8 +188,6 @@ class CostSpec:
     Ts: float
     N: int
     zbar: Mat
-    x0: Mat | None = None
-    P0: Mat | None = None
 
     def __post_init__(self):
         q = asmat(self.Q_c)
@@ -223,13 +221,6 @@ class CostSpec:
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "Ts", float(self.Ts))
         object.__setattr__(self, "N", int(self.N))
-        if self.x0 is not None:
-            object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
-        if self.P0 is not None:
-            p = asmat(self.P0)
-            if not (is_symmetric(p) and is_psd(p)):
-                raise ModelError("cost.P0", "must be symmetric positive semidefinite")
-            object.__setattr__(self, "P0", p)
 
     @classmethod
     def from_weight_root(cls, W_z, **kw):
@@ -241,10 +232,10 @@ class CostSpec:
     def n_z(self):
         return self.Q_c.shape[0]
 
-    def zbar_at(self, k: int) -> Mat:
-        """Reference at stage k (last row held beyond the supplied rows)."""
-        idx = min(k, self.zbar.shape[0] - 1)
-        return self.zbar[idx]
+    def zbar_at(self, k) -> Mat:
+        """Reference at stage k, or one row per stage for an array of k
+        (last row held beyond the supplied rows)."""
+        return self.zbar[np.minimum(k, self.zbar.shape[0] - 1)]
 
 
 @dataclass(frozen=True)
@@ -321,15 +312,6 @@ class DelayRealization:
         return out
 
 
-def slot_selector(p: int, m_bar: int, n_u: int) -> Mat:
-    """Matrix mapping an n_u vector into slot p (1-based) of the lifted input."""
-    if not 1 <= p <= m_bar + 1:
-        raise DomainError(f"slot {p} outside 1..{m_bar + 1}")
-    out = np.zeros(((m_bar + 1) * n_u, n_u))
-    out[(p - 1) * n_u: p * n_u, :] = np.eye(n_u)
-    return out
-
-
 def split_delay(tau: float, Ts: float) -> tuple[int, float]:
     """Split tau/Ts = m - v with integer m >= 0 and 0 <= v < 1.
 
@@ -382,22 +364,6 @@ def realize_channel(num, den) -> tuple[Mat, Mat, Mat, float]:
         A[:, 0] = -alpha
         C[0, 0] = 1.0
     return A, beta.reshape(n, 1), C, float(D)
-
-
-def channel_response(num, den, s: complex) -> complex:
-    """Evaluate num(s)/den(s)."""
-    return complex(np.polyval(np.asarray(num, float), s)
-                   / np.polyval(np.asarray(den, float), s))
-
-
-def ss_response(A: Mat, B: Mat, C: Mat, D, s: complex):
-    """Transfer function C (sI - A)^-1 B + D at one frequency point."""
-    A = asmat(A)
-    n = A.shape[0]
-    if n == 0:
-        return np.atleast_2d(np.asarray(D, dtype=complex))
-    X = np.linalg.solve(s * np.eye(n) - A, np.asarray(B, dtype=complex))
-    return np.asarray(C, dtype=complex) @ X + np.asarray(D, dtype=complex)
 
 
 def _realize_transfer(model: DelayedTransferModel, Ts: float) -> DelayRealization:
@@ -519,7 +485,7 @@ _MODEL_KEYS = {"state_space", "transfer"}
 _SS_KEYS = {"A_c", "B_c", "C_c", "D_c", "G_c", "delays"}
 _TF_KEYS = {"channels"}
 _CH_KEYS = {"i", "j", "num", "den", "tau"}
-_COST_KEYS = {"Qc", "Wz", "mu", "Ts", "N", "zbar", "x0", "P0"}
+_COST_KEYS = {"Qc", "Wz", "mu", "Ts", "N", "zbar"}
 
 
 def _require(d: dict, key: str, path: str):
@@ -605,10 +571,6 @@ def parse_model(doc: dict):
         N=_number(_require(cost_doc, "N", "cost"), "cost.N"),
         zbar=_matrix(_require(cost_doc, "zbar", "cost"), "cost.zbar"),
     )
-    if "x0" in cost_doc:
-        kw["x0"] = np.asarray(cost_doc["x0"], dtype=float)
-    if "P0" in cost_doc:
-        kw["P0"] = _matrix(cost_doc["P0"], "cost.P0")
     if "Qc" in cost_doc:
         cost = CostSpec(Q_c=_matrix(cost_doc["Qc"], "cost.Qc"), **kw)
     else:

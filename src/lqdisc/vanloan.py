@@ -44,7 +44,7 @@ def squarings(sys: DeqSystem, t: float) -> int:
     return math.ceil(math.log2(norm / SEED_NORM))
 
 
-def exact_seed(sys: DeqSystem, h: float, G_c: Mat | None = None) -> Interval:
+def exact_seed(sys: DeqSystem, h: float) -> Interval:
     """The interval over h from three exponentials, four with G_c."""
     n_h, n_x, n_xu = sys.n_h, sys.n_x, sys.n_xu
     S = sys.E1.T @ sys.Qbar_c @ sys.E1
@@ -53,8 +53,6 @@ def exact_seed(sys: DeqSystem, h: float, G_c: Mat | None = None) -> Interval:
     phi1 = expm(h * block([[-sys.H_cq.T, S], [zero, sys.H_cq]]))
     phi2 = expm(h * block([[zero, eye], [zero, sys.H_cm.T]]))
     phi3 = expm(h * sys.H_c)
-    if G_c is None:
-        G_c = sys.G_c
     omega_q = phi1[n_h:, n_h:]
     v = slice(n_xu, n_xu + n_x)
     return Interval(
@@ -64,11 +62,10 @@ def exact_seed(sys: DeqSystem, h: float, G_c: Mat | None = None) -> Interval:
         omega_q=omega_q, X_q=omega_q.T @ phi1[:n_h, n_h:],
         omega_m=phi2[n_h:, n_h:].T,
         Y_m=phi2[:n_h, n_h:] @ (sys.E1.T @ sys.Mbar_c),
-        R=None if G_c is None else rww_expm(sys.A_c, G_c, h))
+        R=None if sys.G_c is None else rww_expm(sys.A_c, sys.G_c, h))
 
 
-def discretize_expm(sys: DeqSystem, t: float | None = None,
-                    G_c: Mat | None = None) -> CoreResult:
+def discretize_expm(sys: DeqSystem, t: float | None = None) -> CoreResult:
     """Exact (to expm accuracy) discretization at t (default one interval).
 
     The seed over t/2^s is squared s times; `doublings` records s.
@@ -76,7 +73,7 @@ def discretize_expm(sys: DeqSystem, t: float | None = None,
     if t is None:
         t = sys.Ts
     s = squarings(sys, t)
-    iv = power(exact_seed(sys, t / 2 ** s, G_c=G_c), 2 ** s)
+    iv = power(exact_seed(sys, t / 2 ** s), 2 ** s)
     return core_result(compose(projected_identity(sys, iv), iv), "expm",
                        doublings=s)
 

@@ -84,6 +84,40 @@ def test_unknown_scheme_is_schema_error(tmp_path, capsys):
     assert "rk5" in capsys.readouterr().err
 
 
+def test_tableau_file(tmp_path, capsys):
+    euler = {"name": "my-euler", "a": [[0.0]], "b": [1.0], "c": [0.0],
+             "kind": "explicit"}
+    good = tmp_path / "euler.json"
+    good.write_text(json.dumps(euler))
+    rc = main(["discretize", "--model", SCALAR, "--method", "fixed",
+               "--tableau", str(good), "--out", str(tmp_path / "ok")])
+    assert rc == EXIT_OK
+    doc = json.loads((tmp_path / "ok" / "result.json").read_text())
+    assert doc["provenance"]["scheme"] == "my-euler"
+
+    # a missing file, invalid JSON, a non-object, non-numeric and NaN
+    # entries: each is a schema error naming the file, and nothing is written
+    bad = (None, "{not json", "[1, 2]", json.dumps({**euler, "a": "zz"}),
+           json.dumps({**euler, "a": [[math.nan]], "c": [math.nan]}))
+    for k, text in enumerate(bad):
+        path = tmp_path / f"bad{k}.json"
+        if text is not None:
+            path.write_text(text)
+        rc = main(["discretize", "--model", SCALAR, "--method", "fixed",
+                   "--tableau", str(path), "--out", str(tmp_path / "bad")])
+        assert rc == EXIT_SCHEMA
+        assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_scheme_and_tableau_are_exclusive(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["discretize", "--model", SCALAR, "--scheme", "rk4",
+              "--tableau", str(tmp_path / "t.json"), "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_SCHEMA
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_bench_requires_enough_reps(tmp_path, capsys):
     rc = main(["bench", "--model", SCALAR, "--reps", "4",
                "--out", str(tmp_path)])
@@ -169,19 +203,18 @@ def test_fit_order_filters_floor():
 
 
 def test_study_config_invariants():
-    ok = StudyConfig(model_path="m.json", methods=("fixed",),
-                     schemes=("rk4",), steps=(16, 32))
-    assert ok.reference == "expm"
+    ok = StudyConfig(methods=("fixed",), schemes=("rk4",), steps=(16, 32))
+    assert ok.reps == 9
     with pytest.raises(DomainError, match="reps"):
-        StudyConfig(model_path="m", methods=("fixed",), schemes=("rk4",),
+        StudyConfig(methods=("fixed",), schemes=("rk4",),
                     steps=(16,), reps=0)
     with pytest.raises(DomainError, match="unknown method"):
-        StudyConfig(model_path="m", methods=("euler",), schemes=("rk4",),
+        StudyConfig(methods=("euler",), schemes=("rk4",),
                     steps=(16,))
     with pytest.raises(DomainError, match="steps"):
-        StudyConfig(model_path="m", methods=("fixed",), schemes=("rk4",),
+        StudyConfig(methods=("fixed",), schemes=("rk4",),
                     steps=(0,))
     # doubling powers the seed for any N, not only powers of two
-    mixed = StudyConfig(model_path="m", methods=("fixed", "doubling"),
+    mixed = StudyConfig(methods=("fixed", "doubling"),
                         schemes=("rk4",), steps=(48,))
     assert mixed.steps == (48,)

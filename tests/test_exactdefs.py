@@ -81,8 +81,10 @@ def test_discount_shift_factors(mimo_deq):
     sys = mimo_deq
     for t in (0.25, 0.7, 1.0):
         gam = sys.gamma(t)
-        assert max_abs(sys.gamma_q(t) - math.exp(-sys.mu * t / 2.0) * gam) < 1e-12
-        assert max_abs(sys.gamma_m(t) - math.exp(-sys.mu * t) * gam) < 1e-12
+        gamma_q = sys.E1 @ expm(sys.H_cq * t) @ sys.E2
+        gamma_m = sys.E1 @ expm(sys.H_cm * t) @ sys.E2
+        assert max_abs(gamma_q - math.exp(-sys.mu * t / 2.0) * gam) < 1e-12
+        assert max_abs(gamma_m - math.exp(-sys.mu * t) * gam) < 1e-12
 
 
 def test_build_deq_rejects_unrealized_delays():

@@ -91,6 +91,16 @@ def test_tableau_validation():
         ButcherTableau("bad", [[0.0]], [1.0], [0.0], "semi")
     with pytest.raises(DimensionError):
         ButcherTableau("bad", [[0.0]], [0.5, 0.5], [0.0], "explicit")
+    # non-numeric or non-finite entries are rejected, not carried into A
+    for a, b, c in (("zz", [1.0], [0.0]), ([[0.0]], [1.0], {"c": 0}),
+                    ([[0.0], [1.0, 0.0]], [0.5, 0.5], [0.0, 1.0])):
+        with pytest.raises(DomainError, match="numeric"):
+            ButcherTableau("bad", a, b, c, "explicit")
+    for a, b, c in (([[math.nan]], [1.0], [math.nan]),
+                    ([[0.0]], [math.inf], [0.0]),
+                    ([[0.0]], [1.0], [math.nan])):
+        with pytest.raises(DomainError, match="non-finite"):
+            ButcherTableau("bad", a, b, c, "explicit")
 
 
 def test_named_tableau_unknown_lists_choices():
@@ -121,6 +131,20 @@ def test_tableau_from_dict_and_file(tmp_path):
     path.write_text(json.dumps(GL2), encoding="utf-8")
     t2 = ButcherTableau.from_file(path)
     assert max_abs(t2.a - t.a) == 0.0
+    with pytest.raises(DomainError, match="top level"):
+        ButcherTableau.from_dict([1, 2])
+    # read, JSON and content errors of a file name the file
+    bad = tmp_path / "bad.json"
+    for text, match in (("{not json", "Expecting"), ("[1, 2]", "top level"),
+                        (json.dumps({**GL2, "a": "zz"}), "numeric"),
+                        (json.dumps({**GL2, "b": [0.5]}), "disagree"),
+                        ("{}", "missing key")):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(DomainError, match=match) as exc:
+            ButcherTableau.from_file(bad)
+        assert str(bad) in str(exc.value)
+    with pytest.raises(DomainError, match="nope.json"):
+        ButcherTableau.from_file(tmp_path / "nope.json")
 
 
 def test_fully_implicit_matches_pade():

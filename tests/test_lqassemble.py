@@ -146,7 +146,6 @@ def test_stage_costs_discount_telescoping(mimo_model):
     ratios = st.rho_k[1:] / st.rho_k[:-1]
     assert np.allclose(ratios, math.exp(-0.2), rtol=1e-13, atol=0.0)
     for k in (0, 7, 19):
-        assert max_abs(st.Q_k[k] - st.scale[k] * dlq.Q) == 0.0
         assert max_abs(st.q_k[k] - st.scale[k] * (dlq.M @ zb)) < 1e-15
 
 
@@ -179,6 +178,27 @@ def test_stage_reference_held_last():
     assert max_abs(st.q_k[0] - M[:, 0]) == 0.0
     for k in (1, 2, 3):
         assert max_abs(st.q_k[k] - 2.0 * M[:, 0]) == 0.0
+
+    # fewer, exactly N and more reference rows than stages, and N = 1: the
+    # array form equals the per-stage formulas
+    rng = np.random.default_rng(11)
+    W = rng.normal(size=(2, 2))
+    Q_c = W.T @ W + 0.1 * np.eye(2)
+    M = rng.normal(size=(3, 2))
+    mu, Ts = 0.3, 0.5
+    gain = -math.expm1(-mu * Ts) / (2.0 * mu)
+    for rows, N in ((3, 7), (7, 7), (9, 7), (1, 1), (4, 1)):
+        cost = CostSpec(Q_c=Q_c, mu=mu, Ts=Ts, N=N,
+                        zbar=rng.normal(size=(rows, 2)))
+        st = stage_costs(np.zeros((3, 3)), M, cost)
+        assert st.q_k.shape == (N, 3) and st.rho_k.shape == (N,)
+        for k in range(N):
+            zb = cost.zbar[min(k, rows - 1)]
+            disc = math.exp(-mu * (k * Ts))
+            q_want = disc * (M @ zb)
+            rho_want = disc * gain * float(zb @ Q_c @ zb)
+            assert max_abs(st.q_k[k] - q_want) <= 1e-15 * max_abs(q_want)
+            assert abs(st.rho_k[k] - rho_want) <= 1e-15 * abs(rho_want)
 
 
 def test_expected_stage_cost_hand_value():
@@ -220,7 +240,7 @@ def test_minimizer_invariant_across_methods(mimo_model):
     for method in ("fixed", "expm"):
         dlq = build_discrete_lq(plant, cost, method=method, scheme="rk4",
                                 steps=1024)
-        Q_k, q_k = dlq.stages.Q_k[2], dlq.stages.q_k[2]
+        Q_k, q_k = dlq.stages.scale[2] * dlq.Q, dlq.stages.q_k[2]
         Quu = Q_k[-n_u:, -n_u:]
         Qux = Q_k[-n_u:, :-n_u]
         qu = q_k[-n_u:]

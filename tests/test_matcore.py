@@ -6,7 +6,7 @@ import pytest
 from lqdisc.matcore import (DimensionError, DomainError, SingularMatrixError,
                             asmat, block, expm, inf_norm, is_psd,
                             is_symmetric, max_abs, min_eig_sym, solve,
-                            subblock, symmetrize)
+                            symmetrize)
 
 
 def expm_taylor(X, terms=40):
@@ -66,8 +66,8 @@ def test_block_and_subblock_roundtrip():
     d = np.full((1, 3), 2.0)
     X = block([[a, b], [c, d]])
     assert X.shape == (3, 5)
-    assert np.array_equal(subblock(X, (0, 2), (0, 2)), a)
-    assert np.array_equal(subblock(X, (2, 3), (2, 5)), d)
+    assert np.array_equal(X[0:2, 0:2], a)
+    assert np.array_equal(X[2:3, 2:5], d)
 
 
 def test_block_rejects_nonconforming():
@@ -75,11 +75,6 @@ def test_block_rejects_nonconforming():
         block([[np.eye(2), np.ones((3, 1))]])
     with pytest.raises(DimensionError):
         block([[np.eye(2)], [np.ones((1, 3))]])
-
-
-def test_subblock_range_checked():
-    with pytest.raises(DimensionError):
-        subblock(np.eye(2), (0, 3), (0, 1))
 
 
 def test_norm_hand_values():

@@ -9,10 +9,8 @@ import pytest
 
 from lqdisc.matcore import DomainError, max_abs
 from lqdisc.model import (ContinuousStateSpace, CostSpec, DelayedTransferModel,
-                          ModelError, TransferChannel, channel_response,
-                          load_model, parse_model, realize_channel,
-                          realize_delays, slot_selector, split_delay,
-                          ss_response)
+                          ModelError, TransferChannel, load_model, parse_model,
+                          realize_channel, realize_delays, split_delay)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -45,6 +43,21 @@ def test_split_delay_domain_errors():
         split_delay(-0.1, 1.0)
     with pytest.raises(DomainError):
         split_delay(1.0, 0.0)
+
+
+def channel_response(num, den, s: complex) -> complex:
+    """Evaluate num(s)/den(s)."""
+    return complex(np.polyval(np.asarray(num, float), s)
+                   / np.polyval(np.asarray(den, float), s))
+
+
+def ss_response(A, B, C, D, s: complex):
+    """Transfer function C (sI - A)^-1 B + D at one frequency point."""
+    n = A.shape[0]
+    if n == 0:
+        return np.atleast_2d(np.asarray(D, dtype=complex))
+    X = np.linalg.solve(s * np.eye(n) - A, np.asarray(B, dtype=complex))
+    return np.asarray(C, dtype=complex) @ X + np.asarray(D, dtype=complex)
 
 
 def test_realize_channel_matches_frequency_response():
@@ -142,17 +155,6 @@ def test_mimo_slot_placement(mimo_realization):
     # the one biproper channel (1,2) contributes its static gain
     assert want_d[0, 1] == pytest.approx(-4.0 / 3.4)
     assert max_abs(r.D_o - want_d) < 1e-15
-
-
-def test_slot_selector_places_identity():
-    S = slot_selector(2, m_bar=2, n_u=2)
-    assert S.shape == (6, 2)
-    assert np.array_equal(S[2:4], np.eye(2))
-    assert max_abs(np.delete(S, [2, 3], axis=0)) == 0.0
-    with pytest.raises(DomainError):
-        slot_selector(0, 2, 2)
-    with pytest.raises(DomainError):
-        slot_selector(4, 2, 2)
 
 
 def test_held_window_shift(mimo_realization):
@@ -274,11 +276,14 @@ def test_parse_model_paths():
     assert isinstance(plant, DelayedTransferModel)
     assert cost.N == 20
 
-    bad = _mimo_doc()
-    bad["cost"]["gamma"] = 1.0
-    with pytest.raises(ModelError) as exc:
-        parse_model(bad)
-    assert exc.value.path == "cost.gamma"
+    # x0 and P0 are not part of the cost: rejected like any unknown key
+    for key, value in (("gamma", 1.0), ("x0", [0.0, 0.0]),
+                       ("P0", [[1.0, 0.0], [0.0, 1.0]])):
+        bad = _mimo_doc()
+        bad["cost"][key] = value
+        with pytest.raises(ModelError) as exc:
+            parse_model(bad)
+        assert exc.value.path == f"cost.{key}"
 
     bad = _mimo_doc()
     del bad["cost"]["Ts"]
