@@ -10,7 +10,8 @@ powered by squaring (doubling), or exact exponentials over Ts/2^s
 squared s times (expm).
 """
 
-from .matcore import DimensionError, DomainError, SingularMatrixError
+from .matcore import (DimensionError, DomainError, NumericalError,
+                      SingularMatrixError)
 from .model import (ContinuousStateSpace, CostSpec, DelayRealization,
                     DelayedTransferModel, ModelError, TransferChannel,
                     load_model, parse_model, realize_channel, realize_delays,
@@ -31,7 +32,7 @@ from .lqassemble import (DiscreteLQ, ExpectedCost, StageCosts,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimensionError", "DomainError", "SingularMatrixError",
+    "DimensionError", "DomainError", "NumericalError", "SingularMatrixError",
     "ContinuousStateSpace", "CostSpec", "DelayRealization",
     "DelayedTransferModel", "ModelError", "TransferChannel",
     "load_model", "parse_model", "realize_channel", "realize_delays",

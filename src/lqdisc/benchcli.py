@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .matcore import (DomainError, SingularMatrixError, expm, is_psd,
-                      max_abs)
+from .matcore import (DimensionError, DomainError, NumericalError, expm,
+                      is_psd, max_abs)
 from .model import ContinuousStateSpace, CostSpec, ModelError, load_model, realize_delays
 from .exactdefs import DeqSystem, b_alternative, build_deq, oracle_quadrature
 from .fixedstep import (SCHEME_NAMES, ButcherTableau, build_coefficients,
@@ -615,10 +615,10 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except SingularMatrixError as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except DomainError as exc:
+    except (DomainError, DimensionError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

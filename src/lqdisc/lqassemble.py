@@ -9,7 +9,6 @@ evaluations for Gaussian state uncertainty and integrated process noise.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matcore import DimensionError, DomainError, Mat, is_psd
+from .matcore import DimensionError, DomainError, Mat, NumericalError, is_psd
 from .model import (ContinuousStateSpace, CostSpec, DelayRealization,
                     DelayedTransferModel, realize_delays)
 from .exactdefs import CoreResult, DeqSystem, build_deq
@@ -186,17 +185,29 @@ def discretize_core(sys: DeqSystem, method: str,
                     scheme: str | ButcherTableau = "rk4",
                     steps: int = 1024) -> CoreResult:
     """Dispatch to one of the three discretization methods; `scheme` is a
-    bundled scheme name or a ButcherTableau."""
+    bundled scheme name or a ButcherTableau.
+
+    Raises NumericalError when the result has a non-finite entry.
+    """
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
     if method == "expm":
-        return discretize_expm(sys)
-    tb = scheme if isinstance(scheme, ButcherTableau) else named_tableau(scheme)
-    if method == "fixed":
-        return discretize_fixed(sys, tb, steps)
-    if method == "doubling":
-        coeffs = build_coefficients(sys, tb, steps)
-        return discretize_step_doubling(sys, tb, steps.bit_length() - 1,
-                                        coeffs=coeffs)
-    raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
+        core = discretize_expm(sys)
+    else:
+        tb = (scheme if isinstance(scheme, ButcherTableau)
+              else named_tableau(scheme))
+        if method == "fixed":
+            core = discretize_fixed(sys, tb, steps)
+        else:
+            coeffs = build_coefficients(sys, tb, steps)
+            core = discretize_step_doubling(sys, tb, steps.bit_length() - 1,
+                                            coeffs=coeffs)
+    for name in ("A", "B_o", "Q", "M", "R_ww"):
+        value = getattr(core, name)
+        if value is not None and not np.isfinite(value).all():
+            raise NumericalError(
+                f"method {method!r} gave non-finite entries in {name}")
+    return core
 
 
 def build_discrete_lq(plant, cost: CostSpec, method: str = "expm",
@@ -238,18 +249,25 @@ def export_result_json(dlq: DiscreteLQ, path) -> None:
             "q_k": _listed(dlq.stages.q_k),
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    # One top-level key per line. json.dumps without indent runs the C
+    # encoder, and every number keeps its float.__repr__ text, so the file
+    # parses to the same object as json.dumps(doc, indent=2).
+    body = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
+                      for key, value in doc.items())
+    Path(path).write_text("{\n" + body + "\n}\n", encoding="utf-8")
 
 
 def export_stage_csv(dlq: DiscreteLQ, path) -> None:
-    """Write the per-stage table (k, t_k, rho_k, ||q_k||) as RFC-4180 CSV."""
+    """Write the per-stage table (k, t_k, rho_k, ||q_k||) as RFC-4180 CSV.
+
+    The rows are what csv.writer writes for these fields: no field needs
+    quoting, and every line ends in CRLF.
+    """
+    st = dlq.stages
+    # np.linalg.norm row by row: a vectorised norm differs from it in the
+    # last bit on some rows
+    rows = zip(range(st.t_k.size), st.t_k.tolist(), st.rho_k.tolist(),
+               [np.linalg.norm(q) for q in st.q_k])
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k", "t_k", "rho_k", "q_norm"])
-        for k in range(dlq.stages.t_k.size):
-            writer.writerow([
-                k,
-                f"{dlq.stages.t_k[k]:.16e}",
-                f"{dlq.stages.rho_k[k]:.16e}",
-                f"{np.linalg.norm(dlq.stages.q_k[k]):.16e}",
-            ])
+        f.write("k,t_k,rho_k,q_norm\r\n")
+        f.writelines("%d,%.16e,%.16e,%.16e\r\n" % row for row in rows)

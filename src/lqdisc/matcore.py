@@ -26,7 +26,11 @@ class DomainError(ValueError):
     """Input values outside the operation's domain (non-finite, negative...)."""
 
 
-class SingularMatrixError(ValueError):
+class NumericalError(ValueError):
+    """A computation broke down (singular stage, non-finite result)."""
+
+
+class SingularMatrixError(NumericalError):
     """Linear solve hit a pivot below tolerance."""
 
     def __init__(self, message, pivot_index=None):

@@ -575,6 +575,10 @@ def parse_model(doc: dict):
         cost = CostSpec(Q_c=_matrix(cost_doc["Qc"], "cost.Qc"), **kw)
     else:
         cost = CostSpec.from_weight_root(_matrix(cost_doc["Wz"], "cost.Wz"), **kw)
+    if cost.n_z != plant.n_z:
+        key = "Qc" if "Qc" in cost_doc else "Wz"
+        raise ModelError(f"cost.{key}", f"has {cost.n_z} columns, the "
+                                        f"plant has {plant.n_z} outputs")
     return plant, cost
 
 

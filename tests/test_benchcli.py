@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqdisc.matcore import DomainError
+from lqdisc import benchcli
+from lqdisc.matcore import DimensionError, DomainError
 from lqdisc.benchcli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                              StudyConfig, fit_order, main)
 
@@ -75,6 +76,50 @@ def test_singular_stage_is_numerical_error(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == EXIT_NUMERICAL
     assert "implicit-euler" in capsys.readouterr().err
+
+
+def test_non_finite_result_is_numerical_error(tmp_path, capsys):
+    # explicit Euler at dt*mu ~ 98 overflows: the core holds NaN
+    doc = {
+        "model": {"state_space": {"A_c": [[-1.0]], "B_c": [[1.0]],
+                                  "C_c": [[1.0]], "D_c": [[0.0]]}},
+        "cost": {"Qc": [[1.0]], "mu": 1e5, "Ts": 1.0, "N": 1,
+                 "zbar": [[0.0]]},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        rc = main(["discretize", "--model", str(path), "--method", "fixed",
+                   "--scheme", "explicit-euler", "--steps", "1024",
+                   "--out", str(tmp_path / "out")])
+    assert rc == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "'fixed'" in err and "in Q" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_count_mismatch_is_schema_error(tmp_path, capsys,
+                                              monkeypatch):
+    doc = {
+        "model": {"state_space": {"A_c": [[-1.0]], "B_c": [[1.0]],
+                                  "C_c": [[1.0], [2.0]],
+                                  "D_c": [[0.0], [0.0]]}},
+        "cost": {"Qc": [[1.0]], "mu": 0.2, "Ts": 1.0, "N": 1,
+                 "zbar": [[0.0]]},
+    }
+    path = tmp_path / "outputs.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["discretize", "--model", str(path), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert "cost.Qc" in capsys.readouterr().err
+
+    # a mismatch the model boundary does not see is a schema error too
+    def mismatch(*args, **kwargs):
+        raise DimensionError("B_o has 3 columns, expected 2")
+    monkeypatch.setattr(benchcli, "build_discrete_lq", mismatch)
+    rc = main(["discretize", "--model", SCALAR, "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert "B_o has 3 columns" in capsys.readouterr().err
 
 
 def test_unknown_scheme_is_schema_error(tmp_path, capsys):

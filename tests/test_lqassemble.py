@@ -248,19 +248,87 @@ def test_minimizer_invariant_across_methods(mimo_model):
     assert max_abs(mins[0] - mins[1]) < 1e-9
 
 
+_EXPORTED = ("A", "B_o", "Q", "M", "R_ww", "A_aug", "B_aug", "C_aug",
+             "D_aug")
+
+
+def _noisy_delayed_lq(N, mu=0.2, seed=3):
+    """A delayed two-input plant with process noise (so R_ww is set) and a
+    seeded reference per stage."""
+    plant = ContinuousStateSpace(
+        A_c=[[-0.6, 0.3], [0.0, -1.1]], B_c=[[1.0, 0.2], [0.0, 0.8]],
+        C_c=[[1.0, 1.0], [0.0, 1.0]], D_c=[[0.0, 0.0], [0.0, 0.0]],
+        G_c=[[0.5, 0.0], [0.1, 0.3]], delays=(0.4, 1.3))
+    zbar = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(N, 2))
+    cost = CostSpec(Q_c=[[1.0, 0.0], [0.0, 2.0]], mu=mu, Ts=1.0, N=N,
+                    zbar=zbar)
+    return build_discrete_lq(plant, cost, method="expm")
+
+
+def _reprs(x):
+    """Nested lists with every float replaced by its repr."""
+    if isinstance(x, list):
+        return [_reprs(v) for v in x]
+    return repr(x) if isinstance(x, float) else x
+
+
 def test_export_json_roundtrip(tmp_path, mimo_model):
     plant, cost = mimo_model
-    dlq = build_discrete_lq(plant, cost, method="expm")
+    noisy = _noisy_delayed_lq(N=7)
+    assert noisy.R_ww is not None
     path = tmp_path / "result.json"
-    export_result_json(dlq, path)
-    doc = json.loads(path.read_text())
-    for key in ("provenance", "A", "B_o", "Q", "M", "R_ww",
-                "A_aug", "B_aug", "C_aug", "D_aug", "stages"):
-        assert key in doc
-    assert doc["R_ww"] is None
-    assert max_abs(np.array(doc["A"]) - dlq.A) == 0.0
-    assert doc["provenance"]["method"] == "expm"
-    assert len(doc["stages"]["rho_k"]) == cost.N
+    for dlq in (build_discrete_lq(plant, cost, method="expm"), noisy):
+        export_result_json(dlq, path)
+        text = path.read_text()
+        doc = json.loads(text)
+        st = dlq.stages
+        arrays = {name: getattr(dlq, name) for name in _EXPORTED}
+        stages = {"t_k": st.t_k, "rho_k": st.rho_k, "q_k": st.q_k}
+
+        # every array reads back bit for bit
+        for name, value in arrays.items():
+            if value is None:
+                assert doc[name] is None, name
+            else:
+                assert np.array_equal(np.array(doc[name]), value), name
+        for name, value in stages.items():
+            back = np.array(doc["stages"][name])
+            assert back.shape == value.shape, name
+            assert np.array_equal(back, value), name
+        assert doc["provenance"] == dlq.provenance
+
+        # every number token is the shortest round-trip text of its value
+        ref = {"provenance": dlq.provenance,
+               **{name: None if value is None else value.tolist()
+                  for name, value in arrays.items()},
+               "stages": {name: value.tolist()
+                          for name, value in stages.items()}}
+        tokens = json.loads(text, parse_float=str)
+        for name in _EXPORTED:
+            assert tokens[name] == _reprs(ref[name]), name
+        for name in stages:
+            assert tokens["stages"][name] == _reprs(ref["stages"][name]), name
+
+        # only whitespace differs from the indented encoding
+        assert doc == json.loads(json.dumps(ref, indent=2))
+        assert list(doc) == list(ref)
+
+        # one top-level key per line
+        lines = text.split("\n")
+        assert lines[0] == "{" and lines[-2:] == ["}", ""]
+        assert [line.split(":")[0] for line in lines[1:-2]] == [
+            f'  "{key}"' for key in ref]
+
+
+def _reference_csv(dlq, path):
+    """The stage table as csv.writer writes it, norm computed per row."""
+    st = dlq.stages
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["k", "t_k", "rho_k", "q_norm"])
+        for k in range(st.t_k.size):
+            writer.writerow([k, f"{st.t_k[k]:.16e}", f"{st.rho_k[k]:.16e}",
+                             f"{np.linalg.norm(st.q_k[k]):.16e}"])
 
 
 def test_export_csv_format(tmp_path, mimo_model):
@@ -269,14 +337,24 @@ def test_export_csv_format(tmp_path, mimo_model):
     path = tmp_path / "stages.csv"
     export_stage_csv(dlq, path)
     raw = path.read_bytes()
-    assert b"\r\n" in raw  # RFC 4180 line endings
+    assert raw.count(b"\r\n") == cost.N + 1  # RFC 4180 line endings
+    assert b"\n" not in raw.replace(b"\r\n", b"")
     with open(path, newline="", encoding="utf-8") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["k", "t_k", "rho_k", "q_norm"]
     assert len(rows) == cost.N + 1
-    assert float(rows[1][2]) == pytest.approx(dlq.stages.rho_k[0])
+    assert float(rows[1][2]) == dlq.stages.rho_k[0]
     # full-precision scientific notation
     assert "e" in rows[1][2]
+
+    # byte for byte what csv.writer writes, down to the last stage of a
+    # long discounted horizon where the values are near 1e-260
+    for dlq in (dlq, _noisy_delayed_lq(N=1), _noisy_delayed_lq(N=3000)):
+        export_stage_csv(dlq, path)
+        _reference_csv(dlq, tmp_path / "reference.csv")
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    last = path.read_bytes().split(b"\r\n")[-2].split(b",")
+    assert last[0] == b"2999" and 1e-300 < float(last[2]) < 1e-250
 
 
 def test_build_discrete_lq_provenance_and_errors(scalar_model, mimo_model):

@@ -304,6 +304,26 @@ def test_parse_model_paths():
         parse_model(bad)
     assert exc.value.path == "cost"
 
+    # the cost weights as many outputs as the plant has
+    bad = _mimo_doc()
+    bad["cost"].update(Qc=[[1.0]], zbar=[[0.0]])
+    with pytest.raises(ModelError) as exc:
+        parse_model(bad)
+    assert exc.value.path == "cost.Qc"
+    bad = _mimo_doc()
+    del bad["cost"]["Qc"]
+    bad["cost"].update(Wz=[[1.0, 0.0, 0.0]], zbar=[[0.0, 0.0, 0.0]])
+    with pytest.raises(ModelError) as exc:
+        parse_model(bad)
+    assert exc.value.path == "cost.Wz"
+    bad = _mimo_doc()
+    bad["model"] = {"state_space": {"A_c": [[-1.0]], "B_c": [[1.0]],
+                                    "C_c": [[1.0], [2.0], [3.0]],
+                                    "D_c": [[0.0], [0.0], [0.0]]}}
+    with pytest.raises(ModelError) as exc:
+        parse_model(bad)
+    assert exc.value.path == "cost.Qc"
+
     # JSON that parses (NaN and Infinity literals included) but is not a
     # valid cost: no truncation, no silent non-finite value
     for key, value in (("N", 2.7), ("mu", math.nan), ("Ts", math.inf),
