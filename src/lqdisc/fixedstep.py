@@ -174,7 +174,10 @@ def named_tableau(name: str) -> ButcherTableau:
 
 def stage_coefficients(tableau: ButcherTableau, G: Mat, dt: float) -> list[Mat]:
     """Constant stage coefficients Lambda_i with Lambda_i = I + dt sum_j
-    a_ij G Lambda_j, solved once per (tableau, generator, step size)."""
+    a_ij G Lambda_j, solved once per (tableau, generator, step size).
+
+    A diagonally implicit tableau factors I - dt d G once per distinct
+    diagonal value d and reuses the inverse for every stage with that d."""
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
     a = tableau.a
@@ -192,18 +195,26 @@ def stage_coefficients(tableau: ButcherTableau, G: Mat, dt: float) -> list[Mat]:
                 f"dt={dt:.6g}: {exc}", pivot_index=exc.pivot_index) from None
         return [X[i * n:(i + 1) * n, :] for i in range(s)]
     out: list[Mat] = []
-    for i in range(s):
+    g_lam: dict[int, Mat] = {}          # G Lambda_j, formed at its first use
+    inverses: dict[float, Mat] = {}     # (I - dt d G)^-1 per diagonal value d
+    for i, row in enumerate(a.tolist()):
         rhs = eye.copy()
         for j in range(i):
-            if a[i, j] != 0.0:
-                rhs = rhs + (dt * a[i, j]) * (G @ out[j])
-        if a[i, i] != 0.0:
-            try:
-                lam_i = solve(eye - (dt * a[i, i]) * G, rhs)
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"singular stage {i} for scheme {tableau.name!r} at "
-                    f"dt={dt:.6g}: {exc}", pivot_index=exc.pivot_index) from None
+            if row[j] != 0.0:
+                if j not in g_lam:
+                    g_lam[j] = G @ out[j]
+                rhs = rhs + (dt * row[j]) * g_lam[j]
+        d = row[i]
+        if d != 0.0:
+            if d not in inverses:
+                try:
+                    inverses[d] = solve(eye - (dt * d) * G, eye)
+                except SingularMatrixError as exc:
+                    raise SingularMatrixError(
+                        f"singular stage {i} for scheme {tableau.name!r} at "
+                        f"dt={dt:.6g}: {exc}",
+                        pivot_index=exc.pivot_index) from None
+            lam_i = inverses[d] @ rhs
         else:
             lam_i = rhs
         out.append(lam_i)

@@ -191,17 +191,19 @@ def discretize_core(sys: DeqSystem, method: str,
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
-    if method == "expm":
-        core = discretize_expm(sys)
-    else:
-        tb = (scheme if isinstance(scheme, ButcherTableau)
-              else named_tableau(scheme))
-        if method == "fixed":
-            core = discretize_fixed(sys, tb, steps)
+    # overflow is reported once, by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "expm":
+            core = discretize_expm(sys)
         else:
-            coeffs = build_coefficients(sys, tb, steps)
-            core = discretize_step_doubling(sys, tb, steps.bit_length() - 1,
-                                            coeffs=coeffs)
+            tb = (scheme if isinstance(scheme, ButcherTableau)
+                  else named_tableau(scheme))
+            if method == "fixed":
+                core = discretize_fixed(sys, tb, steps)
+            else:
+                coeffs = build_coefficients(sys, tb, steps)
+                core = discretize_step_doubling(
+                    sys, tb, steps.bit_length() - 1, coeffs=coeffs)
     for name in ("A", "B_o", "Q", "M", "R_ww"):
         value = getattr(core, name)
         if value is not None and not np.isfinite(value).all():

@@ -3,9 +3,9 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from lqdisc import benchcli
@@ -88,12 +88,15 @@ def test_non_finite_result_is_numerical_error(tmp_path, capsys):
     }
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
-    with np.errstate(all="ignore"):
+    # the overflow inside the core prints no RuntimeWarning, one line only
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         rc = main(["discretize", "--model", str(path), "--method", "fixed",
                    "--scheme", "explicit-euler", "--steps", "1024",
                    "--out", str(tmp_path / "out")])
     assert rc == EXIT_NUMERICAL
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert "'fixed'" in err and "in Q" in err
     assert not (tmp_path / "out").exists()
 

@@ -12,7 +12,7 @@ from lqdisc.model import ContinuousStateSpace, CostSpec
 from lqdisc.exactdefs import build_deq
 from lqdisc.fixedstep import (SCHEME_NAMES, TABLEAUS, ButcherTableau,
                               build_coefficients, discretize_fixed, integrate,
-                              named_tableau, propagation)
+                              named_tableau, propagation, stage_coefficients)
 from lqdisc.vanloan import discretize_expm
 
 
@@ -208,3 +208,88 @@ def test_rk4_scalar_transition_accuracy(scalar_deq):
 def test_step_count_validated(scalar_deq):
     with pytest.raises(DomainError):
         build_coefficients(scalar_deq, named_tableau("rk4"), 0)
+
+
+# two distinct diagonal values; the first comes back at stage 2
+TWO_DIAGONALS = dict(
+    name="two-diagonal-dirk",
+    a=[[0.3, 0.0, 0.0], [0.2, 0.6, 0.0], [0.1, 0.3, 0.3]],
+    b=[0.25, 0.25, 0.5],
+    c=[0.3, 0.8, 0.7],
+    kind="diagonally-implicit",
+)
+
+
+def _tableau_cases():
+    return ([named_tableau(name) for name in SCHEME_NAMES]
+            + [ButcherTableau.from_dict(TWO_DIAGONALS),
+               ButcherTableau.from_dict(GL2)])
+
+
+def _stages_per_stage_solve(tableau, G, dt):
+    """Reference: one solve per implicit stage, G Lambda_j formed anew for
+    every nonzero a_ij, and one coupled solve for a fully implicit a."""
+    n = G.shape[0]
+    a, s = tableau.a, tableau.stages
+    eye = np.eye(n)
+    if tableau.kind == "implicit":
+        X = solve(np.eye(s * n) - dt * np.kron(a, G), np.tile(eye, (s, 1)))
+        return [X[i * n:(i + 1) * n, :] for i in range(s)]
+    out = []
+    for i in range(s):
+        rhs = eye.copy()
+        for j in range(i):
+            if a[i, j] != 0.0:
+                rhs = rhs + (dt * a[i, j]) * (G @ out[j])
+        if a[i, i] != 0.0:
+            rhs = solve(eye - (dt * a[i, i]) * G, rhs)
+        out.append(rhs)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 5, 36])
+def test_stages_match_per_stage_solves(n):
+    rng = np.random.default_rng(n)
+    G = rng.normal(size=(n, n)) / math.sqrt(n) - 1.5 * np.eye(n)
+    for tableau in _tableau_cases():
+        for dt in (1e-3, 0.1, 1.0):
+            got = stage_coefficients(tableau, G, dt)
+            want = _stages_per_stage_solve(tableau, G, dt)
+            assert len(got) == len(want) == tableau.stages
+            for lam, ref in zip(got, want):
+                if tableau.kind == "explicit":
+                    assert np.array_equal(lam, ref), tableau.name
+                else:
+                    assert max_abs(lam - ref) <= 1e-13 * max_abs(ref), \
+                        (tableau.name, dt)
+
+
+def test_one_solve_per_diagonal_value(monkeypatch):
+    calls = []
+
+    def counting_solve(A, B):
+        calls.append(A.shape)
+        return solve(A, B)
+
+    monkeypatch.setattr("lqdisc.fixedstep.solve", counting_solve)
+    want = {"esdirk4": 1, "esdirk34": 1, "implicit-euler": 1,
+            "implicit-trapezoidal": 1, "gauss-legendre-2": 1,
+            "two-diagonal-dirk": 2, "rk4": 0, "explicit-euler": 0,
+            "explicit-trapezoidal": 0}
+    G = np.random.default_rng(7).normal(size=(4, 4)) - 2.0 * np.eye(4)
+    for tableau in _tableau_cases():
+        calls.clear()
+        propagation(tableau, G, 0.1)
+        assert len(calls) == want[tableau.name], tableau.name
+
+
+def test_singular_stage_named_by_first_use_of_its_diagonal():
+    t = ButcherTableau.from_dict(TWO_DIAGONALS)
+    # I - dt d G is singular for d = 0.6 only: the stage named is 1
+    with pytest.raises(SingularMatrixError, match="stage 1 for scheme "
+                       "'two-diagonal-dirk' at dt=1: .*pivot") as exc:
+        stage_coefficients(t, np.eye(2) / 0.6, 1.0)
+    assert exc.value.pivot_index == 0
+    # singular for d = 0.3, used by stages 0 and 2: the stage named is 0
+    with pytest.raises(SingularMatrixError, match="stage 0 for scheme"):
+        stage_coefficients(t, np.eye(2) / 0.3, 1.0)
