@@ -60,6 +60,14 @@ VALIDATION_LIMITS = {
 }
 
 _QUANTITIES = ("A", "B_o", "M", "Q")
+# (SystemCheck field, message label, VALIDATION_LIMITS key)
+_LIMITED_CHECKS = (
+    ("pairwise", "pairwise", "pairwise"),
+    ("vs_oracle", "oracle", "oracle"),
+    ("zero_delay_gap", "zero-delay gap", "zero_delay"),
+    ("gamma_gap", "gamma identity", "gamma"),
+    ("bdot_gap", "B-form gap", "bdot"),
+)
 
 
 @dataclass(frozen=True)
@@ -283,25 +291,26 @@ class ValidationReport:
     def max_bdot_gap(self) -> float:
         return max(c.bdot_gap for c in self.checks)
 
+    def _where(self, check: SystemCheck) -> str:
+        return (f"(system {check.index}, {check.kind}, mu={check.mu:g}, "
+                f"seed {self.seed})")
+
     def failures(self) -> list[str]:
+        """One message per violated limit, naming the system that set the
+        worst value and the seed that reproduces it. NaN is the worst."""
         out = []
-        if self.max_pairwise > VALIDATION_LIMITS["pairwise"]:
-            out.append(f"pairwise {self.max_pairwise:.3e} > "
-                       f"{VALIDATION_LIMITS['pairwise']:.0e}")
-        if self.max_vs_oracle > VALIDATION_LIMITS["oracle"]:
-            out.append(f"oracle {self.max_vs_oracle:.3e} > "
-                       f"{VALIDATION_LIMITS['oracle']:.0e}")
-        if not self.all_psd:
-            out.append("Q or R_ww not positive semidefinite")
-        if self.max_zero_delay_gap > VALIDATION_LIMITS["zero_delay"]:
-            out.append(f"zero-delay gap {self.max_zero_delay_gap:.3e} > "
-                       f"{VALIDATION_LIMITS['zero_delay']:.0e}")
-        if self.max_gamma_gap > VALIDATION_LIMITS["gamma"]:
-            out.append(f"gamma identity {self.max_gamma_gap:.3e} > "
-                       f"{VALIDATION_LIMITS['gamma']:.0e}")
-        if self.max_bdot_gap > VALIDATION_LIMITS["bdot"]:
-            out.append(f"B-form gap {self.max_bdot_gap:.3e} > "
-                       f"{VALIDATION_LIMITS['bdot']:.0e}")
+        for field, label, limit in _LIMITED_CHECKS:
+            worst = max(self.checks, key=lambda c: (
+                math.isnan(getattr(c, field)), getattr(c, field)))
+            value = getattr(worst, field)
+            if not value <= VALIDATION_LIMITS[limit]:
+                out.append(f"{label} {value:.3e} > "
+                           f"{VALIDATION_LIMITS[limit]:.0e} "
+                           f"{self._where(worst)}")
+        bad = [c for c in self.checks if not c.psd_ok]
+        if bad:
+            out.append("Q or R_ww not positive semidefinite "
+                       f"{self._where(bad[0])}")
         return out
 
 

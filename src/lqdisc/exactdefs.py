@@ -20,6 +20,8 @@ and discounted integrals over one span of time. Two spans compose by one
 law (`compose`), so the methods differ only in their seed interval (one
 Runge-Kutta step, or the exact exponentials over Ts/2^s) and in how they
 compose it: `fixed` folds the seed N times, `doubling` and `expm` power it.
+`compose` also takes a stack of spans as its first argument; `fixed` uses
+that to add the integrals of a chunk of steps in one call.
 
 `oracle_quadrature` evaluates every target by matrix exponentials at
 composite-Simpson nodes, a chunk of nodes at a time; it is the ground
@@ -137,7 +139,8 @@ def compose(a: Interval, b: Interval) -> Interval:
     """The span `a` followed by the span `b`.
 
     The integrals over `b` are carried back through the transitions of
-    `a`; `a` may be E_2-projected, `b` may not.
+    `a`; `a` may be E_2-projected, `b` may not. The fields of `a` may carry
+    a leading stack axis, which gives one composition per stacked span.
     """
     return Interval(
         A=b.A @ a.A,
@@ -145,10 +148,10 @@ def compose(a: Interval, b: Interval) -> Interval:
         A_v=None if a.A_v is None else b.A_v @ a.A_v,
         B_2=None if a.B_2 is None else a.B_2 + a.A_v @ b.B_2,
         omega_q=b.omega_q @ a.omega_q,
-        X_q=a.X_q + a.omega_q.T @ b.X_q @ a.omega_q,
+        X_q=a.X_q + a.omega_q.swapaxes(-1, -2) @ b.X_q @ a.omega_q,
         omega_m=b.omega_m @ a.omega_m,
-        Y_m=a.Y_m + a.omega_m.T @ b.Y_m,
-        R=None if a.R is None else a.R + a.A @ b.R @ a.A.T)
+        Y_m=a.Y_m + a.omega_m.swapaxes(-1, -2) @ b.Y_m,
+        R=None if a.R is None else a.R + a.A @ b.R @ a.A.swapaxes(-1, -2))
 
 
 def power(seed: Interval, n: int) -> Interval:

@@ -4,7 +4,9 @@ Because every right-hand side in the system is linear with a constant
 generator, the Runge-Kutta stage combinations collapse into constant
 matrices (Lambda, Theta, Omega...) that are computed once per (tableau,
 step size). They form the one-step seed `Interval`, which `integrate`
-folds N times with `compose`: no expm and no linear solves inside the
+folds N times: the transitions advance one step at a time, and the
+integrals of each chunk of 64 steps are added by one `compose` of the
+stacked chunk with the seed. No expm and no linear solves inside the
 propagation loop.
 """
 
@@ -22,6 +24,8 @@ from .exactdefs import (CoreResult, DeqSystem, Interval, compose,
                         core_result, projected_identity)
 
 _TABLEAU_TOL = 1e-12
+# Steps per chunk of the fixed-step fold (see `integrate`).
+_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,12 +288,47 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
     return CoefficientSet(scheme=tableau.name, n_steps=n_steps, seed=seed)
 
 
+def _summed(total, increments):
+    """`total` plus the stacked `increments` summed over the stack axis."""
+    return None if total is None else total + increments.sum(axis=0)
+
+
 def integrate(coeffs: CoefficientSet, sys: DeqSystem) -> CoreResult:
-    """Fold the seed N times from the E_2-projected identity; a fixed
-    number of multiplies per step."""
-    iv = projected_identity(sys, coeffs.seed)
-    for _ in range(coeffs.n_steps):
-        iv = compose(iv, coeffs.seed)
+    """Fold the seed N times from the E_2-projected identity.
+
+    The transitions advance one step at a time into a buffer of up to
+    _CHUNK steps, by one stacked product for (A, A_v) and one for (omega_q,
+    omega_m). One `compose` of the buffered chunk, with zero integrals,
+    and the seed then gives every step's increment to the integrals, summed
+    over the chunk, and the transitions that start the next chunk.
+    """
+    seed = coeffs.seed
+    iv = projected_identity(sys, seed)
+    step_x = np.stack((seed.A,) if seed.A_v is None else (seed.A, seed.A_v))
+    step_w = np.stack((seed.omega_q, seed.omega_m))
+    buf_x = np.empty((_CHUNK,) + step_x.shape)
+    buf_w = np.empty((_CHUNK, 2) + sys.E2.shape)
+    for k in range(0, coeffs.n_steps, _CHUNK):
+        m = min(_CHUNK, coeffs.n_steps - k)
+        buf_x[0] = (iv.A,) if iv.A_v is None else (iv.A, iv.A_v)
+        buf_w[0] = (iv.omega_q, iv.omega_m)
+        for i in range(1, m):
+            np.matmul(step_x, buf_x[i - 1], out=buf_x[i])
+            np.matmul(step_w, buf_w[i - 1], out=buf_w[i])
+        chunk = Interval(
+            A=buf_x[:m, 0], B_1=0.0,
+            A_v=None if iv.A_v is None else buf_x[:m, 1],
+            B_2=None if iv.B_2 is None else 0.0,
+            omega_q=buf_w[:m, 0], X_q=0.0, omega_m=buf_w[:m, 1], Y_m=0.0,
+            R=None if iv.R is None else 0.0)
+        inc = compose(chunk, seed)
+        iv = Interval(
+            A=inc.A[-1], B_1=_summed(iv.B_1, inc.B_1),
+            A_v=None if inc.A_v is None else inc.A_v[-1],
+            B_2=_summed(iv.B_2, inc.B_2),
+            omega_q=inc.omega_q[-1], X_q=_summed(iv.X_q, inc.X_q),
+            omega_m=inc.omega_m[-1], Y_m=_summed(iv.Y_m, inc.Y_m),
+            R=_summed(iv.R, inc.R))
     return core_result(iv, "fixed", scheme=coeffs.scheme,
                        steps=coeffs.n_steps)
 

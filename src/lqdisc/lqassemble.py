@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,10 +188,15 @@ def discretize_core(sys: DeqSystem, method: str,
     """Dispatch to one of the three discretization methods; `scheme` is a
     bundled scheme name or a ButcherTableau.
 
-    Raises NumericalError when the result has a non-finite entry.
+    Raises NumericalError when the result has a non-finite entry, and
+    DomainError when `steps` is not an integer (numpy integers are).
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise DomainError(f"steps must be an integer, got {steps!r}") from None
     # overflow is reported once, by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "expm":

@@ -11,7 +11,8 @@ import pytest
 from lqdisc import benchcli
 from lqdisc.matcore import DimensionError, DomainError
 from lqdisc.benchcli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
-                             StudyConfig, fit_order, main)
+                             StudyConfig, SystemCheck, ValidationReport,
+                             fit_order, main)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 MIMO = str(MODELS / "mimo_delayed.json")
@@ -232,6 +233,43 @@ def test_validate_small_run(capsys):
     out = capsys.readouterr().out
     assert "validated 3 systems" in out
     assert "pairwise method gap" in out
+
+
+def _check(index, kind, mu, **worse):
+    fields = dict(pairwise=1e-12, vs_oracle=1e-11, psd_ok=True,
+                  zero_delay_gap=1e-15, gamma_gap=1e-15, bdot_gap=1e-13)
+    fields.update(worse)
+    return SystemCheck(index=index, kind=kind, mu=mu, **fields)
+
+
+def test_validation_failures_name_the_worst_system():
+    checks = (
+        _check(0, "none", 0.0, pairwise=3e-9),
+        _check(1, "none", 0.2, pairwise=5e-9, psd_ok=False),
+        _check(2, "fractional", 1.0, vs_oracle=2e-8, bdot_gap=4e-10),
+        _check(3, "integer", 0.0, psd_ok=False, gamma_gap=2e-12),
+    )
+    report = ValidationReport(seed=7, count=4, steps=1024, checks=checks,
+                              elapsed=0.0)
+    assert report.failures() == [
+        "pairwise 5.000e-09 > 1e-09 (system 1, none, mu=0.2, seed 7)",
+        "oracle 2.000e-08 > 1e-08 (system 2, fractional, mu=1, seed 7)",
+        "gamma identity 2.000e-12 > 1e-12 (system 3, integer, mu=0, seed 7)",
+        "B-form gap 4.000e-10 > 1e-10 (system 2, fractional, mu=1, seed 7)",
+        "Q or R_ww not positive semidefinite (system 1, none, mu=0.2, seed 7)",
+    ]
+    clean = ValidationReport(seed=0, count=1, steps=1024, elapsed=0.0,
+                             checks=(_check(0, "none", 0.0),))
+    assert clean.failures() == []
+    # a NaN gap is the worst value, wherever it sits among the systems
+    for checks in ((_check(0, "none", 0.0, pairwise=math.nan),
+                    _check(1, "integer", 1.0, pairwise=2e-9)),
+                   (_check(1, "integer", 1.0, pairwise=2e-9),
+                    _check(0, "none", 0.0, pairwise=math.nan))):
+        report = ValidationReport(seed=3, count=2, steps=1024,
+                                  checks=checks, elapsed=0.0)
+        assert report.failures() == [
+            "pairwise nan > 1e-09 (system 0, none, mu=0, seed 3)"]
 
 
 def test_fit_order_recovers_synthetic_slope():

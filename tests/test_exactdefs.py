@@ -10,7 +10,8 @@ from lqdisc import exactdefs, fixedstep, vanloan
 from lqdisc.matcore import (DimensionError, DomainError, expm, is_psd, max_abs,
                             symmetrize)
 from lqdisc.model import ContinuousStateSpace, CostSpec, realize_delays
-from lqdisc.exactdefs import DeqSystem, b_alternative, build_deq, oracle_quadrature
+from lqdisc.exactdefs import (DeqSystem, Interval, b_alternative, build_deq,
+                              compose, oracle_quadrature)
 
 
 def _scalar_sys(mu=0.2):
@@ -262,3 +263,38 @@ def test_references_stay_independent_of_the_methods(monkeypatch, mimo_deq,
         calls.clear()
         b_alternative(sys.A_c, sys.B_1c, sys.Ts, 2048)
         assert calls == []
+
+
+@pytest.mark.parametrize("delayed", [False, True])
+def test_compose_broadcasts_over_a_stack(delayed):
+    """A stack of spans composed with one span gives, at every index, the
+    bits of composing that span alone."""
+    rng = np.random.default_rng(11)
+    n_x, n_in, n_z, stack = 3, 2, 2, 5
+    n_xu = n_x + n_in
+    n_h = 3 * n_xu if delayed else n_xu
+
+    def span(*lead, projected=True):
+        cols = n_xu if projected else n_h
+        return Interval(
+            A=rng.normal(size=lead + (n_x, n_x)),
+            B_1=rng.normal(size=lead + (n_x, n_in)),
+            A_v=rng.normal(size=lead + (n_x, n_x)) if delayed else None,
+            B_2=rng.normal(size=lead + (n_x, n_in)) if delayed else None,
+            omega_q=rng.normal(size=lead + (n_h, cols)),
+            X_q=rng.normal(size=lead + (cols, cols)),
+            omega_m=rng.normal(size=lead + (n_h, cols)),
+            Y_m=rng.normal(size=lead + (cols, n_z)),
+            R=rng.normal(size=lead + (n_x, n_x)))
+
+    stacked, b = span(stack), span(projected=False)
+    got = compose(stacked, b)
+    for i in range(stack):
+        a_i = Interval(*(None if x is None else x[i] for x in stacked))
+        want = compose(a_i, b)
+        for name, x, y in zip(Interval._fields, got, want):
+            if y is None:
+                assert x is None, name
+            else:
+                assert x.shape == (stack,) + y.shape, name
+                assert np.array_equal(x[i], y), (i, name)

@@ -1,5 +1,6 @@
 """Tests for Butcher tableaus and the constant-coefficient propagation."""
 
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,9 @@ import pytest
 from lqdisc.matcore import (DimensionError, DomainError, SingularMatrixError,
                             max_abs, solve)
 from lqdisc.model import ContinuousStateSpace, CostSpec
-from lqdisc.exactdefs import build_deq
+from lqdisc import fixedstep
+from lqdisc.exactdefs import (build_deq, compose, core_result,
+                              projected_identity)
 from lqdisc.fixedstep import (SCHEME_NAMES, TABLEAUS, ButcherTableau,
                               build_coefficients, discretize_fixed, integrate,
                               named_tableau, propagation, stage_coefficients)
@@ -293,3 +296,53 @@ def test_singular_stage_named_by_first_use_of_its_diagonal():
     # singular for d = 0.3, used by stages 0 and 2: the stage named is 0
     with pytest.raises(SingularMatrixError, match="stage 0 for scheme"):
         stage_coefficients(t, np.eye(2) / 0.3, 1.0)
+
+
+def _folded_step_by_step(coeffs, sys):
+    """The fold as one compose per step, from the E_2-projected identity."""
+    iv = projected_identity(sys, coeffs.seed)
+    for _ in range(coeffs.n_steps):
+        iv = compose(iv, coeffs.seed)
+    return iv
+
+
+def _plant_variants(scalar_deq, mimo_deq):
+    """Plain and delayed plants, each with and without a diffusion G_c."""
+    rng = np.random.default_rng(5)
+    return {
+        "plain-diffusion": scalar_deq,
+        "plain": dataclasses.replace(scalar_deq, G_c=None),
+        "delayed": mimo_deq,
+        "delayed-diffusion": dataclasses.replace(
+            mimo_deq, G_c=0.5 * rng.normal(size=(mimo_deq.n_x, 2))),
+    }
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "esdirk4", "implicit-euler"])
+@pytest.mark.parametrize(
+    "plant", ["plain", "plain-diffusion", "delayed", "delayed-diffusion"])
+def test_chunked_fold_matches_step_by_step_fold(monkeypatch, scalar_deq,
+                                                mimo_deq, scheme, plant):
+    sys = _plant_variants(scalar_deq, mimo_deq)[plant]
+    folded = []
+    monkeypatch.setattr(fixedstep, "core_result",
+                        lambda iv, *a, **k: folded.append(iv) or
+                        core_result(iv, *a, **k))
+    for n in (1, 2, 63, 64, 65, 129, 1000, 1024):
+        coeffs = build_coefficients(sys, named_tableau(scheme), n)
+        got = integrate(coeffs, sys)
+        iv, want = folded.pop(), _folded_step_by_step(coeffs, sys)
+        assert got.steps == n
+        # the transitions are stepped one product at a time, as in the fold
+        for name in ("A", "A_v", "omega_q", "omega_m"):
+            x, y = getattr(iv, name), getattr(want, name)
+            assert (x is None) == (y is None)
+            if y is not None:
+                assert np.array_equal(x, y), (n, name)
+        # the integrals only add the same increments in another order
+        ref = core_result(want, "fixed")
+        for name in ("B_o", "Q", "M", "R_ww"):
+            x, y = getattr(got, name), getattr(ref, name)
+            assert (x is None) == (y is None)
+            if y is not None:
+                assert max_abs(x - y) <= 1e-14 * max_abs(y), (n, name)

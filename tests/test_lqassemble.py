@@ -9,6 +9,7 @@ and outputs.
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +375,27 @@ def test_build_discrete_lq_provenance_and_errors(scalar_model, mimo_model):
         for name in ("A", "B_o", "Q", "M"):
             gap = max_abs(getattr(doubled, name) - getattr(fixed, name))
             assert gap <= 1e-12, (name, gap)
+
+
+@pytest.mark.parametrize("method", ["fixed", "doubling", "expm"])
+def test_numpy_integer_steps(tmp_path, mimo_model, method):
+    plant, cost = mimo_model
+    want = build_discrete_lq(plant, cost, method=method, steps=64)
+    got = build_discrete_lq(plant, cost, method=method, steps=np.int64(64))
+    assert got.provenance == want.provenance
+    for name in ("A", "B_o", "Q", "M", "A_aug", "B_aug"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    export_result_json(got, tmp_path / "result.json")
+    doc = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert doc["provenance"] == want.provenance
+
+
+@pytest.mark.parametrize("steps", [64.0, "64", None])
+def test_non_integral_steps_is_domain_error(mimo_model, steps):
+    plant, cost = mimo_model
+    message = f"steps must be an integer, got {steps!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        build_discrete_lq(plant, cost, method="fixed", steps=steps)
 
 
 def test_realize_plant_dispatch(mimo_model, scalar_model):
