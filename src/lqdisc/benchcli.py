@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import statistics
 import sys
 import time
@@ -293,7 +294,8 @@ class ValidationReport:
 
     def _where(self, check: SystemCheck) -> str:
         return (f"(system {check.index}, {check.kind}, mu={check.mu:g}, "
-                f"seed {self.seed})")
+                f"seed {self.seed}; rerun: lqdisc validate --seed {self.seed} "
+                f"--start {check.index} --count 1 --steps {self.steps})")
 
     def failures(self) -> list[str]:
         """One message per violated limit, naming the system that set the
@@ -357,17 +359,21 @@ def _zero_delay_gap(plant: ContinuousStateSpace, cost: CostSpec) -> float:
     return max(gap, max_abs(a.R_ww - b.R_ww))
 
 
-def run_validation(seed: int = 0, count: int = 50,
-                   steps: int = 1024) -> ValidationReport:
-    """Cross-method, oracle, and structural checks on random systems."""
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+def run_validation(seed: int = 0, count: int = 50, steps: int = 1024,
+                   start: int = 0) -> ValidationReport:
+    """Cross-method, oracle, and structural checks on the random systems
+    start .. start + count - 1 of the seed (the earlier ones drawn unused)."""
+    if count < 1 or start < 0:
+        raise DomainError(f"need count >= 1, start >= 0; got {count}, {start}")
+    steps = operator.index(steps)
     j = steps.bit_length() - 1
     rng = np.random.default_rng(seed)
+    for i in range(start):
+        random_system(rng, i)
     tb = named_tableau("rk4")
     t0 = time.perf_counter()
     checks = []
-    for i in range(count):
+    for i in range(start, start + count):
         plant, cost, kind = random_system(rng, i)
         deq = build_deq(realize_plant(plant, cost.Ts), cost)
         coeffs = build_coefficients(deq, tb, steps)
@@ -544,9 +550,9 @@ def cmd_bench(args) -> int:
 
 def cmd_validate(args) -> int:
     report = run_validation(seed=args.seed, count=args.count,
-                            steps=args.steps)
+                            steps=args.steps, start=args.start)
     print(f"validated {report.count} systems "
-          f"(seed={report.seed}, N={report.steps}) "
+          f"(seed={report.seed}, start={args.start}, N={report.steps}) "
           f"in {report.elapsed:.1f} s")
     print(f"pairwise method gap   {report.max_pairwise:.3e}  "
           f"(limit {VALIDATION_LIMITS['pairwise']:.0e})")
@@ -611,6 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="randomized cross-method sweep")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--count", type=int, default=50)
+    v.add_argument("--start", type=int, default=0)
     v.add_argument("--steps", type=int, default=1024)
     return parser
 

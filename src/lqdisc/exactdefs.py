@@ -20,8 +20,6 @@ and discounted integrals over one span of time. Two spans compose by one
 law (`compose`), so the methods differ only in their seed interval (one
 Runge-Kutta step, or the exact exponentials over Ts/2^s) and in how they
 compose it: `fixed` folds the seed N times, `doubling` and `expm` power it.
-`compose` also takes a stack of spans as its first argument; `fixed` uses
-that to add the integrals of a chunk of steps in one call.
 
 `oracle_quadrature` evaluates every target by matrix exponentials at
 composite-Simpson nodes, a chunk of nodes at a time; it is the ground
@@ -263,8 +261,8 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
                      G_c=G_c)
 
 
-# Nodes (or steps) evaluated per chunk by the validation references; a
-# power of two, so the chunk powers P^0 .. P^{C-1} take log2(C) products.
+# Nodes (or steps) per chunk of the validation references and of the
+# `fixed` fold; a power of two, so P^0 .. P^{C-1} take log2(C) products.
 _CHUNK = 64
 
 

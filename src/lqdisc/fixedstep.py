@@ -4,15 +4,16 @@ Because every right-hand side in the system is linear with a constant
 generator, the Runge-Kutta stage combinations collapse into constant
 matrices (Lambda, Theta, Omega...) that are computed once per (tableau,
 step size). They form the one-step seed `Interval`, which `integrate`
-folds N times: the transitions advance one step at a time, and the
-integrals of each chunk of 64 steps are added by one `compose` of the
-stacked chunk with the seed. No expm and no linear solves inside the
-propagation loop.
+folds N times, one chunk of 64 steps per iteration: the seed's powers
+P^i - I (i < 64) are built once, and each chunk's steps and their
+increments to the integrals are a few batched products on that stack. No
+expm and no linear solves inside the propagation loop.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,12 +21,10 @@ import numpy as np
 
 from .matcore import (DimensionError, DomainError, Mat, SingularMatrixError,
                       solve, symmetrize)
-from .exactdefs import (CoreResult, DeqSystem, Interval, compose,
+from .exactdefs import (_CHUNK, CoreResult, DeqSystem, Interval, _powers,
                         core_result, projected_identity)
 
 _TABLEAU_TOL = 1e-12
-# Steps per chunk of the fixed-step fold (see `integrate`).
-_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,6 +249,7 @@ class CoefficientSet:
 def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
                        n_steps: int) -> CoefficientSet:
     """Precompute the one-step interval for N = n_steps substeps."""
+    n_steps = operator.index(n_steps)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     dt = sys.Ts / n_steps
@@ -288,49 +288,48 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
     return CoefficientSet(scheme=tableau.name, n_steps=n_steps, seed=seed)
 
 
-def _summed(total, increments):
-    """`total` plus the stacked `increments` summed over the stack axis."""
-    return None if total is None else total + increments.sum(axis=0)
+def _chunk_powers(P: Mat, sizes) -> tuple[np.ndarray, dict]:
+    """The stack D_i = P^i - I (i < C) and, per chunk size m in `sizes`,
+    the advance P^m - I and the power sum m I + sum_{i<m} D_i."""
+    eye = np.eye(P.shape[0])
+    stack, step = _powers(P - eye)
+    return stack, {m: ((stack[m] if m < len(stack) else step).copy(),
+                       m * eye + stack[:m].sum(axis=0)) for m in set(sizes)}
 
 
 def integrate(coeffs: CoefficientSet, sys: DeqSystem) -> CoreResult:
-    """Fold the seed N times from the E_2-projected identity.
-
-    The transitions advance one step at a time into a buffer of up to
-    _CHUNK steps, by one stacked product for (A, A_v) and one for (omega_q,
-    omega_m). One `compose` of the buffered chunk, with zero integrals,
-    and the seed then gives every step's increment to the integrals, summed
-    over the chunk, and the transitions that start the next chunk.
+    """Fold the seed N times from the E_2-projected identity, one chunk of
+    m <= C = 64 steps per iteration, from D_i = P^i - I (i < C) and P^C - I
+    built once per seed transition P. A chunk's transitions (I + D_i) base
+    and their increments to X_q (and R) are batched products over the
+    stack of omega_q (and of A): one small product per step, which BLAS
+    keeps on the calling thread. B_1, B_2 and Y_m take the power sum, and
+    each base advances by P^m.
     """
-    seed = coeffs.seed
-    iv = projected_identity(sys, seed)
-    step_x = np.stack((seed.A,) if seed.A_v is None else (seed.A, seed.A_v))
-    step_w = np.stack((seed.omega_q, seed.omega_m))
-    buf_x = np.empty((_CHUNK,) + step_x.shape)
-    buf_w = np.empty((_CHUNK, 2) + sys.E2.shape)
-    for k in range(0, coeffs.n_steps, _CHUNK):
-        m = min(_CHUNK, coeffs.n_steps - k)
-        buf_x[0] = (iv.A,) if iv.A_v is None else (iv.A, iv.A_v)
-        buf_w[0] = (iv.omega_q, iv.omega_m)
-        for i in range(1, m):
-            np.matmul(step_x, buf_x[i - 1], out=buf_x[i])
-            np.matmul(step_w, buf_w[i - 1], out=buf_w[i])
-        chunk = Interval(
-            A=buf_x[:m, 0], B_1=0.0,
-            A_v=None if iv.A_v is None else buf_x[:m, 1],
-            B_2=None if iv.B_2 is None else 0.0,
-            omega_q=buf_w[:m, 0], X_q=0.0, omega_m=buf_w[:m, 1], Y_m=0.0,
-            R=None if iv.R is None else 0.0)
-        inc = compose(chunk, seed)
-        iv = Interval(
-            A=inc.A[-1], B_1=_summed(iv.B_1, inc.B_1),
-            A_v=None if inc.A_v is None else inc.A_v[-1],
-            B_2=_summed(iv.B_2, inc.B_2),
-            omega_q=inc.omega_q[-1], X_q=_summed(iv.X_q, inc.X_q),
-            omega_m=inc.omega_m[-1], Y_m=_summed(iv.Y_m, inc.Y_m),
-            R=_summed(iv.R, inc.R))
-    return core_result(iv, "fixed", scheme=coeffs.scheme,
-                       steps=coeffs.n_steps)
+    seed, n = coeffs.seed, coeffs.n_steps
+    sizes = [_CHUNK] * (n // _CHUNK) + [n % _CHUNK] * (n % _CHUNK > 0)
+    pow_q, tq = _chunk_powers(seed.omega_q, sizes)
+    pow_a, ta = _chunk_powers(seed.A, sizes)
+    pow_a = None if seed.R is None else pow_a    # only R reads its stack
+    tm = _chunk_powers(seed.omega_m, sizes)[1]
+    tv = None if seed.A_v is None else _chunk_powers(seed.A_v, sizes)[1]
+    A, B_1, A_v, B_2, W_q, X_q, W_m, Y_m, R = projected_identity(sys, seed)
+    for m in sizes:
+        T = W_q + pow_q[:m] @ W_q                    # omega_q^{k+i} E_2
+        X_q = X_q + (T.swapaxes(1, 2) @ seed.X_q @ T).sum(axis=0)
+        if R is not None:
+            U = A + pow_a[:m] @ A                    # A^{k+i}
+            R = R + (U @ seed.R @ U.swapaxes(1, 2)).sum(axis=0)
+        B_1 = B_1 + A @ (ta[m][1] @ seed.B_1)
+        Y_m = Y_m + W_m.T @ (tm[m][1].T @ seed.Y_m)
+        if A_v is not None:
+            B_2 = B_2 + A_v @ (tv[m][1] @ seed.B_2)
+            A_v = A_v + tv[m][0] @ A_v
+        A = A + ta[m][0] @ A
+        W_q = W_q + tq[m][0] @ W_q
+        W_m = W_m + tm[m][0] @ W_m
+    return core_result(Interval(A, B_1, A_v, B_2, W_q, X_q, W_m, Y_m, R),
+                       "fixed", scheme=coeffs.scheme, steps=coeffs.n_steps)
 
 
 def discretize_fixed(sys: DeqSystem, tableau: ButcherTableau,

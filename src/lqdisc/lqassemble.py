@@ -272,10 +272,10 @@ def export_stage_csv(dlq: DiscreteLQ, path) -> None:
     quoting, and every line ends in CRLF.
     """
     st = dlq.stages
-    # np.linalg.norm row by row: a vectorised norm differs from it in the
-    # last bit on some rows
+    # sqrt(q.q) row by row is what np.linalg.norm evaluates for a 1-D
+    # array; a vectorised norm differs from it in the last bit on some rows
     rows = zip(range(st.t_k.size), st.t_k.tolist(), st.rho_k.tolist(),
-               [np.linalg.norm(q) for q in st.q_k])
+               [math.sqrt(q.dot(q)) for q in st.q_k])
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("k,t_k,rho_k,q_norm\r\n")
         f.writelines("%d,%.16e,%.16e,%.16e\r\n" % row for row in rows)

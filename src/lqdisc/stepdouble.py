@@ -16,6 +16,8 @@ and is validated against the fixed-step R_ww as an extension.
 
 from __future__ import annotations
 
+import operator
+
 from .matcore import DomainError
 from .exactdefs import (CoreResult, DeqSystem, compose, core_result, power,
                         projected_identity)
@@ -28,15 +30,16 @@ def discretize_step_doubling(sys: DeqSystem, tableau: ButcherTableau,
     """Discretize with N = 2^j substeps, or with coeffs.n_steps substeps
     (any N >= 1) when coefficients are given; j is then floor(log2 N),
     the number of squarings."""
+    j = operator.index(j)
     if j < 0:
         raise DomainError(f"doubling exponent must be >= 0, got {j}")
     if coeffs is None:
         coeffs = build_coefficients(sys, tableau, 2 ** j)
-    elif coeffs.n_steps.bit_length() - 1 != j:
+    n = operator.index(coeffs.n_steps)
+    if n.bit_length() - 1 != j:
         raise DomainError(
-            f"coefficient set was built for N={coeffs.n_steps}, which takes "
-            f"{coeffs.n_steps.bit_length() - 1} doublings, not {j}")
-    iv = power(coeffs.seed, coeffs.n_steps)
+            f"coefficient set was built for N={n}, which takes "
+            f"{n.bit_length() - 1} doublings, not {j}")
+    iv = power(coeffs.seed, n)
     return core_result(compose(projected_identity(sys, iv), iv), "doubling",
-                       scheme=coeffs.scheme, steps=coeffs.n_steps,
-                       doublings=j)
+                       scheme=coeffs.scheme, steps=n, doublings=j)

@@ -6,13 +6,14 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lqdisc import benchcli
 from lqdisc.matcore import DimensionError, DomainError
 from lqdisc.benchcli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                              StudyConfig, SystemCheck, ValidationReport,
-                             fit_order, main)
+                             fit_order, main, run_validation)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 MIMO = str(MODELS / "mimo_delayed.json")
@@ -235,6 +236,23 @@ def test_validate_small_run(capsys):
     assert "pairwise method gap" in out
 
 
+def test_validate_start_reruns_one_system_alone(capsys):
+    """System i of a seed checked alone (start=i, count=1) gives the same
+    SystemCheck as in the sweep from 0, and the CLI takes --start."""
+    sweep = run_validation(seed=5, count=4, steps=256)
+    for i, steps in ((0, 256), (3, np.int64(256))):
+        alone = run_validation(seed=5, count=1, steps=steps, start=i)
+        assert alone.checks == (sweep.checks[i],)
+    assert run_validation(seed=5, count=2, steps=256,
+                          start=0).checks == sweep.checks[:2]
+    with pytest.raises(DomainError, match="start"):
+        run_validation(seed=5, count=1, start=-1)
+    assert main(["validate", "--seed", "5", "--start", "3", "--count", "1",
+                 "--steps", "256"]) == EXIT_OK
+    assert "validated 1 systems (seed=5, start=3, N=256)" in \
+        capsys.readouterr().out
+
+
 def _check(index, kind, mu, **worse):
     fields = dict(pairwise=1e-12, vs_oracle=1e-11, psd_ok=True,
                   zero_delay_gap=1e-15, gamma_gap=1e-15, bdot_gap=1e-13)
@@ -252,11 +270,21 @@ def test_validation_failures_name_the_worst_system():
     report = ValidationReport(seed=7, count=4, steps=1024, checks=checks,
                               elapsed=0.0)
     assert report.failures() == [
-        "pairwise 5.000e-09 > 1e-09 (system 1, none, mu=0.2, seed 7)",
-        "oracle 2.000e-08 > 1e-08 (system 2, fractional, mu=1, seed 7)",
-        "gamma identity 2.000e-12 > 1e-12 (system 3, integer, mu=0, seed 7)",
-        "B-form gap 4.000e-10 > 1e-10 (system 2, fractional, mu=1, seed 7)",
-        "Q or R_ww not positive semidefinite (system 1, none, mu=0.2, seed 7)",
+        "pairwise 5.000e-09 > 1e-09 (system 1, none, mu=0.2, seed 7; "
+        "rerun: lqdisc validate --seed 7 --start 1 --count 1 "
+        "--steps 1024)",
+        "oracle 2.000e-08 > 1e-08 (system 2, fractional, mu=1, seed 7; "
+        "rerun: lqdisc validate --seed 7 --start 2 --count 1 "
+        "--steps 1024)",
+        "gamma identity 2.000e-12 > 1e-12 (system 3, integer, mu=0, seed 7; "
+        "rerun: lqdisc validate --seed 7 --start 3 --count 1 "
+        "--steps 1024)",
+        "B-form gap 4.000e-10 > 1e-10 (system 2, fractional, mu=1, seed 7; "
+        "rerun: lqdisc validate --seed 7 --start 2 --count 1 "
+        "--steps 1024)",
+        "Q or R_ww not positive semidefinite (system 1, none, mu=0.2, "
+        "seed 7; rerun: lqdisc validate --seed 7 --start 1 --count 1 "
+        "--steps 1024)",
     ]
     clean = ValidationReport(seed=0, count=1, steps=1024, elapsed=0.0,
                              checks=(_check(0, "none", 0.0),))
@@ -269,7 +297,9 @@ def test_validation_failures_name_the_worst_system():
         report = ValidationReport(seed=3, count=2, steps=1024,
                                   checks=checks, elapsed=0.0)
         assert report.failures() == [
-            "pairwise nan > 1e-09 (system 0, none, mu=0, seed 3)"]
+            "pairwise nan > 1e-09 (system 0, none, mu=0, seed 3; "
+            "rerun: lqdisc validate --seed 3 --start 0 --count 1 "
+            "--steps 1024)"]
 
 
 def test_fit_order_recovers_synthetic_slope():

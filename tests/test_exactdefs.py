@@ -247,7 +247,8 @@ def test_references_stay_independent_of_the_methods(monkeypatch, mimo_deq,
 
     for module, name in ((exactdefs, "compose"), (exactdefs, "power"),
                          (vanloan, "exact_seed"),
-                         (fixedstep, "build_coefficients")):
+                         (fixedstep, "build_coefficients"),
+                         (fixedstep, "integrate")):
         monkeypatch.setattr(module, name, forbidden)
     calls = []
 
@@ -263,6 +264,28 @@ def test_references_stay_independent_of_the_methods(monkeypatch, mimo_deq,
         calls.clear()
         b_alternative(sys.A_c, sys.B_1c, sys.Ts, 2048)
         assert calls == []
+
+
+@pytest.mark.parametrize("size", [1e-3, 0.5])
+def test_powers_match_repeated_products(size):
+    """The stack P^i - I (i < 64) and P^64 - I from `_powers` match plain
+    repeated products of P = I + D to a few ulps per power, for P near I
+    and for P far from it."""
+    rng = np.random.default_rng(2)
+    D = rng.normal(size=(5, 5))
+    D *= size / np.linalg.norm(D, 2)
+    stack, last = exactdefs._powers(D)
+    assert stack.shape == (exactdefs._CHUNK, 5, 5)
+    eye = np.eye(5)
+    P, Pi = eye + D, eye.copy()
+    ulp = np.finfo(float).eps
+    for i in range(exactdefs._CHUNK + 1):
+        got = stack[i] if i < exactdefs._CHUNK else last
+        # repeated products of P carry an error of an ulp of 1 per power
+        assert max_abs(got - (Pi - eye)) <= 2 * max(i, 1) * ulp * \
+            max(max_abs(Pi), 1.0), i
+        Pi = Pi @ P
+    assert not stack[0].any()
 
 
 @pytest.mark.parametrize("delayed", [False, True])

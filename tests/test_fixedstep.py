@@ -213,6 +213,15 @@ def test_step_count_validated(scalar_deq):
         build_coefficients(scalar_deq, named_tableau("rk4"), 0)
 
 
+def test_numpy_integer_steps_give_json_provenance(mimo_deq):
+    tb = named_tableau("rk4")
+    got = discretize_fixed(mimo_deq, tb, np.int64(64))
+    assert json.dumps(got.steps) == "64"
+    want = discretize_fixed(mimo_deq, tb, 64)
+    for name in ("A", "B_o", "Q", "M"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 # two distinct diagonal values; the first comes back at stage 2
 TWO_DIAGONALS = dict(
     name="two-diagonal-dirk",
@@ -333,13 +342,14 @@ def test_chunked_fold_matches_step_by_step_fold(monkeypatch, scalar_deq,
         got = integrate(coeffs, sys)
         iv, want = folded.pop(), _folded_step_by_step(coeffs, sys)
         assert got.steps == n
-        # the transitions are stepped one product at a time, as in the fold
+        # the transitions are seed powers formed from their differences
+        # P^i - I, and the integrals add the same increments in another
+        # order: both move from the step-by-step fold only by rounding
         for name in ("A", "A_v", "omega_q", "omega_m"):
             x, y = getattr(iv, name), getattr(want, name)
             assert (x is None) == (y is None)
             if y is not None:
-                assert np.array_equal(x, y), (n, name)
-        # the integrals only add the same increments in another order
+                assert max_abs(x - y) <= 1e-14 * max_abs(y), (n, name)
         ref = core_result(want, "fixed")
         for name in ("B_o", "Q", "M", "R_ww"):
             x, y = getattr(got, name), getattr(ref, name)

@@ -7,6 +7,7 @@ and outputs.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -356,6 +357,21 @@ def test_export_csv_format(tmp_path, mimo_model):
         assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
     last = path.read_bytes().split(b"\r\n")[-2].split(b",")
     assert last[0] == b"2999" and 1e-300 < float(last[2]) < 1e-250
+
+
+def test_export_csv_norm_is_numpy_norm(tmp_path):
+    """q_norm is the exact np.linalg.norm of each row, over rows whose
+    norms run from 1 down to 1e-300."""
+    dlq = _noisy_delayed_lq(N=1)
+    rng = np.random.default_rng(4)
+    q_k = rng.normal(size=(301, 12)) * np.logspace(0, -300, 301)[:, None]
+    st = dataclasses.replace(dlq.stages, t_k=np.arange(301.0),
+                             rho_k=np.ones(301), q_k=q_k)
+    export_stage_csv(dataclasses.replace(dlq, stages=st),
+                     tmp_path / "stages.csv")
+    with open(tmp_path / "stages.csv", newline="", encoding="utf-8") as f:
+        got = [float(row[3]) for row in list(csv.reader(f))[1:]]
+    assert np.array_equal(got, [np.linalg.norm(q) for q in q_k])
 
 
 def test_build_discrete_lq_provenance_and_errors(scalar_model, mimo_model):

@@ -116,3 +116,16 @@ def test_extract_reuses_state(mimo_deq):
                          "doubling")
     for name in ("A", "B_o", "Q", "M"):
         assert np.array_equal(getattr(manual, name), getattr(direct, name))
+
+
+def test_numpy_integer_coefficient_steps(mimo_deq):
+    """A numpy-integer step count given to build_coefficients is taken as
+    an int, so the doubling check and the provenance see a plain int."""
+    coeffs = build_coefficients(mimo_deq, RK4, np.int64(64))
+    assert type(coeffs.n_steps) is int
+    got = discretize_step_doubling(mimo_deq, RK4, np.int64(6), coeffs=coeffs)
+    want = discretize_step_doubling(mimo_deq, RK4, 6)
+    assert (type(got.steps), type(got.doublings)) == (int, int)
+    assert (got.steps, got.doublings) == (64, 6)
+    for name in ("A", "B_o", "Q", "M"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
