@@ -22,8 +22,11 @@ Runge-Kutta step, or the exact exponentials over Ts/2^s) and in how they
 compose it: `fixed` folds the seed N times, `doubling` and `expm` power it.
 
 `oracle_quadrature` evaluates every target by matrix exponentials at
-composite-Simpson nodes, a chunk of nodes at a time; it is the ground
-truth the methods are tested against, and uses neither seeds nor `compose`.
+composite-Simpson nodes, each node a two-level power of a node
+exponential (a chunk base times an inner power). One Python iteration
+covers C^2 = 4096 nodes and memory is O(C n_h^2) for any panel count. It
+is the ground truth the methods are tested against, and uses neither
+seeds nor `compose`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matcore import DimensionError, DomainError, Mat, block, expm, symmetrize
+from .matcore import DimensionError, DomainError, Mat, expm, symmetrize
 from .model import ContinuousStateSpace, CostSpec, DelayRealization
 
 
@@ -137,8 +140,7 @@ def compose(a: Interval, b: Interval) -> Interval:
     """The span `a` followed by the span `b`.
 
     The integrals over `b` are carried back through the transitions of
-    `a`; `a` may be E_2-projected, `b` may not. The fields of `a` may carry
-    a leading stack axis, which gives one composition per stacked span.
+    `a`; `a` may be E_2-projected, `b` may not.
     """
     return Interval(
         A=b.A @ a.A,
@@ -146,10 +148,10 @@ def compose(a: Interval, b: Interval) -> Interval:
         A_v=None if a.A_v is None else b.A_v @ a.A_v,
         B_2=None if a.B_2 is None else a.B_2 + a.A_v @ b.B_2,
         omega_q=b.omega_q @ a.omega_q,
-        X_q=a.X_q + a.omega_q.swapaxes(-1, -2) @ b.X_q @ a.omega_q,
+        X_q=a.X_q + a.omega_q.T @ b.X_q @ a.omega_q,
         omega_m=b.omega_m @ a.omega_m,
-        Y_m=a.Y_m + a.omega_m.swapaxes(-1, -2) @ b.Y_m,
-        R=None if a.R is None else a.R + a.A @ b.R @ a.A.swapaxes(-1, -2))
+        Y_m=a.Y_m + a.omega_m.T @ b.Y_m,
+        R=None if a.R is None else a.R + a.A @ b.R @ a.A.T)
 
 
 def power(seed: Interval, n: int) -> Interval:
@@ -228,14 +230,23 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
         raise DimensionError(
             f"plant has {C_c.shape[0]} outputs but Q_c is {cost.n_z}x{cost.n_z}")
 
-    zx = np.zeros((n_in, n_x))
-    zu = np.zeros((n_in, n_in))
-    H_1c = block([[A_c, B_1c], [zx, zu]])
-    H_2c = block([[V @ A_c, B_2c_bar], [zx, zu]])
-    H_3c = block([[V @ A_c, np.zeros_like(B_1c)], [zx, zu]])
+    def generator(A, B):
+        """[[A, B], [0, 0]]: the state block over held inputs."""
+        H = np.zeros((n_xu, n_xu))
+        H[:n_x, :n_x] = A
+        H[:n_x, n_x:] = B
+        return H
+
+    H_1c = generator(A_c, B_1c)
+    H_2c = H_3c = None
     if delay:
-        zh = np.zeros((n_xu, n_xu))
-        H_c = block([[H_1c, zh, zh], [zh, H_2c, zh], [zh, zh, H_3c]])
+        VA = V @ A_c
+        H_2c = generator(VA, B_2c_bar)
+        H_3c = generator(VA, 0.0)
+        H_c = np.zeros((3 * n_xu, 3 * n_xu))
+        for j, H in enumerate((H_1c, H_2c, H_3c)):
+            d = slice(j * n_xu, (j + 1) * n_xu)
+            H_c[d, d] = H
         eye = np.eye(n_xu)
         E1 = np.hstack([eye, eye, -eye])
         E2 = np.vstack([eye, eye, eye])
@@ -256,8 +267,7 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
                      H_cq=H_cq, H_cm=H_cm, E1=E1, E2=E2, Qbar_c=Qbar_c,
                      Mbar_c=Mbar_c,
                      H_1c=H_1c if delay else None,
-                     H_2c=H_2c if delay else None,
-                     H_3c=H_3c if delay else None,
+                     H_2c=H_2c, H_3c=H_3c,
                      G_c=G_c)
 
 
@@ -285,10 +295,11 @@ def _powers(D: Mat) -> tuple[np.ndarray, Mat]:
     return stack, step
 
 
-def _simpson_weights(panels: int, h: float) -> np.ndarray:
-    w = np.full(panels + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
+def _simpson_weights(k: np.ndarray, panels: int, h: float) -> np.ndarray:
+    """Composite-Simpson weights at the node indices k, zero past `panels`."""
+    w = np.where(k % 2, 4.0, 2.0)
+    w[(k == 0) | (k == panels)] = 1.0
+    w[k > panels] = 0.0
     return w * (h / 3.0)
 
 
@@ -298,14 +309,17 @@ def oracle_quadrature(sys: DeqSystem, t: float | None = None,
 
     The node exponentials e^{X s_k}, s_k = k t/panels, are powers of the
     three node steps P = e^{A_c h}, e^{V A_c h} and e^{H_c h} (the only
-    three `expm` calls). They are formed a chunk of C = 64 nodes at a
-    time: the powers P^0 .. P^{C-1} once, a chunk base P^{cC} advanced by
-    P^C, and the chunk's nodes as one stacked product of the base with
-    those powers (Gamma as (E_1 base) (P^i E_2)). The Simpson sums are
-    weighted contractions over the chunk, so memory is O(C n_h^2) for any
-    panel count. Every node is a plain power of a node exponential and
-    every integral a plain weighted sum: the result shares no seed, no
-    `compose` and no Runge-Kutta coefficient with the methods it checks.
+    three `expm` calls), taken on two levels: node k = C c + i (C = 64)
+    is (I + E_c)(I + D_i), with D_i = P^i - I and E_c = (P^C)^c - I for
+    i, c < C, both stacks from `_powers`. One Python iteration covers a
+    block of up to C chunks, C^2 = 4096 nodes, whose chunk bases are one
+    stacked product of the I + E_c with the block base (P^{C^2})^b.
+    Inside a block the Simpson weights are contracted over one index
+    first and the matrices after (Gamma as (E_1 chunk base) (P^i E_2)),
+    so memory is O(C n_h^2) for any panel count. Every node is a plain
+    power of a node exponential and every integral a plain weighted sum:
+    the result shares no seed, no `compose` and no Runge-Kutta
+    coefficient with the methods it checks.
 
     Error decays as O(panels^-4). R_ww is None when the system has no
     diffusion matrix G_c.
@@ -315,48 +329,63 @@ def oracle_quadrature(sys: DeqSystem, t: float | None = None,
     if t is None:
         t = sys.Ts
     h = t / panels
-    w = _simpson_weights(panels, h)
-    wd = w * np.exp(-sys.mu * h * np.arange(panels + 1))
+    C = _CHUNK
 
     n_x, n_h = sys.n_x, sys.n_h
     powA, stepA = _powers(expm(sys.A_c * h) - np.eye(n_x))
     powV, stepV = _powers(expm(sys.V @ sys.A_c * h) - np.eye(n_x))
+    # Only the E_1 and E_2 projections of the n_h x n_h stacks are kept,
+    # so the loop's two (L_c' Qbar_c L_c and its weighted sum over c) are
+    # the only ones alive while it runs.
     dH, stepH = _powers(expm(sys.H_c * h) - np.eye(n_h))
-    powA += np.eye(n_x)                  # e^{A_c h i}, i < C
-    powV += np.eye(n_x)
     powHE2 = dH @ sys.E2                 # e^{H_c h i} E_2, i < C
     powHE2 += sys.E2
-    GG = sys.G_c @ sys.G_c.T if sys.G_c is not None else None
+    del dH
+    chunkA, blockA = _powers(stepA)      # (P^C)^c - I, c < C; P^{C^2} - I
+    chunkV, blockV = _powers(stepV)
+    chunkH, blockH = _powers(stepH)
+    E1chunkH = sys.E1 @ chunkH           # E_1 e^{H_c h C c}, c < C
+    E1chunkH += sys.E1
+    del chunkH
+    for stack in (powA, powV, chunkA, chunkV):
+        stack += np.eye(n_x)             # e^{A_c h i}, e^{A_c h C c}, ...
+    GAG = None                           # e^{A_c h i} G_c G_c' e^{A_c' h i}
+    if sys.G_c is not None:
+        GAG = powA @ (sys.G_c @ sys.G_c.T) @ powA.transpose(0, 2, 1)
 
-    XA = np.eye(n_x)                     # chunk bases e^{A_c s_k}, ...
+    XA = np.eye(n_x)                     # block bases e^{A_c h C^2 b}, ...
     XV = np.eye(n_x)
     XH = np.eye(n_h)
     SA = np.zeros((n_x, n_x))            # int e^{A_c s} ds
     SV = np.zeros((n_x, n_x))
     SQ = np.zeros((sys.n_xu, sys.n_xu))
     SG = np.zeros((sys.n_xu, sys.n_xu))  # int e^{-mu s} Gamma(s) ds
-    SR = np.zeros((n_x, n_x)) if GG is not None else None
+    SR = np.zeros((n_x, n_x)) if GAG is not None else None
 
-    for k in range(0, panels + 1, _CHUNK):
-        m = min(_CHUNK, panels + 1 - k)
-        wk, wdk = w[k:k + m], wd[k:k + m]
-        SA += XA @ np.tensordot(wk, powA[:m], 1)
-        SV += XV @ np.tensordot(wk, powV[:m], 1)
-        G = (sys.E1 @ XH) @ powHE2[:m]   # Gamma(s_{k+i}), i < m
-        SG += np.tensordot(wdk, G, 1)
-        SQ += np.tensordot(wdk[:, None, None] * G, sys.Qbar_c @ G,
-                           axes=([0, 1], [0, 1]))
-        if GG is not None:
-            XAk = XA @ powA[:m]
-            SR += np.tensordot(wk[:, None, None] * XAk,
-                               (GG @ XAk.transpose(0, 2, 1)),
-                               axes=([0, 2], [0, 1]))
-        if k + m <= panels:
-            XA = XA + XA @ stepA
-            XV = XV + XV @ stepV
-            XH = XH + XH @ stepH
+    for start in range(0, panels + 1, C * C):
+        nc = min(C, -(-(panels + 1 - start) // C))   # chunks in the block
+        k = start + np.arange(nc * C).reshape(nc, C)  # node C c + i
+        W = _simpson_weights(k, panels, h)
+        WD = W * np.exp(-sys.mu * h * k)
+        BA = XA @ chunkA[:nc]            # chunk bases e^{A_c s_{Cc}}, ...
+        BV = XV @ chunkV[:nc]
+        L = E1chunkH[:nc] @ XH           # Gamma(s_{Cc+i}) = L_c powHE2_i
+        SA += (BA @ np.einsum("ci,ijk->cjk", W, powA)).sum(0)
+        SV += (BV @ np.einsum("ci,ijk->cjk", W, powV)).sum(0)
+        SG += (L @ np.einsum("ci,ijk->cjk", WD, powHE2)).sum(0)
+        SQ += (powHE2.transpose(0, 2, 1) @ np.einsum(
+            "ci,cjk->ijk", WD, L.transpose(0, 2, 1) @ sys.Qbar_c @ L)
+            @ powHE2).sum(0)
+        if GAG is not None:
+            SR += (BA @ np.einsum("ci,ijk->cjk", W, GAG)
+                   @ BA.transpose(0, 2, 1)).sum(0)
+        if start + C * C <= panels:
+            XA = XA + XA @ blockA
+            XV = XV + XV @ blockV
+            XH = XH + XH @ blockH
 
-    return CoreResult(A=XA @ powA[m - 1],
+    c, i = divmod(panels - start, C)     # the last node, in the last block
+    return CoreResult(A=BA[c] @ powA[i],
                       B_o=SA @ sys.B_1c + SV @ sys.B_2c_bar,
                       Q=symmetrize(SQ), M=SG.T @ sys.Mbar_c,
                       R_ww=symmetrize(SR) if SR is not None else None,

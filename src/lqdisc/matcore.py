@@ -2,7 +2,7 @@
 
 Thin wrappers around numpy/scipy that add the dimension and conditioning
 checks the rest of the package relies on: matrix exponential, pivot-checked
-linear solve, block assembly, and symmetry/PSD helpers.
+linear solve, and symmetry/PSD helpers.
 """
 
 from __future__ import annotations
@@ -89,23 +89,6 @@ def solve(A: Mat, B: Mat) -> Mat:
             pivot_index=int(bad[0]),
         )
     return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
-
-
-def block(parts) -> Mat:
-    """Assemble a matrix from a 2-D grid of blocks."""
-    grid = [[asmat(p) for p in row] for row in parts]
-    ncols = {len(row) for row in grid}
-    if len(ncols) != 1:
-        raise DimensionError("block grid rows have differing lengths")
-    for i, row in enumerate(grid):
-        heights = {p.shape[0] for p in row}
-        if len(heights) != 1:
-            raise DimensionError(f"block row {i} has differing heights {heights}")
-    for j in range(len(grid[0])):
-        widths = {row[j].shape[1] for row in grid}
-        if len(widths) != 1:
-            raise DimensionError(f"block column {j} has differing widths {widths}")
-    return np.block(grid)
 
 
 def inf_norm(X: Mat) -> float:

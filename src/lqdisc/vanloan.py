@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .matcore import Mat, asmat, block, expm, symmetrize
+from .matcore import Mat, asmat, expm, symmetrize
 from .exactdefs import (CoreResult, DeqSystem, Interval, compose,
                         core_result, power, projected_identity)
 
@@ -44,14 +44,22 @@ def squarings(sys: DeqSystem, t: float) -> int:
     return math.ceil(math.log2(norm / SEED_NORM))
 
 
+def _upper(a, b, d) -> Mat:
+    """[[a, b], [0, d]] from n x n blocks; d fixes n."""
+    n = d.shape[0]
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = a
+    M[:n, n:] = b
+    M[n:, n:] = d
+    return M
+
+
 def exact_seed(sys: DeqSystem, h: float) -> Interval:
     """The interval over h from three exponentials, four with G_c."""
     n_h, n_x, n_xu = sys.n_h, sys.n_x, sys.n_xu
     S = sys.E1.T @ sys.Qbar_c @ sys.E1
-    zero = np.zeros((n_h, n_h))
-    eye = np.eye(n_h)
-    phi1 = expm(h * block([[-sys.H_cq.T, S], [zero, sys.H_cq]]))
-    phi2 = expm(h * block([[zero, eye], [zero, sys.H_cm.T]]))
+    phi1 = expm(h * _upper(-sys.H_cq.T, S, sys.H_cq))
+    phi2 = expm(h * _upper(0.0, np.eye(n_h), sys.H_cm.T))
     phi3 = expm(h * sys.H_c)
     omega_q = phi1[n_h:, n_h:]
     v = slice(n_xu, n_xu + n_x)
@@ -83,6 +91,5 @@ def rww_expm(A_c: Mat, G_c: Mat, t: float) -> Mat:
     A_c = asmat(A_c)
     G_c = asmat(G_c)
     n = A_c.shape[0]
-    z = np.zeros((n, n))
-    c3 = expm(t * block([[-A_c, G_c @ G_c.T], [z, A_c.T]]))
+    c3 = expm(t * _upper(-A_c, G_c @ G_c.T, A_c.T))
     return symmetrize(c3[n:, n:].T @ c3[:n, n:])

@@ -1,6 +1,7 @@
 """Tests for the assembled generators and the quadrature oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from lqdisc import exactdefs, fixedstep, vanloan
 from lqdisc.matcore import (DimensionError, DomainError, expm, is_psd, max_abs,
                             symmetrize)
 from lqdisc.model import ContinuousStateSpace, CostSpec, realize_delays
-from lqdisc.exactdefs import (DeqSystem, Interval, b_alternative, build_deq,
-                              compose, oracle_quadrature)
+from lqdisc.exactdefs import (DeqSystem, b_alternative, build_deq,
+                              oracle_quadrature)
 
 
 def _scalar_sys(mu=0.2):
@@ -148,6 +149,27 @@ def test_deq_dimensions(mimo_deq, scalar_deq):
     assert np.array_equal(scalar_deq.E2, np.eye(2))
 
 
+def test_generators_equal_their_block_assembly(mimo_deq, scalar_deq):
+    """The slice-assigned generators carry the bits of np.block's."""
+    for sys in (scalar_deq, mimo_deq):
+        zx = np.zeros((sys.n_in, sys.n_x))
+        zu = np.zeros((sys.n_in, sys.n_in))
+        H_1c = np.block([[sys.A_c, sys.B_1c], [zx, zu]])
+        want = {"H_c": H_1c}
+        if sys.delay:
+            VA = sys.V @ sys.A_c
+            H_2c = np.block([[VA, sys.B_2c_bar], [zx, zu]])
+            H_3c = np.block([[VA, np.zeros_like(sys.B_1c)], [zx, zu]])
+            zh = np.zeros_like(H_1c)
+            want = {"H_c": np.block([[H_1c, zh, zh], [zh, H_2c, zh],
+                                     [zh, zh, H_3c]]),
+                    "H_1c": H_1c, "H_2c": H_2c, "H_3c": H_3c}
+        for name, ref in want.items():
+            got = getattr(sys, name)
+            assert got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+
+
 def _random_deq(seed, n_x, n_u, kind, mu, diffusion):
     """A random stable plant (no, fractional or integer delays) and cost."""
     rng = np.random.default_rng(seed)
@@ -203,6 +225,13 @@ def _node_by_node_simpson(sys, panels):
          panels=126)
 @example(seed=4, n_x=2, n_u=1, kind="fractional", mu=0.0, diffusion=False,
          panels=128)
+# ... and around the 4096-node block of chunk bases: 4095, 4097 and 4223
+@example(seed=5, n_x=1, n_u=1, kind="fractional", mu=0.2, diffusion=True,
+         panels=4094)
+@example(seed=6, n_x=2, n_u=1, kind="none", mu=1.0, diffusion=True,
+         panels=4096)
+@example(seed=7, n_x=1, n_u=1, kind="integer", mu=0.0, diffusion=False,
+         panels=4222)
 def test_chunked_oracle_matches_node_by_node_simpson(seed, n_x, n_u, kind, mu,
                                                      diffusion, panels):
     sys = _random_deq(seed, n_x, n_u, kind, mu, diffusion)
@@ -213,6 +242,19 @@ def test_chunked_oracle_matches_node_by_node_simpson(seed, n_x, n_u, kind, mu,
         if ref is not None:
             gap = max_abs(getattr(got, q) - ref)
             assert gap <= 1e-12 * max(max_abs(ref), 1.0), (q, gap)
+
+
+def test_oracle_memory_does_not_grow_with_panels(mimo_deq):
+    """The oracle holds stacks of C = 64 matrices, never one per node or
+    per chunk: at 65536 panels on mimo_delayed (n_h = 36) it peaks below
+    12 MB."""
+    tracemalloc.start()
+    try:
+        oracle_quadrature(mimo_deq, panels=65536)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, peak
 
 
 def _rk4_loop(A_c, B_c, Ts, N):
@@ -286,38 +328,3 @@ def test_powers_match_repeated_products(size):
             max(max_abs(Pi), 1.0), i
         Pi = Pi @ P
     assert not stack[0].any()
-
-
-@pytest.mark.parametrize("delayed", [False, True])
-def test_compose_broadcasts_over_a_stack(delayed):
-    """A stack of spans composed with one span gives, at every index, the
-    bits of composing that span alone."""
-    rng = np.random.default_rng(11)
-    n_x, n_in, n_z, stack = 3, 2, 2, 5
-    n_xu = n_x + n_in
-    n_h = 3 * n_xu if delayed else n_xu
-
-    def span(*lead, projected=True):
-        cols = n_xu if projected else n_h
-        return Interval(
-            A=rng.normal(size=lead + (n_x, n_x)),
-            B_1=rng.normal(size=lead + (n_x, n_in)),
-            A_v=rng.normal(size=lead + (n_x, n_x)) if delayed else None,
-            B_2=rng.normal(size=lead + (n_x, n_in)) if delayed else None,
-            omega_q=rng.normal(size=lead + (n_h, cols)),
-            X_q=rng.normal(size=lead + (cols, cols)),
-            omega_m=rng.normal(size=lead + (n_h, cols)),
-            Y_m=rng.normal(size=lead + (cols, n_z)),
-            R=rng.normal(size=lead + (n_x, n_x)))
-
-    stacked, b = span(stack), span(projected=False)
-    got = compose(stacked, b)
-    for i in range(stack):
-        a_i = Interval(*(None if x is None else x[i] for x in stacked))
-        want = compose(a_i, b)
-        for name, x, y in zip(Interval._fields, got, want):
-            if y is None:
-                assert x is None, name
-            else:
-                assert x.shape == (stack,) + y.shape, name
-                assert np.array_equal(x[i], y), (i, name)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from lqdisc.matcore import (DimensionError, DomainError, SingularMatrixError,
-                            asmat, block, expm, inf_norm, is_psd,
-                            is_symmetric, max_abs, min_eig_sym, solve,
-                            symmetrize)
+                            asmat, expm, inf_norm, is_psd, is_symmetric,
+                            max_abs, min_eig_sym, solve, symmetrize)
 
 
 def expm_taylor(X, terms=40):
@@ -57,24 +56,6 @@ def test_solve_singular_reports_pivot():
 def test_solve_shape_mismatch():
     with pytest.raises(DimensionError):
         solve(np.eye(2), np.ones((3, 1)))
-
-
-def test_block_and_subblock_roundtrip():
-    a = np.arange(4.0).reshape(2, 2)
-    b = np.ones((2, 3))
-    c = np.zeros((1, 2))
-    d = np.full((1, 3), 2.0)
-    X = block([[a, b], [c, d]])
-    assert X.shape == (3, 5)
-    assert np.array_equal(X[0:2, 0:2], a)
-    assert np.array_equal(X[2:3, 2:5], d)
-
-
-def test_block_rejects_nonconforming():
-    with pytest.raises(DimensionError):
-        block([[np.eye(2), np.ones((3, 1))]])
-    with pytest.raises(DimensionError):
-        block([[np.eye(2)], [np.ones((1, 3))]])
 
 
 def test_norm_hand_values():
