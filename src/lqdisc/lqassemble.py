@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
+import stat
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -238,6 +239,21 @@ def build_discrete_lq(plant, cost: CostSpec, method: str = "expm",
                       D_aug=D_aug, stages=stages, provenance=provenance)
 
 
+def _overwrite(path, text: str) -> None:
+    """Write `text` as UTF-8 over the file at `path`, in place.
+
+    open(path, "w") cuts an existing file to zero length first, and ext4
+    (auto_da_alloc) then writes such a file to disk when it is closed; the
+    next export to the same path waits for that write to finish. Writing
+    from offset 0 and cutting a regular file at the new end afterwards
+    leaves the data to the kernel's normal writeback.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
+
+
 def _listed(x) -> list | None:
     return None if x is None else np.asarray(x).tolist()
 
@@ -262,7 +278,7 @@ def export_result_json(dlq: DiscreteLQ, path) -> None:
     # parses to the same object as json.dumps(doc, indent=2).
     body = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
                       for key, value in doc.items())
-    Path(path).write_text("{\n" + body + "\n}\n", encoding="utf-8")
+    _overwrite(path, "{\n" + body + "\n}\n")
 
 
 def export_stage_csv(dlq: DiscreteLQ, path) -> None:
@@ -276,6 +292,5 @@ def export_stage_csv(dlq: DiscreteLQ, path) -> None:
     # array; a vectorised norm differs from it in the last bit on some rows
     rows = zip(range(st.t_k.size), st.t_k.tolist(), st.rho_k.tolist(),
                [math.sqrt(q.dot(q)) for q in st.q_k])
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("k,t_k,rho_k,q_norm\r\n")
-        f.writelines("%d,%.16e,%.16e,%.16e\r\n" % row for row in rows)
+    _overwrite(path, "k,t_k,rho_k,q_norm\r\n" + "".join(
+        "%d,%.16e,%.16e,%.16e\r\n" % row for row in rows))

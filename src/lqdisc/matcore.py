@@ -1,16 +1,16 @@
 """Dense real-matrix kernel shared by the discretization modules.
 
-Thin wrappers around numpy/scipy that add the dimension and conditioning
-checks the rest of the package relies on: matrix exponential, pivot-checked
-linear solve, and symmetry/PSD helpers.
+Numpy only, with the dimension and conditioning checks the rest of the
+package relies on: the matrix exponential (Pade scaling and squaring,
+Higham 2005 and Al-Mohy & Higham 2009), a pivot-checked linear solve, and
+symmetry/PSD helpers.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 
 import numpy as np
-import scipy.linalg
 
 Mat = np.ndarray
 
@@ -58,37 +58,161 @@ def _require_square(X: Mat, name: str) -> Mat:
 
 
 def _require_finite(X: Mat, name: str) -> Mat:
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise DomainError(f"{name} has non-finite entries")
     return X
 
 
+def _pade(m: int) -> tuple:
+    """Coefficients b_0..b_m of the [m/m] Pade numerator of e^x, b_m = 1."""
+    return tuple(float(math.factorial(2 * m - j)
+                       // (math.factorial(j) * math.factorial(m - j)))
+                 for j in range(m + 1))
+
+
+# Largest 1-norm at which the degree-m approximant is accurate to unit
+# roundoff (Higham 2005), and the degree-13 bound on the power-norm
+# estimate (Al-Mohy & Higham 2009).
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068))
+_THETA_13 = 4.25
+_B = {m: _pade(m) for m in (3, 5, 7, 9, 13)}
+# Degree m < 13: U = X W_0, V = W_1 with W = rows @ [I, X^2, X^4, ...].
+_ODD_EVEN = {m: np.array([b[1::2], b[0::2]]) for m, b in _B.items() if m < 13}
+# Degree 13: U = X (X^6 W_0 + W_1), V = X^6 W_2 + W_3 over [I, X^2, X^4, X^6].
+_ROWS_13 = np.array([[0.0, *_B[13][9::2]], _B[13][1:9:2],
+                     [0.0, *_B[13][8:13:2]], _B[13][0:8:2]])
+# log2(u / |c_27|): u the unit roundoff, c_27 the leading coefficient of
+# the degree-13 backward error series.
+_LOG2_U_C27 = -53 + math.log2(math.factorial(26) * math.factorial(27)
+                              / math.factorial(13) ** 2)
+
+
+def _ell(X: Mat, norm1: float) -> int:
+    """Squarings the degree-13 approximant needs beyond the power-norm
+    choice (Al-Mohy & Higham 2009): ceil(log2(alpha / u) / 26)
+    with alpha = |c_27| || |X|^27 ||_1 / ||X||_1, or 0. Since
+    || |X|^27 ||_1 <= ||X||_1^27, it is 0 when ||X||_1^26 |c_27| <= u."""
+    log2_bound = 26 * math.log2(norm1)
+    if log2_bound <= _LOG2_U_C27:
+        return 0
+    C = np.abs(X) / norm1               # ||C||_1 = 1: no power overflows
+    v = C.sum(axis=0)                   # 1' C
+    C2 = C @ C
+    C4 = C2 @ C2
+    C8 = C4 @ C4
+    v = v @ C2 @ C8 @ (C8 @ C8)         # 1' C^(1 + 2 + 8 + 16)
+    top = float(v.max())
+    if top == 0.0:
+        return 0
+    return max(math.ceil((log2_bound + math.log2(top) - _LOG2_U_C27) / 26), 0)
+
+
+def _even_powers(X: Mat, k: int) -> Mat:
+    """[X^2, X^4, ..., X^(2k)] as a (k, n, n) stack."""
+    n = X.shape[0]
+    P = np.empty((k, n, n))
+    np.dot(X, X, out=P[0])
+    for j in range(1, k):
+        np.dot(P[j - 1], P[0], out=P[j])
+    return P
+
+
+def _combine(rows: Mat, P: Mat) -> Mat:
+    """rows @ [I, P_1, ..., P_k] over the flattened matrices."""
+    k, n = P.shape[0], P.shape[1]
+    W = rows[:, 1:].dot(P.reshape(k, n * n))
+    W[:, ::n + 1] += rows[:, :1]
+    return W.reshape(-1, n, n)
+
+
+def _pade_ratio(U: Mat, V: Mat) -> Mat:
+    """r_m = (V - U)^-1 (V + U)."""
+    return np.linalg.solve(V - U, V + U)
+
+
 def expm(X: Mat) -> Mat:
-    """Matrix exponential e^X (scaling-and-squaring)."""
-    X = _require_finite(_require_square(X, "expm argument"), "expm argument")
-    return scipy.linalg.expm(X)
+    """Matrix exponential e^X by Pade scaling and squaring.
+
+    Degree 3, 5, 7 or 9 when the 1-norm is at most its threshold (Higham
+    2005). Above, degree 13 with s squarings picked from ||X^4||^(1/4) and
+    ||X^10||^(1/10) <= (||X^4|| ||X^6||)^(1/10), the powers the degree-13
+    approximant forms anyway (Al-Mohy & Higham 2009).
+    """
+    X = _require_square(X, "expm argument")
+    n = X.shape[0]
+    norm1 = float(np.maximum.reduce(np.add.reduce(np.abs(X)))) if n else 0.0
+    if not norm1 < math.inf:
+        _require_finite(X, "expm argument")
+        raise DomainError("expm argument has a 1-norm that overflows")
+    if norm1 == 0.0:
+        return np.eye(n)
+    for m, theta in _THETA:
+        if norm1 <= theta:
+            W, V = _combine(_ODD_EVEN[m], _even_powers(X, m // 2))
+            return _pade_ratio(X.dot(W), V)
+    P = _even_powers(X, 3)
+    n4, n6 = np.abs(P[1:]).sum(axis=1).max(axis=1)
+    eta = max(n4 ** 0.25, (n4 * n6) ** 0.1)
+    s = max(math.ceil(math.log2(eta / _THETA_13)), 0) if eta > 0.0 else 0
+    s += _ell(X * 2.0 ** -s, norm1 * 2.0 ** -s)
+    if s:
+        X = X * 2.0 ** -s
+        P *= (4.0 ** -s) ** np.arange(1, 4)[:, None, None]
+    W = _combine(_ROWS_13, P)
+    U = X.dot(P[2].dot(W[0]) + W[1])
+    R = _pade_ratio(U, P[2].dot(W[2]) + W[3])
+    for _ in range(s):
+        R = R.dot(R)
+    return R
+
+
+def _first_small_pivot(A: Mat, tol: float):
+    """(index, |pivot|) of the first pivot <= tol of A's LU factorization
+    with partial pivoting (largest entry, first on ties), or None."""
+    U = A.copy()
+    n = U.shape[0]
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(U[k:, k])))
+        if p != k:
+            U[[k, p], k:] = U[[p, k], k:]
+        pivot = abs(U[k, k])
+        if pivot <= tol:
+            return k, pivot
+        U[k + 1:, k] *= 1.0 / U[k, k]
+        U[k + 1:, k + 1:] -= np.outer(U[k + 1:, k], U[k, k + 1:])
+    return None
 
 
 def solve(A: Mat, B: Mat) -> Mat:
-    """Solve A X = B with partial pivoting; raise on tiny pivots."""
+    """Solve A X = B with partial pivoting; raise on tiny pivots.
+
+    With partial pivoting |l_ij| <= 1, so U^-1 = A^-1 P' L has
+    ||U^-1||_inf <= n ||A^-1||_inf and every pivot is at least
+    1 / (n ||A^-1||_inf). When that bound is twice the tolerance the
+    inverse answers; otherwise an explicit elimination finds the first
+    pivot at or below it.
+    """
     A = _require_finite(_require_square(A, "solve matrix"), "solve matrix")
     B = asmat(B)
     if B.shape[0] != A.shape[0]:
         raise DimensionError(f"rhs rows {B.shape[0]} != matrix size {A.shape[0]}")
-    with warnings.catch_warnings():
-        # The pivot check below supersedes scipy's singularity warning.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
     tol = PIVOT_RTOL * max(inf_norm(A), 1e-300)
-    bad = np.nonzero(pivots <= tol)[0]
-    if bad.size:
+    try:
+        inverse = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        inverse = None
+    if inverse is not None and A.shape[0] * inf_norm(inverse) * tol <= 0.5:
+        return inverse @ B
+    bad = _first_small_pivot(A, tol)
+    if bad is not None:
+        k, pivot = bad
         raise SingularMatrixError(
-            f"singular matrix in solve: pivot {bad[0]} is {pivots[bad[0]]:.3e} "
+            f"singular matrix in solve: pivot {k} is {pivot:.3e} "
             f"(tolerance {tol:.3e})",
-            pivot_index=int(bad[0]),
+            pivot_index=k,
         )
-    return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
+    return np.linalg.solve(A, B)
 
 
 def inf_norm(X: Mat) -> float:
@@ -124,7 +248,7 @@ def min_eig_sym(X: Mat) -> float:
     X = _require_square(X, "min_eig_sym argument")
     if X.size == 0:
         return 0.0
-    return float(np.min(scipy.linalg.eigvalsh(symmetrize(X))))
+    return float(np.min(np.linalg.eigvalsh(symmetrize(X))))
 
 
 def is_psd(X: Mat, tol: float = 1e-10) -> bool:

@@ -108,6 +108,12 @@ def _coefficients(value, path: str) -> np.ndarray:
     return arr
 
 
+def _trim_leading(c: np.ndarray) -> np.ndarray:
+    """A coefficient vector without its leading zeros (empty if all zero)."""
+    nonzero = np.flatnonzero(c)
+    return c[nonzero[0]:] if nonzero.size else c[:0]
+
+
 @dataclass(frozen=True)
 class TransferChannel:
     """One proper rational channel num(s)/den(s) with input delay tau.
@@ -129,8 +135,8 @@ class TransferChannel:
             if not (float(index).is_integer() and index >= 1):
                 raise ModelError(f"{path}.{name}", "index must be an integer >= 1")
             object.__setattr__(self, name, int(index))
-        num = np.trim_zeros(_coefficients(self.num, f"{path}.num"), "f")
-        den = np.trim_zeros(_coefficients(self.den, f"{path}.den"), "f")
+        num = _trim_leading(_coefficients(self.num, f"{path}.num"))
+        den = _trim_leading(_coefficients(self.den, f"{path}.den"))
         if den.size == 0:
             raise ModelError(f"{path}.den", "denominator is zero")
         if num.size > den.size:
@@ -343,8 +349,8 @@ def realize_channel(num, den) -> tuple[Mat, Mat, Mat, float]:
     (A, B, C, D) with A n-by-n for n = deg den; n = 0 gives empty A, B, C
     and the constant gain in D.
     """
-    num = np.trim_zeros(np.asarray(num, dtype=float), "f")
-    den = np.trim_zeros(np.asarray(den, dtype=float), "f")
+    num = _trim_leading(np.asarray(num, dtype=float))
+    den = _trim_leading(np.asarray(den, dtype=float))
     if den.size == 0:
         raise ModelError("channel", "denominator is zero")
     if num.size > den.size:

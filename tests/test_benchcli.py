@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -334,3 +337,44 @@ def test_study_config_invariants():
     mixed = StudyConfig(methods=("fixed", "doubling"),
                         schemes=("rk4",), steps=(48,))
     assert mixed.steps == (48,)
+
+
+CLI_SCRIPT = """
+import json, sys
+from lqdisc.benchcli import main
+model, tableau, out = sys.argv[1:4]
+runs = [["discretize", "--model", model, "--method", "expm", "--out", out]]
+for method in ("fixed", "doubling"):
+    for scheme in (["--scheme", "esdirk4"], ["--tableau", tableau]):
+        runs.append(["discretize", "--model", model, "--method", method,
+                     "--steps", "64", *scheme, "--out", out])
+runs.append(["validate", "--count", "3"])
+runs.append(["convergence", "--model", model, "--method", "doubling",
+             "--scheme", "rk4", "--steps", "64,128", "--verify", "--out", out])
+codes = [main(argv) for argv in runs]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    name for name in sys.modules
+    if name == "scipy" or name.startswith("scipy."))}))
+"""
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    """discretize with every method (esdirk4, and a fully implicit tableau
+    for the coupled-stage solve), validate and convergence --verify, in one
+    fresh process: not one scipy module gets imported."""
+    tableau = tmp_path / "gauss2.json"
+    tableau.write_text(json.dumps(dict(
+        name="gauss-legendre-2",
+        a=[[0.25, 0.25 - math.sqrt(3) / 6], [0.25 + math.sqrt(3) / 6, 0.25]],
+        b=[0.5, 0.5], c=[0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6],
+        kind="implicit")))
+    src = Path(benchcli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT, MIMO, str(tableau),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=600, check=False,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [EXIT_OK] * 7
+    assert report["scipy"] == []

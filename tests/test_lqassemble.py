@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -280,6 +281,7 @@ def test_export_json_roundtrip(tmp_path, mimo_model):
     assert noisy.R_ww is not None
     path = tmp_path / "result.json"
     for dlq in (build_discrete_lq(plant, cost, method="expm"), noisy):
+        export_result_json(dlq, os.devnull)     # not a regular file
         export_result_json(dlq, path)
         text = path.read_text()
         doc = json.loads(text)
@@ -355,6 +357,7 @@ def test_export_csv_format(tmp_path, mimo_model):
         export_stage_csv(dlq, path)
         _reference_csv(dlq, tmp_path / "reference.csv")
         assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        export_stage_csv(dlq, os.devnull)       # not a regular file
     last = path.read_bytes().split(b"\r\n")[-2].split(b",")
     assert last[0] == b"2999" and 1e-300 < float(last[2]) < 1e-250
 

@@ -1,11 +1,52 @@
 """Unit tests for the dense-matrix kernel."""
 
+import dataclasses
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from lqdisc.matcore import (DimensionError, DomainError, SingularMatrixError,
-                            asmat, expm, inf_norm, is_psd, is_symmetric,
-                            max_abs, min_eig_sym, solve, symmetrize)
+import lqdisc.exactdefs
+import lqdisc.vanloan
+from lqdisc import build_deq, discretize_expm, oracle_quadrature, rww_expm
+from lqdisc.matcore import (PIVOT_RTOL, DimensionError, DomainError,
+                            SingularMatrixError, asmat, expm, inf_norm,
+                            is_psd, is_symmetric, max_abs, min_eig_sym, solve,
+                            symmetrize)
+
+# The 1-norm thresholds of Pade degrees 3, 5, 7 and 9 (Higham 2005), and
+# the bound on the degree-13 power-norm estimate (Al-Mohy & Higham 2009).
+THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+         2.097847961257068)
+THETA_13 = 4.25
+EXPM_RTOL = 1e-13
+
+
+def expm_gap(X):
+    """Gap to scipy's expm, relative to the largest entry of its result."""
+    want = scipy.linalg.expm(X)
+    return max_abs(expm(X) - want) / max_abs(want)
+
+
+def norm1(X):
+    return float(np.abs(X).sum(axis=0).max())
+
+
+def mp_expm(X):
+    """e^X from mpmath at 30 digits, rounded to float64."""
+    with mp.workdps(30):
+        return np.array(mp.expm(mp.matrix(X.tolist())).tolist(), dtype=float)
+
+
+def eta13(X):
+    """The degree-13 power-norm estimate max(||X^4||^(1/4),
+    (||X^4|| ||X^6||)^(1/10)) that picks the squarings."""
+    X4 = np.linalg.matrix_power(X, 4)
+    n4, n6 = norm1(X4), norm1(X4 @ X @ X)
+    return max(n4 ** 0.25, (n4 * n6) ** 0.1)
 
 
 def expm_taylor(X, terms=40):
@@ -27,6 +68,102 @@ def test_expm_matches_taylor_series_oracle():
             assert max_abs(expm(X) - expm_taylor(X)) < 1e-14
 
 
+@pytest.mark.parametrize("theta", THETA)
+@pytest.mark.parametrize("side", (1 - 1e-9, 1 + 1e-9))
+def test_expm_matches_scipy_at_each_degree_threshold(theta, side):
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 6, 12, 30):
+        for _ in range(4):
+            X = rng.normal(size=(n, n))
+            X *= side * theta / norm1(X)
+            assert expm_gap(X) <= EXPM_RTOL
+
+
+@pytest.mark.parametrize("squarings", (0, 1, 3))
+@pytest.mark.parametrize("side", (1 - 1e-9, 1 + 1e-9))
+def test_expm_matches_high_precision_at_each_squaring_threshold(squarings,
+                                                                side):
+    """Against mpmath at 30 digits: on these rotations scipy's own error
+    reaches 5e-12 (2 x 2, eta = 34)."""
+    rng = np.random.default_rng(6)
+    for n in (2, 5, 8):
+        X = rng.normal(size=(n, n))
+        X *= side * THETA_13 * 2.0 ** squarings / eta13(X)
+        assert norm1(X) > THETA[-1]
+        want = mp_expm(X)
+        assert max_abs(expm(X) - want) <= EXPM_RTOL * max_abs(want)
+
+
+def test_expm_matches_scipy_on_sizes_1_to_80_and_zero():
+    rng = np.random.default_rng(8)
+    for n in range(1, 81):
+        X = rng.normal(size=(n, n)) * rng.choice((0.01, 0.2, 1.0, 5.0)) / n
+        assert expm_gap(X) <= EXPM_RTOL, n
+        assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+
+@pytest.mark.parametrize("s_scale", (1.0, 1e2, 1e4, 1e8))
+def test_expm_matches_high_precision_on_nonnormal_van_loan_blocks(s_scale):
+    """[[-H', S], [0, H]] with a large S: the power norms are far below
+    ||X||_1, which the degree-13 choice must not turn into too few
+    squarings. Against mpmath at 30 digits, because scipy's own error
+    reaches 5e-13 on such blocks (n = 9, S ~ 1e8)."""
+    rng = np.random.default_rng(9)
+    for n in (2, 5):
+        for h in (0.05, 1.0, 4.0):
+            H = rng.normal(size=(n, n)) * h / n
+            S = rng.normal(size=(n, n))
+            S = s_scale * (S @ S.T)
+            X = np.block([[-H.T, S], [np.zeros((n, n)), H]])
+            want = mp_expm(X)
+            assert max_abs(expm(X) - want) <= EXPM_RTOL * max_abs(want)
+
+
+def test_expm_adds_squarings_where_the_power_norms_pick_too_few():
+    """A non-normal 3 x 3 (1-norm 156) whose power norms alone pick no
+    squaring, for an error of 1e-12; the |X|^27 bound of Al-Mohy & Higham
+    (2009) adds 5 squarings, which bring it to 4e-14."""
+    X = np.array([
+        [-42.249207887101655, -25.1692908507157, -18.797986691739165],
+        [-9.98349990683251, 0.7316537448746547, -3.783728561882067],
+        [103.57254475109018, 12.887847585635903, 41.27197524553392]])
+    want = mp_expm(X)
+    assert max_abs(expm(X) - want) <= EXPM_RTOL * max_abs(want)
+    assert expm_gap(X) <= EXPM_RTOL
+
+
+def _recorded_expm_arguments(monkeypatch, deq):
+    """Every argument exact_seed, rww_expm and oracle_quadrature give expm."""
+    seen = []
+
+    def record(X):
+        seen.append(np.array(X, dtype=float))
+        return expm(X)
+
+    monkeypatch.setattr(lqdisc.vanloan, "expm", record)
+    monkeypatch.setattr(lqdisc.exactdefs, "expm", record)
+    discretize_expm(deq)
+    oracle_quadrature(deq, panels=64)
+    if deq.G_c is None:
+        rww_expm(deq.A_c, np.eye(deq.n_x), deq.Ts)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("model", ("scalar", "mimo"))
+@pytest.mark.parametrize("mu_ts", (None, 2000.0))
+def test_expm_matches_scipy_on_the_methods_arguments(
+        monkeypatch, model, mu_ts, scalar_model, mimo_model, mimo_realization):
+    plant, cost = scalar_model if model == "scalar" else mimo_model
+    if mu_ts is not None:
+        cost = dataclasses.replace(cost, mu=mu_ts / cost.Ts)
+    deq = build_deq(plant if model == "scalar" else mimo_realization, cost)
+    seen = _recorded_expm_arguments(monkeypatch, deq)
+    assert len(seen) >= 6
+    for X in seen:
+        assert expm_gap(X) <= EXPM_RTOL
+
+
 def test_expm_nilpotent():
     X = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert max_abs(expm(X) - np.array([[1.0, 1.0], [0.0, 1.0]])) < 1e-15
@@ -35,8 +172,12 @@ def test_expm_nilpotent():
 def test_expm_rejects_bad_input():
     with pytest.raises(DimensionError):
         expm(np.ones((2, 3)))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="non-finite"):
         expm(np.array([[np.nan]]))
+    with warnings.catch_warnings():     # the 1-norm sum overflows
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError, match="overflows"):
+            expm(np.array([[1e308, 0.0], [1e308, 0.0]]))
 
 
 def test_solve_matches_numpy():
@@ -51,6 +192,51 @@ def test_solve_singular_reports_pivot():
     with pytest.raises(SingularMatrixError) as exc:
         solve(A, np.eye(2))
     assert exc.value.pivot_index == 1
+
+
+def _parent_pivot_check(A):
+    """Index of the first LU pivot <= the tolerance, from LAPACK's getrf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, _ = scipy.linalg.lu_factor(A, check_finite=False)
+    tol = PIVOT_RTOL * max(inf_norm(A), 1e-300)
+    bad = np.nonzero(np.abs(np.diag(lu)) <= tol)[0]
+    return int(bad[0]) if bad.size else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 14), seed=st.integers(0, 2 ** 32 - 1),
+       defect=st.sampled_from(("pivot", "rank", "column")),
+       size=st.sampled_from((0.0, 1e-3, 1e-2, 1e2, 1e3, 1e6)),
+       where=st.floats(0.0, 1.0, exclude_max=True))
+def test_solve_raises_exactly_when_lapack_pivots_do(n, seed, defect, size,
+                                                   where):
+    """A = P L U with |l_ij| < 1 has the LU pivots diag(U). One pivot is
+    set to `size` times the tolerance, or the rank drops, or a column
+    repeats; solve must raise exactly where getrf's pivots say so."""
+    rng = np.random.default_rng(seed)
+    k = int(where * n)
+    P = np.eye(n)[rng.permutation(n)]
+    L = np.tril(rng.uniform(-0.9, 0.9, size=(n, n)), -1) + np.eye(n)
+    U = np.triu(rng.normal(size=(n, n)), 1)
+    U[np.diag_indices(n)] = rng.choice((-1.0, 1.0), n) * rng.uniform(0.5, 2.0, n)
+    if defect == "pivot":
+        U[k, k] = 0.0
+        U[k, k] = size * PIVOT_RTOL * inf_norm(P @ L @ U)
+    A = P @ L @ U
+    if defect == "rank" and n > 1:
+        A = rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))
+    elif defect == "column" and n > 1:
+        j = max(k, 1)
+        A[:, j] = A[:, j - 1]
+    want = _parent_pivot_check(A)
+    if want is None:
+        X = solve(A, np.eye(n))
+        assert max_abs(A @ X - np.eye(n)) <= 1e-12 * inf_norm(A) * inf_norm(X)
+        return
+    with pytest.raises(SingularMatrixError) as exc:
+        solve(A, np.eye(n))
+    assert exc.value.pivot_index == want
 
 
 def test_solve_shape_mismatch():

@@ -83,6 +83,19 @@ def test_realize_channel_rejects_improper():
         realize_channel((1.0, 0.0, 0.0), (1.0, 1.0))
 
 
+def test_leading_zero_coefficients_are_trimmed():
+    ch = TransferChannel(1, 1, (0.0, 0.0, 2.0), (0.0, 2.0, 4.0), tau=0.0)
+    assert ch.num == (1.0,) and ch.den == (1.0, 2.0)
+    assert TransferChannel(1, 1, (0.0, 0.0), (1.0, 1.0), tau=0.0).num == ()
+    padded = realize_channel((0.0, 2.0, 1.0), (0.0, 0.0, 1.0, 4.0, 5.0))
+    for got, want in zip(padded, realize_channel((2.0, 1.0), (1.0, 4.0, 5.0))):
+        assert np.array_equal(got, want)
+    with pytest.raises(ModelError, match="denominator is zero"):
+        TransferChannel(1, 1, (1.0,), (0.0, 0.0), tau=0.0)
+    with pytest.raises(ModelError, match="denominator is zero"):
+        realize_channel((1.0,), (0.0,))
+
+
 def test_transfer_channel_validation():
     ch = TransferChannel(1, 1, (2.0,), (2.0, 4.0), tau=0.0)
     assert ch.den == (1.0, 2.0)  # normalized monic
