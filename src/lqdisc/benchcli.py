@@ -345,8 +345,9 @@ def _bdot_gap(deq: DeqSystem, ode_steps: int = 2048) -> float:
 
 
 def _zero_delay_gap(plant: ContinuousStateSpace, cost: CostSpec) -> float:
-    """Force the delayed pipeline at zero delay and compare against the
-    plain single-block pipeline."""
+    """Compare the plant given explicit zero delays against the same plant
+    without delays. Both are realized with m_bar = 0 and take the single
+    block, so this reads 0 unless the two realizations differ."""
     plain = ContinuousStateSpace(plant.A_c, plant.B_c, plant.C_c, plant.D_c,
                                  G_c=plant.G_c)
     forced = realize_delays(

@@ -11,9 +11,11 @@ The targets over one sampling interval are
     R_ww(t) = int_0^t e^{A_c s} G_c G_c' e^{A_c' s} ds
 
 with Gamma(s) = E_1 e^{H_c s} E_2 = [[A(s), B_o(s)], [0, I]]. The system
-matrices come in two shapes: a single block [[A_c, B_c], [0, 0]] for plain
-plants, and the three-block form (H_1c, H_2c, H_3c stacked diagonally with
-combination selectors E_1 = [I, I, -I], E_2 = [I; I; I]) for delayed plants.
+matrices come in two shapes: a single block [[A_c, B_1c], [0, 0]] over the
+lifted input when every delay is a whole number of samples (or there is
+none), and the three-block form (H_1c, H_2c, H_3c stacked diagonally with
+combination selectors E_1 = [I, I, -I], E_2 = [I; I; I]) when a delay has
+a fractional part.
 
 Every method computes the same object, an `Interval`: the transitions
 and discounted integrals over one span of time. Two spans compose by one
@@ -37,12 +39,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .matcore import DimensionError, DomainError, Mat, expm, symmetrize
-from .model import ContinuousStateSpace, CostSpec, DelayRealization
+from .model import (ContinuousStateSpace, CostSpec, DelayRealization,
+                    realize_delays)
 
 
 @dataclass(frozen=True, eq=False)
 class DeqSystem:
-    """Assembled generators of the discretization ODE system."""
+    """Assembled generators of the discretization ODE system.
+
+    `delay` is True when some delay has a fractional part (V != 0): H_c is
+    then the three-block stack of H_1c, H_2c and H_3c. Otherwise H_c is the
+    single block [[A_c, B_1c], [0, 0]], E_1 = E_2 = I and H_1c, H_2c and
+    H_3c are None.
+    """
 
     delay: bool
     A_c: Mat
@@ -70,7 +79,7 @@ class DeqSystem:
 
     @property
     def n_in(self):
-        """Input columns of B_1c: n_u for plain plants, (m_bar+1) n_u delayed."""
+        """Input columns of B_1c: the (m_bar+1) n_u lifted input slots."""
         return self.B_1c.shape[1]
 
     @property
@@ -79,7 +88,8 @@ class DeqSystem:
 
     @property
     def n_h(self):
-        """Size of the stacked generator H_c (3 n_xu delayed, n_xu plain)."""
+        """Size of the generator H_c: 3 n_xu with a fractional delay,
+        n_xu = n_x + (m_bar+1) n_u otherwise."""
         return self.H_c.shape[0]
 
     @property
@@ -112,7 +122,7 @@ class Interval(NamedTuple):
     """Transitions and discounted integrals over one span of time h.
 
     Exact for the expm seed; a Runge-Kutta step's approximation for the
-    fixed-step seed. A_v and B_2 are None for plain plants.
+    fixed-step seed. A_v and B_2 are None unless a delay is fractional.
 
     A, A_v        e^{A_c h} and e^{V A_c h}
     B_1, B_2      int_0^h e^{A_c s} ds B_1c, int_0^h e^{V A_c s} ds B_2c_bar
@@ -194,35 +204,30 @@ def core_result(iv: Interval, method: str, **provenance) -> CoreResult:
 
 
 def build_deq(plant, cost: CostSpec) -> DeqSystem:
-    """Assemble the ODE-system generators for a plant and cost.
+    """Assemble the ODE-system generators for a realized plant and cost.
 
-    A plain ContinuousStateSpace yields the single-block structure; a
-    DelayRealization yields the three-block delayed structure. Zero delays
-    through the delayed structure collapse to the plain one (V = 0,
-    B_2c_bar = 0), which is checked by tests rather than special-cased here.
+    `plant` is a DelayRealization; an undelayed ContinuousStateSpace is
+    realized here at cost.Ts. A realization whose delays are all whole
+    samples (V = 0, none at all included) yields the single block
+    [[A_c, B_1c], [0, 0]] over the lifted input, n_h = n_xu: the shift
+    states are all such a delay adds. One with a fractional part yields
+    the three-block delayed structure, n_h = 3 n_xu.
     """
     if cost.mu < 0:
         raise DomainError(f"discount must be >= 0, got {cost.mu}")
-    if isinstance(plant, DelayRealization) and plant.Ts != cost.Ts:
-        raise DomainError(f"delays were realized at Ts={plant.Ts}, but the "
-                          f"cost has Ts={cost.Ts}")
     if isinstance(plant, ContinuousStateSpace):
         if plant.delays is not None and any(t > 0 for t in plant.delays):
             raise DimensionError(
                 "state space has nonzero delays; realize_delays(...) first")
-        delay = False
-        A_c, B_1c, C_c, D_o = plant.A_c, plant.B_c, plant.C_c, plant.D_c
-        V = np.zeros_like(A_c)
-        B_2c_bar = np.zeros_like(B_1c)
-        G_c = plant.G_c
-    elif isinstance(plant, DelayRealization):
-        delay = True
-        A_c, B_1c, C_c, D_o = plant.A_c, plant.B_1c, plant.C_c, plant.D_o
-        V = plant.V
-        B_2c_bar = plant.B_2c_bar
-        G_c = plant.G_c
-    else:
+        plant = realize_delays(plant, cost.Ts)
+    if not isinstance(plant, DelayRealization):
         raise DimensionError(f"cannot build system from {type(plant).__name__}")
+    if plant.Ts != cost.Ts:
+        raise DomainError(f"delays were realized at Ts={plant.Ts}, but the "
+                          f"cost has Ts={cost.Ts}")
+    A_c, B_1c, C_c, D_o = plant.A_c, plant.B_1c, plant.C_c, plant.D_o
+    V, B_2c_bar, G_c = plant.V, plant.B_2c_bar, plant.G_c
+    delay = bool(V.any())
 
     n_x, n_in = B_1c.shape
     n_xu = n_x + n_in

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import DimensionError, DomainError, Mat, NumericalError, is_psd
-from .model import (ContinuousStateSpace, CostSpec, DelayRealization,
-                    DelayedTransferModel, realize_delays)
+from .model import CostSpec, DelayRealization, realize_delays
 from .exactdefs import CoreResult, DeqSystem, build_deq
 from .fixedstep import (ButcherTableau, build_coefficients, discretize_fixed,
                         named_tableau)
@@ -79,19 +78,15 @@ class ExpectedCost:
 def assemble_augmented(core: CoreResult, realization) -> tuple[Mat, Mat, Mat, Mat]:
     """Augment the state with the held past inputs.
 
-    With m_bar = 0 (or a plain plant) this is the identity: the core and
-    output matrices pass through unchanged.
+    With m_bar = 0 this is the identity: A and B_o pass through, with the
+    realization's output matrices.
     """
-    if isinstance(realization, DelayRealization):
-        m_bar, n_u = realization.m_bar, realization.n_u
-        C_c, D_o = realization.C_c, realization.D_o
-    elif isinstance(realization, ContinuousStateSpace):
-        m_bar, n_u = 0, realization.n_u
-        C_c, D_o = realization.C_c, realization.D_c
-    else:
+    if not isinstance(realization, DelayRealization):
         raise DimensionError(
             f"cannot assemble from {type(realization).__name__}")
-    expected = (m_bar + 1) * n_u
+    m_bar, n_u = realization.m_bar, realization.n_u
+    C_c, D_o = realization.C_c, realization.D_o
+    expected = realization.n_slots
     if core.B_o.shape[1] != expected:
         raise DimensionError(
             f"B_o has {core.B_o.shape[1]} columns, expected {expected} "
@@ -165,22 +160,15 @@ def expected_stage_cost(Q_k: Mat, q_k, rho_k: float, x_mean, u,
                         trace_noise=trace_noise)
 
 
-def realize_plant(plant, Ts: float):
-    """Return the object the ODE system should be built from.
+def realize_plant(plant, Ts: float) -> DelayRealization:
+    """Return the DelayRealization the ODE system is built from.
 
-    Transfer models and state-space plants with nonzero delays get a
-    DelayRealization; undelayed state-space plants pass through and use
-    the single-block structure.
+    Every plant is realized, an undelayed one with m_bar = 0; a
+    realization passes through.
     """
-    if isinstance(plant, DelayedTransferModel):
-        return realize_delays(plant, Ts)
-    if isinstance(plant, ContinuousStateSpace):
-        if plant.delays is not None and any(t > 0 for t in plant.delays):
-            return realize_delays(plant, Ts)
-        return plant
     if isinstance(plant, DelayRealization):
         return plant
-    raise DimensionError(f"cannot realize {type(plant).__name__}")
+    return realize_delays(plant, Ts)
 
 
 def discretize_core(sys: DeqSystem, method: str,

@@ -2,10 +2,11 @@
 
 Accepts either a state-space plant (optionally with per-input delays) or a
 MIMO transfer-function model with per-channel delays, plus the cost
-specification, and realizes the delayed system into the stacked block
-structure used by the discretization pipeline: block-diagonal A_c, split
-input matrices B_1c/B_2c over (m_bar+1) input slots, the fractional-delay
-scaling V, and the shift/injector blocks of the augmented system.
+specification, and realizes every plant, delayed or not, into the stacked
+block structure used by the discretization pipeline: block-diagonal A_c,
+split input matrices B_1c/B_2c over (m_bar+1) input slots, the
+fractional-delay scaling V, and the shift/injector blocks of the augmented
+system. An undelayed plant has m_bar = 0.
 """
 
 from __future__ import annotations
@@ -157,6 +158,8 @@ class DelayedTransferModel:
     channels: tuple[TransferChannel, ...]
 
     def __post_init__(self):
+        if not self.channels:
+            raise ModelError("channels", "at least one channel required")
         seen = {}
         for ch in self.channels:
             if (ch.i, ch.j) in seen:
@@ -261,12 +264,13 @@ class ChannelRealization:
 
 @dataclass(frozen=True, eq=False)
 class DelayRealization:
-    """Stacked realization of a delayed plant over (m_bar+1) input slots.
+    """Stacked realization of a plant over (m_bar+1) input slots.
 
     The lifted input is u_tilde_k = [u_{k-m_bar}; ...; u_{k-1}; u_k]; slot p
     (1-based) holds u_{k-(m_bar+1)+p}. B_1c carries the coefficient slot of
     u_{k-m_ij}, B_2c the slot of u_{k-m_ij+1}, and V holds the fractional
-    parts v_ij per state block.
+    parts v_ij per state block. V = 0 when every delay is a whole number of
+    samples (none at all included: m_bar = 0).
     """
 
     A_c: Mat
@@ -324,11 +328,13 @@ def split_delay(tau: float, Ts: float) -> tuple[int, float]:
     Ratios within 1e-12 of an integer are treated as exact (v = 0);
     otherwise m = ceil(tau/Ts).
     """
-    if tau < 0:
-        raise DomainError(f"negative delay {tau}")
-    if Ts <= 0:
-        raise DomainError(f"sampling time must be > 0, got {Ts}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise DomainError(f"delay must be finite and >= 0, got {tau}")
+    if not (math.isfinite(Ts) and Ts > 0):
+        raise DomainError(f"sampling time must be finite and > 0, got {Ts}")
     ratio = tau / Ts
+    if not math.isfinite(ratio):
+        raise DomainError(f"delay {tau} is too long for sampling time {Ts}")
     nearest = round(ratio)
     if abs(ratio - nearest) <= INTEGER_DELAY_TOL:
         return int(nearest), 0.0
@@ -372,46 +378,68 @@ def realize_channel(num, den) -> tuple[Mat, Mat, Mat, float]:
     return A, beta.reshape(n, 1), C, float(D)
 
 
-def _realize_transfer(model: DelayedTransferModel, Ts: float) -> DelayRealization:
-    n_z, n_u = model.n_z, model.n_u
-    recs = []
-    # stacking order: input index outer, output index inner, so each
-    # input's channel blocks sit together and share one delay column
-    for j in range(1, n_u + 1):
-        for i in range(1, n_z + 1):
-            ch = model.channel(i, j)
-            A, B, C, D = realize_channel(ch.num, ch.den)
-            m, v = split_delay(ch.tau, Ts)
-            recs.append(ChannelRealization(i, j, A, B, C, D, ch.tau, m, v))
-    m_bar = max(r.m for r in recs)
-    n_x = sum(r.A.shape[0] for r in recs)
+def _stack(blocks, D: Mat, m: Mat, v: Mat, Ts: float, G_c: Mat | None = None,
+           channels: tuple[ChannelRealization, ...] = ()) -> DelayRealization:
+    """Stack state blocks block-diagonally over the (m_bar+1) input slots.
+
+    Each block is (A, B, C, inputs, delays, v_b): its dynamics, its input
+    columns B for the given 0-based inputs with their whole-sample delays,
+    its n_z-row output matrix and its fractional part. Column j of B enters
+    B_1c at the slot of u_{k-m} and B_2c at the next one (the same slot when
+    m = 0). D, m and v are the n_z x n_u feedthrough, whole and fractional
+    delay grids; D_ij enters D_o at the slot of u_{k-m_ij}. G_c drives the
+    first rows.
+    """
+    n_z, n_u = D.shape
+    m_bar = max(max(delays, default=0) for *_, delays, _ in blocks)
+    n_x = sum(A.shape[0] for A, *_ in blocks)
     n_slots = (m_bar + 1) * n_u
     A_c = np.zeros((n_x, n_x))
-    V = np.zeros((n_x, n_x))
     B_1c = np.zeros((n_x, n_slots))
     B_2c = np.zeros((n_x, n_slots))
     C_c = np.zeros((n_z, n_x))
-    D_o = np.zeros((n_z, n_slots))
-    m_grid = np.zeros((n_z, n_u), dtype=int)
-    v_grid = np.zeros((n_z, n_u))
+    v_x = []                                  # the diagonal of V
     row = 0
-    for r in recs:
-        n = r.A.shape[0]
+    for A, B, C, inputs, delays, v_b in blocks:
+        n = A.shape[0]
         sl = slice(row, row + n)
-        A_c[sl, sl] = r.A
-        V[sl, sl] = r.v * np.eye(n)
-        col1 = (m_bar - r.m) * n_u + (r.j - 1)                       # slot m_bar+1-m
-        col2 = (m_bar - r.m + 1) * n_u + (r.j - 1) if r.m > 0 else col1
-        B_1c[sl, col1] = r.B[:, 0]
-        B_2c[sl, col2] = r.B[:, 0]
-        C_c[r.i - 1, sl] = r.C[0, :]
-        D_o[r.i - 1, col1] += r.D
-        m_grid[r.i - 1, r.j - 1] = r.m
-        v_grid[r.i - 1, r.j - 1] = r.v
+        A_c[sl, sl] = A
+        v_x += [v_b] * n
+        C_c[:, sl] = C
+        for b, j, m_j in zip(B.T, inputs, delays):
+            col1 = (m_bar - m_j) * n_u + j            # slot m_bar+1-m
+            B_1c[sl, col1] = b
+            B_2c[sl, col1 + n_u if m_j > 0 else col1] = b
         row += n
-    return DelayRealization(A_c=A_c, B_1c=B_1c, B_2c=B_2c, V=V, C_c=C_c,
-                            D_o=D_o, m_bar=m_bar, n_u=n_u, m=m_grid, v=v_grid,
-                            Ts=Ts, G_c=None, channels=tuple(recs))
+    D_o = np.zeros((n_z, n_slots))
+    D_o[np.arange(n_z)[:, None], (m_bar - m) * n_u + np.arange(n_u)] = D
+    if G_c is not None:
+        G_c = np.concatenate([G_c, np.zeros((n_x - len(G_c), G_c.shape[1]))])
+    return DelayRealization(A_c=A_c, B_1c=B_1c, B_2c=B_2c, V=np.diag(v_x),
+                            C_c=C_c, D_o=D_o, m_bar=m_bar, n_u=n_u, m=m, v=v,
+                            Ts=Ts, G_c=G_c, channels=channels)
+
+
+def _realize_transfer(model: DelayedTransferModel, Ts: float) -> DelayRealization:
+    n_z, n_u = model.n_z, model.n_u
+    recs, blocks = [], []
+    D = np.zeros((n_z, n_u))
+    m = np.zeros((n_z, n_u), dtype=int)
+    v = np.zeros((n_z, n_u))
+    # stacking order: input index outer, output index inner, so each
+    # input's channel blocks sit together
+    for j in range(1, n_u + 1):
+        for i in range(1, n_z + 1):
+            ch = model.channel(i, j)
+            A, B, C, d = realize_channel(ch.num, ch.den)
+            r = ChannelRealization(i, j, A, B, C, d, ch.tau,
+                                   *split_delay(ch.tau, Ts))
+            recs.append(r)
+            D[i - 1, j - 1], m[i - 1, j - 1], v[i - 1, j - 1] = d, r.m, r.v
+            C_i = np.zeros((n_z, A.shape[0]))
+            C_i[i - 1] = C[0]
+            blocks.append((A, B, C_i, [j - 1], [r.m], r.v))
+    return _stack(blocks, D, m, v, Ts, channels=tuple(recs))
 
 
 def _realize_state_space(ss: ContinuousStateSpace, Ts: float) -> DelayRealization:
@@ -419,63 +447,29 @@ def _realize_state_space(ss: ContinuousStateSpace, Ts: float) -> DelayRealizatio
     splits = [split_delay(t, Ts) for t in delays]
     ms = [m for m, _ in splits]
     vs = [v for _, v in splits]
-    m_bar = max(ms)
-    n_u, n_z = ss.n_u, ss.n_z
-    n_slots = (m_bar + 1) * n_u
-    uniform = max(vs) - min(vs) <= UNIFORM_V_TOL
-    if uniform:
-        blocks = [(None, ss.B_c, vs[0])]  # one shared block, all inputs
-        n_x = ss.n_x
+    inputs = range(ss.n_u)
+    if max(vs, default=0.0) - min(vs, default=0.0) <= UNIFORM_V_TOL:
+        # one shared block, all inputs (if any)
+        blocks = [(ss.A_c, ss.B_c, ss.C_c, inputs, ms, vs[0] if vs else 0.0)]
     else:
-        # one replica of the plant per input so each block has a scalar v
-        blocks = []
-        for j in range(n_u):
-            bj = np.zeros((ss.n_x, n_u))
-            bj[:, j] = ss.B_c[:, j]
-            blocks.append((j, bj, vs[j]))
-        n_x = ss.n_x * n_u
-    A_c = np.zeros((n_x, n_x))
-    V = np.zeros((n_x, n_x))
-    B_1c = np.zeros((n_x, n_slots))
-    B_2c = np.zeros((n_x, n_slots))
-    C_c = np.zeros((n_z, n_x))
-    G_c = None
-    if ss.G_c is not None:
-        G_c = np.zeros((n_x, ss.G_c.shape[1]))
-        G_c[: ss.n_x, :] = ss.G_c  # noise enters the first block only
-    D_o = np.zeros((n_z, n_slots))
-    for bi, (jsel, bj, v) in enumerate(blocks):
-        sl = slice(bi * ss.n_x, (bi + 1) * ss.n_x)
-        A_c[sl, sl] = ss.A_c
-        V[sl, sl] = v * np.eye(ss.n_x)
-        C_c[:, sl] = ss.C_c
-        cols = range(n_u) if jsel is None else [jsel]
-        for j in cols:
-            m = ms[j]
-            col1 = (m_bar - m) * n_u + j
-            col2 = (m_bar - m + 1) * n_u + j if m > 0 else col1
-            B_1c[sl, col1] = bj[:, j]
-            B_2c[sl, col2] = bj[:, j]
-    for j in range(n_u):
-        col1 = (m_bar - ms[j]) * n_u + j
-        D_o[:, col1] = ss.D_c[:, j]
-    m_grid = np.tile(np.asarray(ms, dtype=int), (n_z, 1))
-    v_grid = np.tile(np.asarray(vs, dtype=float), (n_z, 1))
-    return DelayRealization(A_c=A_c, B_1c=B_1c, B_2c=B_2c, V=V, C_c=C_c,
-                            D_o=D_o, m_bar=m_bar, n_u=n_u, m=m_grid, v=v_grid,
-                            Ts=Ts, G_c=G_c, channels=())
+        # one replica of the plant per input so each block has a scalar v;
+        # the noise enters the first replica only
+        blocks = [(ss.A_c, ss.B_c[:, [j]], ss.C_c, [j], [ms[j]], vs[j])
+                  for j in inputs]
+    m = np.repeat(np.array([ms], dtype=int), ss.n_z, axis=0)
+    v = np.repeat(np.array([vs], dtype=float), ss.n_z, axis=0)
+    return _stack(blocks, ss.D_c, m, v, Ts, G_c=ss.G_c)
 
 
 def realize_delays(model, Ts: float) -> DelayRealization:
-    """Realize a delayed model into the stacked slot structure.
+    """Realize a plant, delayed or not, into the stacked slot structure.
 
+    An undelayed plant gets m_bar = 0: one slot, B_1c = B_2c = B_c, V = 0.
     Transfer models are realized channel-by-channel in observable canonical
     form and stacked block-diagonally (input index outer). State-space models
     with uniform fractional parts keep one state block; non-uniform fractional
     parts replicate the plant per input so each block has a scalar v.
     """
-    if Ts <= 0:
-        raise DomainError(f"sampling time must be > 0, got {Ts}")
     if isinstance(model, DelayedTransferModel):
         return _realize_transfer(model, Ts)
     if isinstance(model, ContinuousStateSpace):

@@ -1,5 +1,6 @@
 """Tests for the assembled generators and the quadrature oracle."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lqdisc import exactdefs, fixedstep, vanloan
+from lqdisc import exactdefs, fixedstep, stepdouble, vanloan
+from lqdisc.benchcli import random_system
 from lqdisc.matcore import (DimensionError, DomainError, expm, is_psd, max_abs,
                             symmetrize)
-from lqdisc.model import ContinuousStateSpace, CostSpec, realize_delays
+from lqdisc.model import (ContinuousStateSpace, CostSpec, DelayedTransferModel,
+                          TransferChannel, realize_delays)
 from lqdisc.exactdefs import (DeqSystem, b_alternative, build_deq,
                               oracle_quadrature)
 
@@ -149,6 +152,25 @@ def test_deq_dimensions(mimo_deq, scalar_deq):
     assert np.array_equal(scalar_deq.E2, np.eye(2))
 
 
+def _three_block(sys: DeqSystem) -> DeqSystem:
+    """`sys` with the three-block generator of a fractional delay, built
+    from its realization whatever its V."""
+    zx = np.zeros((sys.n_in, sys.n_x))
+    zu = np.zeros((sys.n_in, sys.n_in))
+    VA = sys.V @ sys.A_c
+    H_1c = np.block([[sys.A_c, sys.B_1c], [zx, zu]])
+    H_2c = np.block([[VA, sys.B_2c_bar], [zx, zu]])
+    H_3c = np.block([[VA, np.zeros_like(sys.B_1c)], [zx, zu]])
+    zh = np.zeros_like(H_1c)
+    H_c = np.block([[H_1c, zh, zh], [zh, H_2c, zh], [zh, zh, H_3c]])
+    eye = np.eye(sys.n_xu)
+    return dataclasses.replace(
+        sys, delay=True, H_c=H_c, H_1c=H_1c, H_2c=H_2c, H_3c=H_3c,
+        H_cq=H_c - (sys.mu / 2.0) * np.eye(3 * sys.n_xu),
+        H_cm=H_c - sys.mu * np.eye(3 * sys.n_xu),
+        E1=np.hstack([eye, eye, -eye]), E2=np.vstack([eye, eye, eye]))
+
+
 def test_generators_equal_their_block_assembly(mimo_deq, scalar_deq):
     """The slice-assigned generators carry the bits of np.block's."""
     for sys in (scalar_deq, mimo_deq):
@@ -157,17 +179,65 @@ def test_generators_equal_their_block_assembly(mimo_deq, scalar_deq):
         H_1c = np.block([[sys.A_c, sys.B_1c], [zx, zu]])
         want = {"H_c": H_1c}
         if sys.delay:
-            VA = sys.V @ sys.A_c
-            H_2c = np.block([[VA, sys.B_2c_bar], [zx, zu]])
-            H_3c = np.block([[VA, np.zeros_like(sys.B_1c)], [zx, zu]])
-            zh = np.zeros_like(H_1c)
-            want = {"H_c": np.block([[H_1c, zh, zh], [zh, H_2c, zh],
-                                     [zh, zh, H_3c]]),
-                    "H_1c": H_1c, "H_2c": H_2c, "H_3c": H_3c}
+            full = _three_block(sys)
+            want = {name: getattr(full, name)
+                    for name in ("H_c", "H_1c", "H_2c", "H_3c")}
         for name, ref in want.items():
             got = getattr(sys, name)
             assert got.shape == ref.shape, name
             assert got.tobytes() == ref.tobytes(), name
+
+
+def _whole_sample_plants():
+    """The integer-kind systems among the first 27 of seed 0, a transfer
+    plant with integer delays and a state-space one with delays (1, 2) Ts
+    and a diffusion matrix."""
+    rng = np.random.default_rng(0)
+    out = []
+    for i in range(27):
+        plant, cost, kind = random_system(rng, i)
+        if kind == "integer":
+            out.append(pytest.param(plant, cost, id=f"sweep{i}"))
+    channels = ((1, 1, (1.0,), (4.5, 4.5, 1.0), 1.0),
+                (1, 2, (-4.0, -2.0), (3.4, 1.0), 2.0),
+                (2, 1, (-0.5,), (2.3, 1.0), 0.0),
+                (2, 2, (2.4,), (1.53, 2.6, 1.0), 1.0))
+    out.append(pytest.param(
+        DelayedTransferModel(tuple(TransferChannel(*ch) for ch in channels)),
+        CostSpec(Q_c=np.eye(2), mu=0.2, Ts=1.0, N=1, zbar=[[1.0, 0.5]]),
+        id="transfer"))
+    out.append(pytest.param(
+        ContinuousStateSpace([[-1.0, 0.4], [0.0, -2.0]],
+                             [[1.0, 0.0], [0.5, 1.0]], [[1.0, 0.0]],
+                             [[0.0, 0.2]], G_c=[[0.3], [0.1]],
+                             delays=(0.5, 1.0)),
+        CostSpec(Q_c=[[1.0]], mu=1.0, Ts=0.5, N=1, zbar=[[1.0]]),
+        id="state_space"))
+    return out
+
+
+@pytest.mark.parametrize("plant,cost", _whole_sample_plants())
+def test_whole_sample_delays_take_the_single_block(plant, cost):
+    """A delay of whole samples only adds shift states: the generator is
+    [[A_c, B_1c], [0, 0]] over the lifted input, and every method gives
+    what the three-block generator gives, where V = 0 cancels two blocks."""
+    sys = build_deq(realize_delays(plant, cost.Ts), cost)
+    assert not sys.V.any()
+    assert not sys.delay and sys.H_1c is None
+    assert sys.n_h == sys.n_xu
+    full = _three_block(sys)
+    tb = fixedstep.named_tableau("rk4")
+    for method in (
+            lambda s: fixedstep.discretize_fixed(s, tb, 256),
+            lambda s: stepdouble.discretize_step_doubling(s, tb, 8),
+            vanloan.discretize_expm):
+        got, want = method(sys), method(full)
+        for q in ("A", "B_o", "Q", "M", "R_ww"):
+            if getattr(want, q) is None:
+                assert getattr(got, q) is None
+                continue
+            scale = max_abs(getattr(want, q))
+            assert max_abs(getattr(got, q) - getattr(want, q)) <= 1e-13 * scale, q
 
 
 def _random_deq(seed, n_x, n_u, kind, mu, diffusion):

@@ -18,7 +18,8 @@ import pytest
 from scipy.integrate import simpson
 
 from lqdisc.matcore import DimensionError, DomainError, expm, max_abs, solve
-from lqdisc.model import ContinuousStateSpace, CostSpec
+from lqdisc.model import (ContinuousStateSpace, CostSpec, DelayRealization,
+                          ModelError)
 from lqdisc.exactdefs import build_deq
 from lqdisc.lqassemble import (DiscreteLQ, assemble_augmented,
                                build_discrete_lq, discretize_core,
@@ -109,9 +110,11 @@ def test_core_and_augmented_match_exact_simulation(mimo_model,
 
 
 def test_assemble_passthrough_without_delays(scalar_model, scalar_deq):
-    plant, _ = scalar_model
+    plant, cost = scalar_model
     core = discretize_core(scalar_deq, "expm")
-    A_aug, B_aug, C_aug, D_aug = assemble_augmented(core, plant)
+    r = realize_plant(plant, cost.Ts)
+    assert r.m_bar == 0
+    A_aug, B_aug, C_aug, D_aug = assemble_augmented(core, r)
     assert A_aug is core.A
     assert B_aug is core.B_o
     assert np.array_equal(C_aug, plant.C_c)
@@ -422,12 +425,18 @@ def test_realize_plant_dispatch(mimo_model, scalar_model):
     r = realize_plant(mimo_plant, cost.Ts)
     assert r.m_bar == 2
     assert realize_plant(r, cost.Ts) is r
+    # a plain plant is realized too, with one input slot and V = 0
     scalar_plant, _ = scalar_model
-    assert realize_plant(scalar_plant, 1.0) is scalar_plant
+    plain = realize_plant(scalar_plant, 1.0)
+    assert isinstance(plain, DelayRealization)
+    assert (plain.m_bar, plain.n_slots) == (0, 1)
+    assert np.array_equal(plain.B_1c, scalar_plant.B_c)
+    assert np.array_equal(plain.B_2c, scalar_plant.B_c)
+    assert not plain.V.any()
     delayed = ContinuousStateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]],
                                    delays=(0.25,))
     assert realize_plant(delayed, 1.0).m_bar == 1
-    with pytest.raises(DimensionError):
+    with pytest.raises(ModelError):
         realize_plant(42, 1.0)
 
 

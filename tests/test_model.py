@@ -39,10 +39,19 @@ def test_split_delay_snaps_near_integer():
 
 
 def test_split_delay_domain_errors():
-    with pytest.raises(DomainError):
-        split_delay(-0.1, 1.0)
-    with pytest.raises(DomainError):
-        split_delay(1.0, 0.0)
+    # a delay or sampling time that is negative, zero (Ts), NaN or infinite,
+    # and a ratio that overflows: none may end in round()'s or ceil()'s error
+    # or in a silent (0, 0.0)
+    for tau, Ts in ((-0.1, 1.0), (1.0, 0.0), (math.inf, 1.0),
+                    (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf),
+                    (1e300, 1e-300)):
+        with pytest.raises(DomainError):
+            split_delay(tau, Ts)
+    plant = ContinuousStateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]],
+                                 delays=(0.5,))
+    for Ts in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            realize_delays(plant, Ts)
 
 
 def channel_response(num, den, s: complex) -> complex:
@@ -127,10 +136,11 @@ def _mimo_channels():
 
 def test_transfer_model_requires_full_grid():
     chans = _mimo_channels()
-    with pytest.raises(ModelError, match="duplicate"):
-        DelayedTransferModel(chans + (chans[0],))
-    with pytest.raises(ModelError, match="missing"):
-        DelayedTransferModel(chans[:3])
+    for match, bad in (("duplicate", chans + (chans[0],)),
+                       ("missing", chans[:3]),
+                       ("at least one", ())):
+        with pytest.raises(ModelError, match=match):
+            DelayedTransferModel(bad)
 
 
 def test_mimo_realization_dimensions(mimo_realization):
@@ -224,6 +234,73 @@ def test_state_space_distinct_fractions_replicates():
     # outputs sum the replicas; the static gain rides the input-2 slot
     assert max_abs(r.C_c - [[1.0, 0.0, 1.0, 0.0]]) < 1e-15
     assert r.D_o[0, 1] == pytest.approx(0.2)
+
+
+def _assert_realization(r, **want):
+    for name, value in want.items():
+        got = getattr(r, name)
+        assert np.shape(got) == np.shape(value), name
+        assert max_abs(np.asarray(got, dtype=float) - value) < 1e-15, name
+
+
+def test_stacked_state_space_replicas_by_hand():
+    """Delays (0.4, 1.7) Ts: m = (1, 2), v = (0.6, 0.3), one plant replica
+    per input, slots of u_{k-2}, u_{k-1} and u_k two columns each."""
+    r = realize_delays(_delayed_ss((0.2, 0.85)), Ts=0.5)
+    assert (r.m_bar, r.n_u, r.Ts) == (2, 2, 0.5)
+    _assert_realization(
+        r,
+        A_c=[[-1.0, 0.4, 0, 0], [0.0, -2.0, 0, 0],
+             [0, 0, -1.0, 0.4], [0, 0, 0.0, -2.0]],
+        V=np.diag([0.6, 0.6, 0.3, 0.3]),
+        # input 1 (m = 1) feeds column 2 then 4, input 2 (m = 2) 1 then 3
+        B_1c=[[0, 0.0, 1.0, 0, 0, 0], [0, 0.0, 0.5, 0, 0, 0],
+              [0, 0.0, 0.0, 0, 0, 0], [0, 1.0, 0.0, 0, 0, 0]],
+        B_2c=[[0, 0, 0, 0.0, 1.0, 0], [0, 0, 0, 0.0, 0.5, 0],
+              [0, 0, 0, 0.0, 0.0, 0], [0, 0, 0, 1.0, 0.0, 0]],
+        C_c=[[1.0, 0.0, 1.0, 0.0]],
+        D_o=[[0, 0.2, 0, 0, 0, 0]],
+        G_c=[[0.3], [0.1], [0.0], [0.0]],
+        m=[[1, 2]], v=[[0.6, 0.3]])
+
+
+def test_stacked_transfer_pure_gain_by_hand():
+    """A 2x2 transfer plant whose channel (1,2) is a pure gain: an empty
+    state block that still puts its D in the slot of u_{k-2}."""
+    r = realize_delays(DelayedTransferModel((
+        TransferChannel(1, 1, (1.0, 3.0), (1.0, 1.0), tau=0.5),
+        TransferChannel(2, 1, (1.0,), (1.0, 2.0), tau=0.0),
+        TransferChannel(1, 2, (3.0,), (1.0,), tau=2.0),
+        TransferChannel(2, 2, (1.0,), (1.0, 4.0), tau=1.25))), Ts=1.0)
+    assert (r.m_bar, r.n_u) == (2, 2)
+    assert [c.A.shape[0] for c in r.channels] == [1, 1, 0, 1]
+    # states: (1,1), (2,1), (2,2); (s+3)/(s+1) = 1 + 2/(s+1)
+    _assert_realization(
+        r,
+        A_c=np.diag([-1.0, -2.0, -4.0]),
+        V=np.diag([0.5, 0.0, 0.75]),
+        B_1c=[[0, 0, 2.0, 0, 0.0, 0], [0, 0, 0.0, 0, 1.0, 0],
+              [0, 1.0, 0, 0, 0.0, 0]],
+        B_2c=[[0, 0, 0, 0.0, 2.0, 0], [0, 0, 0, 0.0, 1.0, 0],
+              [0, 0, 0, 1.0, 0.0, 0]],
+        C_c=[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+        D_o=[[0, 3.0, 1.0, 0, 0, 0], [0, 0, 0, 0, 0, 0]],
+        m=[[1, 2], [0, 2]], v=[[0.5, 0.0], [0.0, 0.75]])
+    assert r.G_c is None
+
+
+def test_plants_without_inputs_or_outputs_realize():
+    r = realize_delays(ContinuousStateSpace(
+        [[-1.0]], np.zeros((1, 0)), [[1.0]], np.zeros((1, 0))), Ts=1.0)
+    assert (r.m_bar, r.n_slots) == (0, 0)
+    assert r.B_1c.shape == r.D_o.shape == r.m.shape == (1, 0)
+    assert not r.V.any()
+    r = realize_delays(ContinuousStateSpace(
+        [[-1.0]], [[1.0, 2.0]], np.zeros((0, 1)), np.zeros((0, 2)),
+        delays=(0.5, 1.0)), Ts=1.0)
+    assert (r.m_bar, r.n_slots, r.n_x) == (1, 4, 2)
+    assert r.C_c.shape == (0, 2) and r.D_o.shape == (0, 4)
+    assert r.m.shape == r.v.shape == (0, 2)
 
 
 def test_state_space_validation_paths():
