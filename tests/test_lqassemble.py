@@ -21,10 +21,11 @@ from lqdisc.matcore import DimensionError, DomainError, expm, max_abs, solve
 from lqdisc.model import (ContinuousStateSpace, CostSpec, DelayRealization,
                           ModelError)
 from lqdisc.exactdefs import build_deq
-from lqdisc.lqassemble import (DiscreteLQ, assemble_augmented,
-                               build_discrete_lq, discretize_core,
-                               expected_stage_cost, export_result_json,
-                               export_stage_csv, realize_plant, stage_costs)
+from lqdisc.lqassemble import (JSON_VECTOR_MIN, DiscreteLQ,
+                               assemble_augmented, build_discrete_lq,
+                               discretize_core, expected_stage_cost,
+                               export_result_json, export_stage_csv,
+                               realize_plant, stage_costs)
 
 
 def _intexp(A, h):
@@ -282,8 +283,13 @@ def test_export_json_roundtrip(tmp_path, mimo_model):
     plant, cost = mimo_model
     noisy = _noisy_delayed_lq(N=7)
     assert noisy.R_ww is not None
+    # 3000 discounted stages: the stage arrays take the vectorized writer,
+    # with q_k down to about 1e-260
+    long = _noisy_delayed_lq(N=3000)
+    assert long.stages.q_k.size >= JSON_VECTOR_MIN
+    assert 0 < np.abs(long.stages.q_k[-1]).max() < 1e-250
     path = tmp_path / "result.json"
-    for dlq in (build_discrete_lq(plant, cost, method="expm"), noisy):
+    for dlq in (build_discrete_lq(plant, cost, method="expm"), noisy, long):
         export_result_json(dlq, os.devnull)     # not a regular file
         export_result_json(dlq, path)
         text = path.read_text()
