@@ -25,7 +25,7 @@ import operator
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,8 @@ import numpy as np
 from .matcore import (DimensionError, DomainError, NumericalError, expm,
                       is_psd, max_abs)
 from .model import ContinuousStateSpace, CostSpec, ModelError, load_model, realize_delays
-from .exactdefs import DeqSystem, b_alternative, build_deq, oracle_quadrature
+from .exactdefs import (CoreResult, DeqSystem, b_alternative, build_deq,
+                        oracle_quadrature)
 from .fixedstep import (SCHEME_NAMES, ButcherTableau, build_coefficients,
                         integrate, named_tableau)
 from .stepdouble import discretize_step_doubling
@@ -114,6 +115,15 @@ def fit_order(steps, errors, floor: float = ORDER_FIT_FLOOR):
     return float(-slope), len(pts)
 
 
+def _run_steps(deq: DeqSystem, method: str, tableau: ButcherTableau,
+               coeffs) -> CoreResult:
+    """The `fixed` or `doubling` result from one set of coefficients."""
+    if method == "fixed":
+        return integrate(coeffs, deq)
+    return discretize_step_doubling(
+        deq, tableau, coeffs.n_steps.bit_length() - 1, coeffs=coeffs)
+
+
 def convergence_rows(deq: DeqSystem, methods, schemes, steps,
                      reference=None) -> list[dict]:
     """Evaluate the (method, scheme, N) grid; rows in deterministic order."""
@@ -126,12 +136,7 @@ def convergence_rows(deq: DeqSystem, methods, schemes, steps,
         for s in schemes:
             tb = named_tableau(s)
             for n in steps:
-                coeffs = build_coefficients(deq, tb, n)
-                if m == "fixed":
-                    core = integrate(coeffs, deq)
-                else:
-                    core = discretize_step_doubling(
-                        deq, tb, n.bit_length() - 1, coeffs=coeffs)
+                core = _run_steps(deq, m, tb, build_coefficients(deq, tb, n))
                 row = {"method": m, "scheme": s, "N": n}
                 row.update(errors_against(core, ref))
                 rows.append(row)
@@ -185,14 +190,8 @@ def bench_rows(deq: DeqSystem, methods, schemes, steps, reps: int,
             for n in steps:
                 coeff_t, coeffs = _median_time(
                     lambda: build_coefficients(deq, tb, n), reps)
-                if m == "fixed":
-                    run_t, core = _median_time(
-                        lambda: integrate(coeffs, deq), reps)
-                else:
-                    j = n.bit_length() - 1
-                    run_t, core = _median_time(
-                        lambda: discretize_step_doubling(
-                            deq, tb, j, coeffs=coeffs), reps)
+                run_t, core = _median_time(
+                    lambda: _run_steps(deq, m, tb, coeffs), reps)
                 row = {"method": m, "scheme": s, "N": n,
                        "coeff_seconds": coeff_t, "run_seconds": run_t}
                 row.update(errors_against(core, ref))
@@ -333,11 +332,11 @@ def _bdot_gap(deq: DeqSystem, ode_steps: int = 2048) -> float:
     """Agreement of direct dB/dt = A B + B_c integration with the
     exponential-block value of the same integral."""
     n_x = deq.n_x
-    blk = expm(deq.H_1c * deq.Ts if deq.delay else deq.H_c * deq.Ts)
+    blk = expm(deq.h_block(0) * deq.Ts)
     gap = max_abs(b_alternative(deq.A_c, deq.B_1c, deq.Ts, ode_steps)
                   - blk[:n_x, n_x:])
     if deq.delay:
-        blk2 = expm(deq.H_2c * deq.Ts)
+        blk2 = expm(deq.h_block(1) * deq.Ts)
         gap = max(gap, max_abs(
             b_alternative(deq.V @ deq.A_c, deq.B_2c_bar, deq.Ts, ode_steps)
             - blk2[:n_x, n_x:]))
@@ -345,19 +344,21 @@ def _bdot_gap(deq: DeqSystem, ode_steps: int = 2048) -> float:
 
 
 def _zero_delay_gap(plant: ContinuousStateSpace, cost: CostSpec) -> float:
-    """Compare the plant given explicit zero delays against the same plant
-    without delays. Both are realized with m_bar = 0 and take the single
-    block, so this reads 0 unless the two realizations differ."""
-    plain = ContinuousStateSpace(plant.A_c, plant.B_c, plant.C_c, plant.D_c,
-                                 G_c=plant.G_c)
-    forced = realize_delays(
-        ContinuousStateSpace(plant.A_c, plant.B_c, plant.C_c, plant.D_c,
-                             G_c=plant.G_c, delays=(0.0,) * plant.n_u),
-        cost.Ts)
-    a = discretize_expm(build_deq(plain, cost))
-    b = discretize_expm(build_deq(forced, cost))
-    gap = max(max_abs(getattr(a, q) - getattr(b, q)) for q in _QUANTITIES)
-    return max(gap, max_abs(a.R_ww - b.R_ww))
+    """Largest entry gap between the realizations of the plant without
+    delays and with explicit zero delays, field by field (inf where a
+    shape or a missing G_c differs). Every method's result is a function
+    of the realization alone, so equal realizations give equal results."""
+    plain, forced = (realize_delays(replace(plant, delays=delays), cost.Ts)
+                     for delays in (None, (0.0,) * plant.n_u))
+    gap = 0.0
+    for f in fields(plain):
+        a, b = getattr(plain, f.name), getattr(forced, f.name)
+        if a is None or b is None:
+            gap = max(gap, 0.0 if a is b else math.inf)
+            continue
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        gap = max(gap, max_abs(a - b) if a.shape == b.shape else math.inf)
+    return gap
 
 
 def run_validation(seed: int = 0, count: int = 50, steps: int = 1024,
@@ -367,7 +368,6 @@ def run_validation(seed: int = 0, count: int = 50, steps: int = 1024,
     if count < 1 or start < 0:
         raise DomainError(f"need count >= 1, start >= 0; got {count}, {start}")
     steps = operator.index(steps)
-    j = steps.bit_length() - 1
     rng = np.random.default_rng(seed)
     for i in range(start):
         random_system(rng, i)
@@ -378,8 +378,8 @@ def run_validation(seed: int = 0, count: int = 50, steps: int = 1024,
         plant, cost, kind = random_system(rng, i)
         deq = build_deq(realize_plant(plant, cost.Ts), cost)
         coeffs = build_coefficients(deq, tb, steps)
-        fixed = integrate(coeffs, deq)
-        doubled = discretize_step_doubling(deq, tb, j, coeffs=coeffs)
+        fixed, doubled = (_run_steps(deq, m, tb, coeffs)
+                          for m in ("fixed", "doubling"))
         exact = discretize_expm(deq)
         pairwise = max(
             max(errors_against(x, y).values())

@@ -39,8 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .matcore import DimensionError, DomainError, Mat, expm, symmetrize
-from .model import (ContinuousStateSpace, CostSpec, DelayRealization,
-                    realize_delays)
+from .model import CostSpec, realize_plant
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +47,9 @@ class DeqSystem:
     """Assembled generators of the discretization ODE system.
 
     `delay` is True when some delay has a fractional part (V != 0): H_c is
-    then the three-block stack of H_1c, H_2c and H_3c. Otherwise H_c is the
-    single block [[A_c, B_1c], [0, 0]], E_1 = E_2 = I and H_1c, H_2c and
-    H_3c are None.
+    then the three-block stack of H_1c, H_2c and H_3c, each n_xu x n_xu.
+    Otherwise H_c is the single block [[A_c, B_1c], [0, 0]] and
+    E_1 = E_2 = I.
     """
 
     delay: bool
@@ -68,9 +67,6 @@ class DeqSystem:
     E2: Mat
     Qbar_c: Mat
     Mbar_c: Mat
-    H_1c: Mat | None = None
-    H_2c: Mat | None = None
-    H_3c: Mat | None = None
     G_c: Mat | None = None
 
     @property
@@ -96,10 +92,17 @@ class DeqSystem:
     def n_z(self):
         return self.C_c.shape[0]
 
+    def h_block(self, k: int) -> Mat:
+        """Diagonal block k of H_c: H_1c, H_2c, H_3c for k = 0, 1, 2 with a
+        fractional delay; H_c itself for k = 0 otherwise."""
+        d = slice(k * self.n_xu, (k + 1) * self.n_xu)
+        return self.H_c[d, d]
+
     def gamma(self, t: float) -> Mat:
         """Gamma(t) = E_1 e^{H_c t} E_2, the [[A, B_o], [0, I]] transition."""
         if self.delay:
-            return expm(self.H_1c * t) + expm(self.H_2c * t) - expm(self.H_3c * t)
+            return (expm(self.h_block(0) * t) + expm(self.h_block(1) * t)
+                    - expm(self.h_block(2) * t))
         return expm(self.H_c * t)
 
 
@@ -149,14 +152,17 @@ class Interval(NamedTuple):
 def compose(a: Interval, b: Interval) -> Interval:
     """The span `a` followed by the span `b`.
 
-    The integrals over `b` are carried back through the transitions of
-    `a`; `a` may be E_2-projected, `b` may not.
+    The input integrals of `a` are carried forward through the transitions
+    of `b` (B_1 = b.B_1 + b.A a.B_1), so spans with different inputs
+    compose. The discounted integrals over `b` are carried back through
+    the transitions of `a`, and so is R: every span shares A_c, so R
+    reads the same either way. `a` may be E_2-projected, `b` may not.
     """
     return Interval(
         A=b.A @ a.A,
-        B_1=a.B_1 + a.A @ b.B_1,
+        B_1=b.B_1 + b.A @ a.B_1,
         A_v=None if a.A_v is None else b.A_v @ a.A_v,
-        B_2=None if a.B_2 is None else a.B_2 + a.A_v @ b.B_2,
+        B_2=None if a.B_2 is None else b.B_2 + b.A_v @ a.B_2,
         omega_q=b.omega_q @ a.omega_q,
         X_q=a.X_q + a.omega_q.T @ b.X_q @ a.omega_q,
         omega_m=b.omega_m @ a.omega_m,
@@ -204,24 +210,18 @@ def core_result(iv: Interval, method: str, **provenance) -> CoreResult:
 
 
 def build_deq(plant, cost: CostSpec) -> DeqSystem:
-    """Assemble the ODE-system generators for a realized plant and cost.
+    """Assemble the ODE-system generators for a plant and cost.
 
-    `plant` is a DelayRealization; an undelayed ContinuousStateSpace is
-    realized here at cost.Ts. A realization whose delays are all whole
-    samples (V = 0, none at all included) yields the single block
-    [[A_c, B_1c], [0, 0]] over the lifted input, n_h = n_xu: the shift
-    states are all such a delay adds. One with a fractional part yields
-    the three-block delayed structure, n_h = 3 n_xu.
+    `plant` is any plant `realize_plant` takes: a DelayRealization passes
+    through, anything else is realized at cost.Ts. A realization whose
+    delays are all whole samples (V = 0, none at all included) yields the
+    single block [[A_c, B_1c], [0, 0]] over the lifted input, n_h = n_xu:
+    the shift states are all such a delay adds. One with a fractional part
+    yields the three-block delayed structure, n_h = 3 n_xu.
     """
     if cost.mu < 0:
         raise DomainError(f"discount must be >= 0, got {cost.mu}")
-    if isinstance(plant, ContinuousStateSpace):
-        if plant.delays is not None and any(t > 0 for t in plant.delays):
-            raise DimensionError(
-                "state space has nonzero delays; realize_delays(...) first")
-        plant = realize_delays(plant, cost.Ts)
-    if not isinstance(plant, DelayRealization):
-        raise DimensionError(f"cannot build system from {type(plant).__name__}")
+    plant = realize_plant(plant, cost.Ts)
     if plant.Ts != cost.Ts:
         raise DomainError(f"delays were realized at Ts={plant.Ts}, but the "
                           f"cost has Ts={cost.Ts}")
@@ -242,21 +242,18 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
         H[:n_x, n_x:] = B
         return H
 
-    H_1c = generator(A_c, B_1c)
-    H_2c = H_3c = None
+    H_c = generator(A_c, B_1c)
     if delay:
         VA = V @ A_c
-        H_2c = generator(VA, B_2c_bar)
-        H_3c = generator(VA, 0.0)
+        blocks = (H_c, generator(VA, B_2c_bar), generator(VA, 0.0))
         H_c = np.zeros((3 * n_xu, 3 * n_xu))
-        for j, H in enumerate((H_1c, H_2c, H_3c)):
+        for j, H in enumerate(blocks):
             d = slice(j * n_xu, (j + 1) * n_xu)
             H_c[d, d] = H
         eye = np.eye(n_xu)
         E1 = np.hstack([eye, eye, -eye])
         E2 = np.vstack([eye, eye, eye])
     else:
-        H_c = H_1c
         E1 = np.eye(n_xu)
         E2 = np.eye(n_xu)
     n_h = H_c.shape[0]
@@ -270,10 +267,7 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
     return DeqSystem(delay=delay, A_c=A_c, B_1c=B_1c, B_2c_bar=B_2c_bar, V=V,
                      C_c=C_c, mu=cost.mu, Ts=cost.Ts, H_c=H_c,
                      H_cq=H_cq, H_cm=H_cm, E1=E1, E2=E2, Qbar_c=Qbar_c,
-                     Mbar_c=Mbar_c,
-                     H_1c=H_1c if delay else None,
-                     H_2c=H_2c, H_3c=H_3c,
-                     G_c=G_c)
+                     Mbar_c=Mbar_c, G_c=G_c)
 
 
 # Nodes (or steps) per chunk of the validation references and of the
@@ -308,11 +302,10 @@ def _simpson_weights(k: np.ndarray, panels: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def oracle_quadrature(sys: DeqSystem, t: float | None = None,
-                      panels: int = 4096) -> CoreResult:
-    """Evaluate every target at t by composite Simpson over expm nodes.
+def oracle_quadrature(sys: DeqSystem, panels: int = 4096) -> CoreResult:
+    """Evaluate every target at Ts by composite Simpson over expm nodes.
 
-    The node exponentials e^{X s_k}, s_k = k t/panels, are powers of the
+    The node exponentials e^{X s_k}, s_k = k Ts/panels, are powers of the
     three node steps P = e^{A_c h}, e^{V A_c h} and e^{H_c h} (the only
     three `expm` calls), taken on two levels: node k = C c + i (C = 64)
     is (I + E_c)(I + D_i), with D_i = P^i - I and E_c = (P^C)^c - I for
@@ -331,9 +324,7 @@ def oracle_quadrature(sys: DeqSystem, t: float | None = None,
     """
     if panels < 2 or panels % 2:
         raise DomainError(f"panels must be even and >= 2, got {panels}")
-    if t is None:
-        t = sys.Ts
-    h = t / panels
+    h = sys.Ts / panels
     C = _CHUNK
 
     n_x, n_h = sys.n_x, sys.n_h

@@ -257,25 +257,18 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
     omega_q, _, stages_q = propagation(tableau, sys.H_cq, dt)
     omega_m, _, stages_m = propagation(tableau, sys.H_cm, dt)
 
+    def quadrature(stages, term):
+        """dt sum_i b_i term(stage i): the tableau's own quadrature."""
+        return dt * sum(bi * term(x) for bi, x in zip(tableau.b, stages))
+
     S = sys.E1.T @ sys.Qbar_c @ sys.E1
-    q_c_t = np.zeros_like(S)
-    for bi, om in zip(tableau.b, stages_q):
-        q_c_t = q_c_t + bi * (om.T @ S @ om)
-    q_c_t = symmetrize(dt * q_c_t)
-
+    q_c_t = symmetrize(quadrature(stages_q, lambda om: om.T @ S @ om))
     ME = sys.E1.T @ sys.Mbar_c
-    m_c_t = np.zeros_like(ME)
-    for bi, om in zip(tableau.b, stages_m):
-        m_c_t = m_c_t + bi * (om.T @ ME)
-    m_c_t = dt * m_c_t
-
+    m_c_t = quadrature(stages_m, lambda om: om.T @ ME)
     r_c = None
     if sys.G_c is not None:
         GG = sys.G_c @ sys.G_c.T
-        r_c = np.zeros_like(GG)
-        for bi, li in zip(tableau.b, stages_a):
-            r_c = r_c + bi * (li @ GG @ li.T)
-        r_c = symmetrize(dt * r_c)
+        r_c = symmetrize(quadrature(stages_a, lambda li: li @ GG @ li.T))
 
     lam_v = b_2 = None
     if sys.delay:

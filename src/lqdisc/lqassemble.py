@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import DimensionError, DomainError, Mat, NumericalError, is_psd
-from .model import CostSpec, DelayRealization, realize_delays
+from .model import CostSpec, DelayRealization, realize_plant
 from .exactdefs import CoreResult, DeqSystem, build_deq
 from .fixedstep import (ButcherTableau, build_coefficients, discretize_fixed,
                         named_tableau)
@@ -167,17 +167,6 @@ def expected_stage_cost(Q_k: Mat, q_k, rho_k: float, x_mean, u,
         trace_noise = float(np.trace(C_c @ R_ww @ C_c.T))
     return ExpectedCost(deterministic=det, trace_state=trace_state,
                         trace_noise=trace_noise)
-
-
-def realize_plant(plant, Ts: float) -> DelayRealization:
-    """Return the DelayRealization the ODE system is built from.
-
-    Every plant is realized, an undelayed one with m_bar = 0; a
-    realization passes through.
-    """
-    if isinstance(plant, DelayRealization):
-        return plant
-    return realize_delays(plant, Ts)
 
 
 def discretize_core(sys: DeqSystem, method: str,

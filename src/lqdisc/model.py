@@ -202,6 +202,8 @@ class CostSpec:
         q = asmat(self.Q_c)
         if q.shape[0] != q.shape[1]:
             raise ModelError("cost.Qc", "must be square")
+        if not np.all(np.isfinite(q)):
+            raise ModelError("cost.Qc", "non-finite entries")
         if not is_symmetric(q):
             raise ModelError("cost.Qc", "must be symmetric")
         if not is_psd(q):
@@ -475,6 +477,17 @@ def realize_delays(model, Ts: float) -> DelayRealization:
     if isinstance(model, ContinuousStateSpace):
         return _realize_state_space(model, Ts)
     raise ModelError("model", f"cannot realize {type(model).__name__}")
+
+
+def realize_plant(plant, Ts: float) -> DelayRealization:
+    """Return the DelayRealization the ODE system is built from.
+
+    Every plant is realized, an undelayed one with m_bar = 0; a
+    realization passes through.
+    """
+    if isinstance(plant, DelayRealization):
+        return plant
+    return realize_delays(plant, Ts)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ the quadrature cross-check.
 
 The -H_cq' block grows like e^{||h H_cq||}, so a long or strongly
 discounted interval overflows Phi_1. The seed is therefore taken at
-h = t/2^s, with s chosen from the 1-norms of t H_cq and t H_cm, and
+h = Ts/2^s, with s chosen from the 1-norms of Ts H_cq and Ts H_cm, and
 squared s times with `compose` (Higham, 2005).
 """
 
@@ -36,9 +36,9 @@ from .exactdefs import (CoreResult, DeqSystem, Interval, compose,
 SEED_NORM = 1.0
 
 
-def squarings(sys: DeqSystem, t: float) -> int:
-    """Smallest s >= 0 with the 1-norms of (t/2^s) H_cq, H_cm <= SEED_NORM."""
-    norm = t * max(np.linalg.norm(sys.H_cq, 1), np.linalg.norm(sys.H_cm, 1))
+def squarings(sys: DeqSystem) -> int:
+    """Smallest s >= 0 with the 1-norms of (Ts/2^s) H_cq, H_cm <= SEED_NORM."""
+    norm = sys.Ts * max(np.linalg.norm(sys.H_cq, 1), np.linalg.norm(sys.H_cm, 1))
     if not norm > SEED_NORM:
         return 0
     return math.ceil(math.log2(norm / SEED_NORM))
@@ -73,15 +73,13 @@ def exact_seed(sys: DeqSystem, h: float) -> Interval:
         R=None if sys.G_c is None else rww_expm(sys.A_c, sys.G_c, h))
 
 
-def discretize_expm(sys: DeqSystem, t: float | None = None) -> CoreResult:
-    """Exact (to expm accuracy) discretization at t (default one interval).
+def discretize_expm(sys: DeqSystem) -> CoreResult:
+    """Exact (to expm accuracy) discretization over one interval Ts.
 
-    The seed over t/2^s is squared s times; `doublings` records s.
+    The seed over Ts/2^s is squared s times; `doublings` records s.
     """
-    if t is None:
-        t = sys.Ts
-    s = squarings(sys, t)
-    iv = power(exact_seed(sys, t / 2 ** s), 2 ** s)
+    s = squarings(sys)
+    iv = power(exact_seed(sys, sys.Ts / 2 ** s), 2 ** s)
     return core_result(compose(projected_identity(sys, iv), iv), "expm",
                        doublings=s)
 

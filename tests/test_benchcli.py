@@ -1,6 +1,7 @@
 """Tests for the command-line interface and study helpers."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,9 +15,10 @@ import pytest
 
 from lqdisc import benchcli
 from lqdisc.matcore import DimensionError, DomainError
+from lqdisc.model import realize_delays
 from lqdisc.benchcli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                              StudyConfig, SystemCheck, ValidationReport,
-                             fit_order, main, run_validation)
+                             fit_order, main, random_system, run_validation)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 MIMO = str(MODELS / "mimo_delayed.json")
@@ -59,6 +61,17 @@ def test_missing_field_names_path(tmp_path, capsys):
     rc = main(["discretize", "--model", str(bad), "--out", str(tmp_path)])
     assert rc == EXIT_SCHEMA
     assert "cost.Ts" in capsys.readouterr().err
+
+
+def test_non_finite_weight_is_schema_error(tmp_path, capsys):
+    doc = json.loads(Path(SCALAR).read_text())
+    doc["cost"]["Qc"] = [[math.nan]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["discretize", "--model", str(bad), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert "schema error: cost.Qc: non-finite entries" in \
+        capsys.readouterr().err
 
 
 def test_missing_file_is_schema_error(tmp_path, capsys):
@@ -254,6 +267,41 @@ def test_validate_start_reruns_one_system_alone(capsys):
                  "--steps", "256"]) == EXIT_OK
     assert "validated 1 systems (seed=5, start=3, N=256)" in \
         capsys.readouterr().out
+
+
+def test_realizations_that_differ_set_the_zero_delay_gap(monkeypatch):
+    """The zero-delay gap reads the realizations of the plant without and
+    with explicit zero delays: equal arrays give 0, and one entry changed
+    in the second gives that change, which failures() reports with the
+    system and its rerun command."""
+    plant, cost, _ = random_system(np.random.default_rng(0), 0)
+    plain = realize_delays(plant, cost.Ts)
+    zero = realize_delays(dataclasses.replace(
+        plant, delays=(0.0,) * plant.n_u), cost.Ts)
+    for f in dataclasses.fields(plain):
+        a, b = getattr(plain, f.name), getattr(zero, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+    assert run_validation(seed=0, count=1).checks[0].zero_delay_gap == 0.0
+
+    def shifted(model, Ts):
+        out = realize_delays(model, Ts)
+        if model.delays is None:
+            return out
+        B_1c = out.B_1c.copy()
+        B_1c[0, 0] += 1e-9
+        return dataclasses.replace(out, B_1c=B_1c)
+
+    monkeypatch.setattr(benchcli, "realize_delays", shifted)
+    report = run_validation(seed=0, count=1)
+    assert report.checks[0].zero_delay_gap == pytest.approx(1e-9, rel=1e-6)
+    assert report.failures() == [
+        f"zero-delay gap {report.checks[0].zero_delay_gap:.3e} > 1e-12 "
+        "(system 0, none, mu=0, seed 0; rerun: lqdisc validate --seed 0 "
+        "--start 0 --count 1 --steps 1024)"]
 
 
 def _check(index, kind, mu, **worse):

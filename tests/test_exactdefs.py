@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lqdisc import exactdefs, fixedstep, stepdouble, vanloan
 from lqdisc.benchcli import random_system
-from lqdisc.matcore import (DimensionError, DomainError, expm, is_psd, max_abs,
-                            symmetrize)
+from lqdisc.matcore import DomainError, expm, is_psd, max_abs, symmetrize
 from lqdisc.model import (ContinuousStateSpace, CostSpec, DelayedTransferModel,
                           TransferChannel, realize_delays)
 from lqdisc.exactdefs import (DeqSystem, b_alternative, build_deq,
@@ -92,15 +91,58 @@ def test_discount_shift_factors(mimo_deq):
         assert max_abs(gamma_m - math.exp(-sys.mu * t) * gam) < 1e-12
 
 
-def test_build_deq_rejects_unrealized_delays():
+def test_build_deq_rejects_a_realization_at_another_ts():
     plant = ContinuousStateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]],
                                  delays=(0.5,))
     cost = CostSpec(Q_c=[[1.0]], mu=0.0, Ts=1.0, N=1, zbar=[[0.0]])
-    with pytest.raises(DimensionError, match="realize_delays"):
-        build_deq(plant, cost)
-    # realized, but for another sampling time than the cost's
     with pytest.raises(DomainError, match="Ts=0.5.*Ts=1.0"):
         build_deq(realize_delays(plant, 0.5), cost)
+
+
+def _same_system(a: DeqSystem, b: DeqSystem) -> bool:
+    """Every field of two DeqSystems carries the same bits."""
+    for f in dataclasses.fields(DeqSystem):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+                    and x.shape == y.shape and x.tobytes() == y.tobytes()):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("plant,cost", [
+    (ContinuousStateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]],
+                          delays=(0.6,)),
+     CostSpec(Q_c=[[1.0]], mu=0.0, Ts=1.0, N=1, zbar=[[0.0]])),
+    (ContinuousStateSpace([[-1.0, 0.4], [0.0, -2.0]],
+                          [[1.0, 0.0], [0.5, 1.0]], [[1.0, 0.0]],
+                          [[0.0, 0.2]], G_c=[[0.3], [0.1]],
+                          delays=(0.3, 1.0)),
+     CostSpec(Q_c=[[1.0]], mu=1.0, Ts=0.5, N=1, zbar=[[1.0]])),
+    (DelayedTransferModel((TransferChannel(1, 1, (1.0,), (2.0, 1.0), 1.5),)),
+     CostSpec(Q_c=[[2.0]], mu=0.2, Ts=1.0, N=1, zbar=[[0.0]])),
+], ids=["fractional", "mixed", "transfer"])
+def test_build_deq_realizes_a_delayed_plant(plant, cost):
+    """A delayed plant goes through realize_delays at cost.Ts inside
+    build_deq: the same system, bit for bit, as realizing it first."""
+    assert _same_system(build_deq(plant, cost),
+                        build_deq(realize_delays(plant, cost.Ts), cost))
+
+
+def test_compose_carries_the_earlier_input_integral_forward():
+    """dx = -x + u held at 1 over 0.3 Ts, then at 2 over 0.7 Ts: x(Ts) from
+    x(0) = 0 is e^{-0.7} (1 - e^{-0.3}) + 2 (1 - e^{-0.7}). Spans with
+    different inputs compose "a then b", like the transitions."""
+    cost = CostSpec(Q_c=[[1.0]], mu=0.2, Ts=1.0, N=1, zbar=[[0.0]])
+    a, b = (vanloan.exact_seed(build_deq(ContinuousStateSpace(
+        [[-1.0]], [[gain]], [[1.0]], [[0.0]]), cost), h)
+        for gain, h in ((1.0, 0.3), (2.0, 0.7)))
+    want = math.exp(-0.7) * -math.expm1(-0.3) - 2.0 * math.expm1(-0.7)
+    assert exactdefs.compose(a, b).B_1[0, 0] == pytest.approx(want, rel=1e-15)
+    assert exactdefs.compose(a, b).A[0, 0] == pytest.approx(math.exp(-1.0),
+                                                             rel=1e-15)
 
 
 def test_oracle_self_convergence_is_fourth_order(mimo_deq):
@@ -124,7 +166,8 @@ def test_oracle_weight_grows_monotonically(mimo_deq):
     """Q(t2) - Q(t1) is PSD for t2 > t1: the integrand is PSD."""
     prev = np.zeros((mimo_deq.n_xu, mimo_deq.n_xu))
     for t in (0.25, 0.5, 1.0):
-        cur = oracle_quadrature(mimo_deq, t=t, panels=512).Q
+        cur = oracle_quadrature(dataclasses.replace(mimo_deq, Ts=t),
+                                panels=512).Q
         assert is_psd(cur - prev)
         prev = cur
 
@@ -165,7 +208,7 @@ def _three_block(sys: DeqSystem) -> DeqSystem:
     H_c = np.block([[H_1c, zh, zh], [zh, H_2c, zh], [zh, zh, H_3c]])
     eye = np.eye(sys.n_xu)
     return dataclasses.replace(
-        sys, delay=True, H_c=H_c, H_1c=H_1c, H_2c=H_2c, H_3c=H_3c,
+        sys, delay=True, H_c=H_c,
         H_cq=H_c - (sys.mu / 2.0) * np.eye(3 * sys.n_xu),
         H_cm=H_c - sys.mu * np.eye(3 * sys.n_xu),
         E1=np.hstack([eye, eye, -eye]), E2=np.vstack([eye, eye, eye]))
@@ -177,15 +220,17 @@ def test_generators_equal_their_block_assembly(mimo_deq, scalar_deq):
         zx = np.zeros((sys.n_in, sys.n_x))
         zu = np.zeros((sys.n_in, sys.n_in))
         H_1c = np.block([[sys.A_c, sys.B_1c], [zx, zu]])
-        want = {"H_c": H_1c}
+        want = {"H_c": H_1c, "block 0": H_1c}
+        got = {"H_c": sys.H_c, "block 0": sys.h_block(0)}
         if sys.delay:
             full = _three_block(sys)
-            want = {name: getattr(full, name)
-                    for name in ("H_c", "H_1c", "H_2c", "H_3c")}
+            want["H_c"] = full.H_c
+            for k in (1, 2):
+                want[f"block {k}"] = full.h_block(k)
+                got[f"block {k}"] = sys.h_block(k)
         for name, ref in want.items():
-            got = getattr(sys, name)
-            assert got.shape == ref.shape, name
-            assert got.tobytes() == ref.tobytes(), name
+            assert got[name].shape == ref.shape, name
+            assert got[name].tobytes() == ref.tobytes(), name
 
 
 def _whole_sample_plants():
@@ -223,7 +268,7 @@ def test_whole_sample_delays_take_the_single_block(plant, cost):
     what the three-block generator gives, where V = 0 cancels two blocks."""
     sys = build_deq(realize_delays(plant, cost.Ts), cost)
     assert not sys.V.any()
-    assert not sys.delay and sys.H_1c is None
+    assert not sys.delay
     assert sys.n_h == sys.n_xu
     full = _three_block(sys)
     tb = fixedstep.named_tableau("rk4")

@@ -308,11 +308,19 @@ def test_singular_stage_named_by_first_use_of_its_diagonal():
 
 
 def _folded_step_by_step(coeffs, sys):
-    """The fold as one compose per step, from the E_2-projected identity."""
-    iv = projected_identity(sys, coeffs.seed)
+    """The fold as one compose per step, from the E_2-projected identity,
+    with B_1 and B_2 taken as their defining step sums
+    sum_k A^k B_seed (and A_v^k): the input integrals of the earlier steps
+    carried forward, added in the order of the steps."""
+    seed = coeffs.seed
+    iv = projected_identity(sys, seed)
+    B_1, B_2 = iv.B_1, iv.B_2
     for _ in range(coeffs.n_steps):
-        iv = compose(iv, coeffs.seed)
-    return iv
+        B_1 = B_1 + iv.A @ seed.B_1
+        if B_2 is not None:
+            B_2 = B_2 + iv.A_v @ seed.B_2
+        iv = compose(iv, seed)
+    return iv._replace(B_1=B_1, B_2=B_2)
 
 
 def _plant_variants(scalar_deq, mimo_deq):

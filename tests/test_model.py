@@ -423,6 +423,14 @@ def test_parse_model_paths():
         with pytest.raises(ModelError) as exc:
             parse_model(json.loads(json.dumps(bad)))
         assert exc.value.path == f"cost.{key}"
+    # a NaN weight fails as non-finite, not as asymmetric (NaN != NaN)
+    for value in ([[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.inf],
+                                                   [math.inf, 1.0]]):
+        bad = _mimo_doc()
+        bad["cost"]["Qc"] = value
+        with pytest.raises(ModelError,
+                           match="^cost.Qc: non-finite entries$"):
+            parse_model(json.loads(json.dumps(bad)))
 
     # channel fields: no truncated index, no non-finite coefficient or delay
     for key, value, field in (

@@ -1,5 +1,6 @@
 """Tests for the matrix-exponential (block augmentation) discretization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_weights_symmetric_psd(mimo_deq):
 
 
 def test_zero_horizon_is_identity():
-    got = discretize_expm(_scalar_sys(), t=1e-14)
+    got = discretize_expm(dataclasses.replace(_scalar_sys(), Ts=1e-14))
     assert abs(got.A[0, 0] - 1.0) < 1e-13
     assert max_abs(got.Q) < 1e-13
 
@@ -124,7 +125,7 @@ def test_block_factors_are_plain_exponentials(mimo_deq):
     assert max_abs(seed.omega_m - expm(t * sys.H_cm)) < 1e-13
     assert max_abs(seed.A - expm(t * sys.A_c)) < 1e-13
     assert max_abs(seed.A_v - expm(t * sys.V @ sys.A_c)) < 1e-13
-    assert max_abs(seed.B_1 - expm(t * sys.H_1c)[:n_x, n_x:]) < 1e-13
-    assert max_abs(seed.B_2 - expm(t * sys.H_2c)[:n_x, n_x:]) < 1e-13
+    assert max_abs(seed.B_1 - expm(t * sys.h_block(0))[:n_x, n_x:]) < 1e-13
+    assert max_abs(seed.B_2 - expm(t * sys.h_block(1))[:n_x, n_x:]) < 1e-13
     # no diffusion matrix on the transfer model: no noise integral
     assert seed.R is None
