@@ -2,10 +2,7 @@
 
 The targets over one sampling interval are
 
-    A(t)    = e^{A_c t}
-    A_v(t)  = e^{V A_c t}
-    B_1(t)  = int_0^t e^{A_c s} ds  B_1c
-    B_2(t)  = int_0^t e^{V A_c s} ds  B_2c_bar
+    T(t)    = e^{H_j t} = [[A_j(t), B_j(t)], [0, I]], H_j the input blocks
     Q(t)    = int_0^t e^{-mu s} Gamma(s)' Qbar_c Gamma(s) ds
     M(t)    = int_0^t e^{-mu s} Gamma(s)' Mbar_c ds
     R_ww(t) = int_0^t e^{A_c s} G_c G_c' e^{A_c' s} ds
@@ -15,7 +12,8 @@ matrices come in two shapes: a single block [[A_c, B_1c], [0, 0]] over the
 lifted input when every delay is a whole number of samples (or there is
 none), and the three-block form (H_1c, H_2c, H_3c stacked diagonally with
 combination selectors E_1 = [I, I, -I], E_2 = [I; I; I]) when a delay has
-a fractional part.
+a fractional part. Its input blocks are H_1c and H_2c (H_3c has none),
+so A = A_0 = e^{A_c t} and B_o = sum_j B_j.
 
 Every method computes the same object, an `Interval`: the transitions
 and discounted integrals over one span of time. Two spans compose by one
@@ -46,13 +44,11 @@ from .model import CostSpec, realize_plant
 class DeqSystem:
     """Assembled generators of the discretization ODE system.
 
-    `delay` is True when some delay has a fractional part (V != 0): H_c is
-    then the three-block stack of H_1c, H_2c and H_3c, each n_xu x n_xu.
-    Otherwise H_c is the single block [[A_c, B_1c], [0, 0]] and
-    E_1 = E_2 = I.
+    With a fractional delay (V != 0) H_c is the three-block stack of H_1c,
+    H_2c and H_3c, each n_xu x n_xu. Otherwise H_c is the single block
+    [[A_c, B_1c], [0, 0]] and E_1 = E_2 = I.
     """
 
-    delay: bool
     A_c: Mat
     B_1c: Mat
     B_2c_bar: Mat
@@ -92,11 +88,23 @@ class DeqSystem:
     def n_z(self):
         return self.C_c.shape[0]
 
+    @property
+    def delay(self) -> bool:
+        """True when H_c is the three-block stack of a fractional delay."""
+        return self.n_h == 3 * self.n_xu
+
     def h_block(self, k: int) -> Mat:
         """Diagonal block k of H_c: H_1c, H_2c, H_3c for k = 0, 1, 2 with a
         fractional delay; H_c itself for k = 0 otherwise."""
         d = slice(k * self.n_xu, (k + 1) * self.n_xu)
         return self.H_c[d, d]
+
+    def input_blocks(self, X: Mat) -> np.ndarray:
+        """The diagonal blocks of X (H_c or e^{H_c h}) where H_c's carry an
+        input, H_1c and with a fractional delay H_2c: (k, n_xu, n_xu)."""
+        n = self.n_xu
+        return np.stack([X[j * n:(j + 1) * n, j * n:(j + 1) * n]
+                         for j in range(1 + self.delay)])
 
     def gamma(self, t: float) -> Mat:
         """Gamma(t) = E_1 e^{H_c t} E_2, the [[A, B_o], [0, I]] transition."""
@@ -125,10 +133,10 @@ class Interval(NamedTuple):
     """Transitions and discounted integrals over one span of time h.
 
     Exact for the expm seed; a Runge-Kutta step's approximation for the
-    fixed-step seed. A_v and B_2 are None unless a delay is fractional.
+    fixed-step seed.
 
-    A, A_v        e^{A_c h} and e^{V A_c h}
-    B_1, B_2      int_0^h e^{A_c s} ds B_1c, int_0^h e^{V A_c s} ds B_2c_bar
+    T             e^{H_j h} = [[A_j, B_j], [0, I]] for the input blocks H_j
+                  of H_c, stacked (k, n_xu, n_xu); A_0 = e^{A_c h}
     omega_q       e^{H_cq h}, and omega_m = e^{H_cm h}
     X_q           int_0^h omega_q(s)' S omega_q(s) ds, S = E_1' Qbar_c E_1
     Y_m           int_0^h omega_m(s)' ds E_1' Mbar_c
@@ -138,10 +146,7 @@ class Interval(NamedTuple):
     so X_q and Y_m are already Q and M.
     """
 
-    A: Mat
-    B_1: Mat
-    A_v: Mat | None
-    B_2: Mat | None
+    T: np.ndarray
     omega_q: Mat
     X_q: Mat
     omega_m: Mat
@@ -152,22 +157,23 @@ class Interval(NamedTuple):
 def compose(a: Interval, b: Interval) -> Interval:
     """The span `a` followed by the span `b`.
 
-    The input integrals of `a` are carried forward through the transitions
-    of `b` (B_1 = b.B_1 + b.A a.B_1), so spans with different inputs
-    compose. The discounted integrals over `b` are carried back through
-    the transitions of `a`, and so is R: every span shares A_c, so R
-    reads the same either way. `a` may be E_2-projected, `b` may not.
+    T = b.T a.T carries the input integrals of `a` forward through the
+    transitions of `b`, so spans with different inputs compose. The
+    discounted integrals over `b` are carried back through the transitions
+    of `a`, and so is R: every span shares A_c, so R reads the same either
+    way. `a` may be E_2-projected, `b` may not.
     """
+    R = None
+    if a.R is not None:
+        A = a.T[0, :len(a.R), :len(a.R)]
+        R = a.R + A @ b.R @ A.T
     return Interval(
-        A=b.A @ a.A,
-        B_1=b.B_1 + b.A @ a.B_1,
-        A_v=None if a.A_v is None else b.A_v @ a.A_v,
-        B_2=None if a.B_2 is None else b.B_2 + b.A_v @ a.B_2,
+        T=b.T @ a.T,
         omega_q=b.omega_q @ a.omega_q,
         X_q=a.X_q + a.omega_q.T @ b.X_q @ a.omega_q,
         omega_m=b.omega_m @ a.omega_m,
         Y_m=a.Y_m + a.omega_m.T @ b.Y_m,
-        R=None if a.R is None else a.R + a.A @ b.R @ a.A.T)
+        R=R)
 
 
 def power(seed: Interval, n: int) -> Interval:
@@ -186,24 +192,22 @@ def power(seed: Interval, n: int) -> Interval:
 
 
 def projected_identity(sys: DeqSystem, like: Interval) -> Interval:
-    """The zero-length span in E_2-projected form, with the optional parts
-    of `like`. Folding from it carries omega E_2 (n_h x n_xu) instead of
+    """The zero-length span in E_2-projected form, with the optional R of
+    `like`. Folding from it carries omega E_2 (n_h x n_xu) instead of
     omega; composing it before a full interval projects that interval."""
-    eye = np.eye(sys.n_x)
-    zero_b = np.zeros((sys.n_x, sys.n_in))
     return Interval(
-        A=eye, B_1=zero_b,
-        A_v=None if like.A_v is None else eye,
-        B_2=None if like.B_2 is None else zero_b,
+        T=np.broadcast_to(np.eye(sys.n_xu), like.T.shape),
         omega_q=sys.E2, X_q=np.zeros((sys.n_xu, sys.n_xu)),
         omega_m=sys.E2, Y_m=np.zeros((sys.n_xu, sys.n_z)),
         R=None if like.R is None else np.zeros((sys.n_x, sys.n_x)))
 
 
-def core_result(iv: Interval, method: str, **provenance) -> CoreResult:
-    """Read (A, B_o, Q, M, R_ww) off an E_2-projected interval."""
+def core_result(sys: DeqSystem, iv: Interval, method: str,
+                **provenance) -> CoreResult:
+    """Read (A, B_o, Q, M, R_ww) off an E_2-projected interval of `sys`."""
+    n_x = sys.n_x
     return CoreResult(
-        A=iv.A, B_o=iv.B_1 if iv.B_2 is None else iv.B_1 + iv.B_2,
+        A=iv.T[0, :n_x, :n_x].copy(), B_o=iv.T[:, :n_x, n_x:].sum(axis=0),
         Q=symmetrize(iv.X_q), M=iv.Y_m,
         R_ww=None if iv.R is None else symmetrize(iv.R),
         method=method, **provenance)
@@ -227,7 +231,6 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
                           f"cost has Ts={cost.Ts}")
     A_c, B_1c, C_c, D_o = plant.A_c, plant.B_1c, plant.C_c, plant.D_o
     V, B_2c_bar, G_c = plant.V, plant.B_2c_bar, plant.G_c
-    delay = bool(V.any())
 
     n_x, n_in = B_1c.shape
     n_xu = n_x + n_in
@@ -243,7 +246,7 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
         return H
 
     H_c = generator(A_c, B_1c)
-    if delay:
+    if V.any():
         VA = V @ A_c
         blocks = (H_c, generator(VA, B_2c_bar), generator(VA, 0.0))
         H_c = np.zeros((3 * n_xu, 3 * n_xu))
@@ -264,7 +267,7 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
     Mbar_c = -CD.T @ cost.Q_c
     Qbar_c = symmetrize(-Mbar_c @ CD)  # = CD' Q_c CD
 
-    return DeqSystem(delay=delay, A_c=A_c, B_1c=B_1c, B_2c_bar=B_2c_bar, V=V,
+    return DeqSystem(A_c=A_c, B_1c=B_1c, B_2c_bar=B_2c_bar, V=V,
                      C_c=C_c, mu=cost.mu, Ts=cost.Ts, H_c=H_c,
                      H_cq=H_cq, H_cm=H_cm, E1=E1, E2=E2, Qbar_c=Qbar_c,
                      Mbar_c=Mbar_c, G_c=G_c)

@@ -2,8 +2,8 @@
 
 Because every right-hand side in the system is linear with a constant
 generator, the Runge-Kutta stage combinations collapse into constant
-matrices (Lambda, Theta, Omega...) that are computed once per (tableau,
-step size). They form the one-step seed `Interval`, which `integrate`
+matrices (Lambda, Omega...) that are computed once per (tableau, step
+size). They form the one-step seed `Interval`, which `integrate`
 folds N times, one chunk of 64 steps per iteration: the seed's powers
 P^i - I (i < 64) are built once, and each chunk's steps and their
 increments to the integrals are a few batched products on that stack. No
@@ -225,16 +225,12 @@ def stage_coefficients(tableau: ButcherTableau, G: Mat, dt: float) -> list[Mat]:
 
 
 def propagation(tableau: ButcherTableau, G: Mat, dt: float):
-    """(Lambda, Theta, stage list) for one generator: Lambda advances the
-    state by dt, Theta = sum_i b_i Lambda_i weights the stage values."""
+    """(Lambda, stage list) for one generator: Lambda = I + dt G sum_i b_i
+    Lambda_i advances the state by dt."""
     G = np.asarray(G, dtype=float)
     stages = stage_coefficients(tableau, G, dt)
-    n = G.shape[0]
-    theta = np.zeros((n, n))
-    for bi, lam_i in zip(tableau.b, stages):
-        theta = theta + bi * lam_i
-    lam = np.eye(n) + dt * (G @ theta)
-    return lam, theta, stages
+    theta = sum(bi * lam_i for bi, lam_i in zip(tableau.b, stages))
+    return np.eye(G.shape[0]) + dt * (G @ theta), stages
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,14 +244,16 @@ class CoefficientSet:
 
 def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
                        n_steps: int) -> CoefficientSet:
-    """Precompute the one-step interval for N = n_steps substeps."""
+    """Precompute the one-step interval for N = n_steps substeps. An input
+    block [[A, B], [0, 0]] has zero bottom rows, so its stages keep the rows
+    [0, I] and their top-left blocks are the stages of A alone."""
     n_steps = operator.index(n_steps)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     dt = sys.Ts / n_steps
-    lam, theta1, stages_a = propagation(tableau, sys.A_c, dt)
-    omega_q, _, stages_q = propagation(tableau, sys.H_cq, dt)
-    omega_m, _, stages_m = propagation(tableau, sys.H_cm, dt)
+    steps = [propagation(tableau, H, dt) for H in sys.input_blocks(sys.H_c)]
+    omega_q, stages_q = propagation(tableau, sys.H_cq, dt)
+    omega_m, stages_m = propagation(tableau, sys.H_cm, dt)
 
     def quadrature(stages, term):
         """dt sum_i b_i term(stage i): the tableau's own quadrature."""
@@ -267,24 +265,21 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
     m_c_t = quadrature(stages_m, lambda om: om.T @ ME)
     r_c = None
     if sys.G_c is not None:
-        GG = sys.G_c @ sys.G_c.T
-        r_c = symmetrize(quadrature(stages_a, lambda li: li @ GG @ li.T))
+        GG, n = sys.G_c @ sys.G_c.T, sys.n_x
+        r_c = symmetrize(quadrature(
+            steps[0][1], lambda li: li[:n, :n] @ GG @ li[:n, :n].T))
 
-    lam_v = b_2 = None
-    if sys.delay:
-        lam_v, theta2, _ = propagation(tableau, sys.V @ sys.A_c, dt)
-        b_2 = theta2 @ (dt * sys.B_2c_bar)
-
-    seed = Interval(A=lam, B_1=theta1 @ (dt * sys.B_1c), A_v=lam_v, B_2=b_2,
+    seed = Interval(T=np.stack([lam for lam, _ in steps]),
                     omega_q=omega_q, X_q=q_c_t, omega_m=omega_m, Y_m=m_c_t,
                     R=r_c)
     return CoefficientSet(scheme=tableau.name, n_steps=n_steps, seed=seed)
 
 
-def _chunk_powers(P: Mat, sizes) -> tuple[np.ndarray, dict]:
+def _chunk_powers(P: np.ndarray, sizes) -> tuple[np.ndarray, dict]:
     """The stack D_i = P^i - I (i < C) and, per chunk size m in `sizes`,
-    the advance P^m - I and the power sum m I + sum_{i<m} D_i."""
-    eye = np.eye(P.shape[0])
+    the advance P^m - I and the power sum m I + sum_{i<m} D_i; per matrix
+    of P when P is a stack."""
+    eye = np.eye(P.shape[-1])
     stack, step = _powers(P - eye)
     return stack, {m: ((stack[m] if m < len(stack) else step).copy(),
                        m * eye + stack[:m].sum(axis=0)) for m in set(sizes)}
@@ -293,36 +288,33 @@ def _chunk_powers(P: Mat, sizes) -> tuple[np.ndarray, dict]:
 def integrate(coeffs: CoefficientSet, sys: DeqSystem) -> CoreResult:
     """Fold the seed N times from the E_2-projected identity, one chunk of
     m <= C = 64 steps per iteration, from D_i = P^i - I (i < C) and P^C - I
-    built once per seed transition P. A chunk's transitions (I + D_i) base
-    and their increments to X_q (and R) are batched products over the
-    stack of omega_q (and of A): one small product per step, which BLAS
-    keeps on the calling thread. B_1, B_2 and Y_m take the power sum, and
-    each base advances by P^m.
+    built once per seed transition P (omega_q, omega_m and the stack T). A
+    chunk's transitions (I + D_i) base and their increments to X_q (and R)
+    are batched products over the stack of omega_q (and of T's A): one
+    small product per step, which BLAS keeps on the calling thread. Y_m
+    takes the power sum, and each base (T with its input integrals)
+    advances by P^m.
     """
-    seed, n = coeffs.seed, coeffs.n_steps
+    seed, n, n_x = coeffs.seed, coeffs.n_steps, sys.n_x
     sizes = [_CHUNK] * (n // _CHUNK) + [n % _CHUNK] * (n % _CHUNK > 0)
     pow_q, tq = _chunk_powers(seed.omega_q, sizes)
-    pow_a, ta = _chunk_powers(seed.A, sizes)
-    pow_a = None if seed.R is None else pow_a    # only R reads its stack
+    pow_t, tt = _chunk_powers(seed.T, sizes)
+    pow_a = pow_t[:, 0, :n_x, :n_x]                  # A^i - I, for R only
     tm = _chunk_powers(seed.omega_m, sizes)[1]
-    tv = None if seed.A_v is None else _chunk_powers(seed.A_v, sizes)[1]
-    A, B_1, A_v, B_2, W_q, X_q, W_m, Y_m, R = projected_identity(sys, seed)
+    T, W_q, X_q, W_m, Y_m, R = projected_identity(sys, seed)
     for m in sizes:
-        T = W_q + pow_q[:m] @ W_q                    # omega_q^{k+i} E_2
-        X_q = X_q + (T.swapaxes(1, 2) @ seed.X_q @ T).sum(axis=0)
+        Wk = W_q + pow_q[:m] @ W_q                   # omega_q^{k+i} E_2
+        X_q = X_q + (Wk.swapaxes(1, 2) @ seed.X_q @ Wk).sum(axis=0)
         if R is not None:
+            A = T[0, :n_x, :n_x]
             U = A + pow_a[:m] @ A                    # A^{k+i}
             R = R + (U @ seed.R @ U.swapaxes(1, 2)).sum(axis=0)
-        B_1 = B_1 + A @ (ta[m][1] @ seed.B_1)
         Y_m = Y_m + W_m.T @ (tm[m][1].T @ seed.Y_m)
-        if A_v is not None:
-            B_2 = B_2 + A_v @ (tv[m][1] @ seed.B_2)
-            A_v = A_v + tv[m][0] @ A_v
-        A = A + ta[m][0] @ A
+        T = T + tt[m][0] @ T
         W_q = W_q + tq[m][0] @ W_q
         W_m = W_m + tm[m][0] @ W_m
-    return core_result(Interval(A, B_1, A_v, B_2, W_q, X_q, W_m, Y_m, R),
-                       "fixed", scheme=coeffs.scheme, steps=coeffs.n_steps)
+    return core_result(sys, Interval(T, W_q, X_q, W_m, Y_m, R), "fixed",
+                       scheme=coeffs.scheme, steps=coeffs.n_steps)
 
 
 def discretize_fixed(sys: DeqSystem, tableau: ButcherTableau,

@@ -508,6 +508,8 @@ def _require(d: dict, key: str, path: str):
 
 
 def _reject_unknown(d: dict, allowed: set, path: str):
+    if not isinstance(d, dict):
+        raise ModelError(path, "expected an object")
     for key in d:
         if key not in allowed:
             raise ModelError(f"{path}.{key}", "unknown key")
@@ -531,8 +533,6 @@ def _number(value, path: str) -> float:
 
 def parse_model(doc: dict):
     """Parse a model-file dict into (plant, CostSpec). Unknown keys rejected."""
-    if not isinstance(doc, dict):
-        raise ModelError("$", "top level must be an object")
     _reject_unknown(doc, _TOP_KEYS, "$")
     model_doc = _require(doc, "model", "$")
     cost_doc = _require(doc, "cost", "$")
@@ -597,9 +597,10 @@ def parse_model(doc: dict):
 
 def load_model(path):
     """Load and parse a JSON model file; returns (plant, CostSpec)."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelError("$", f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelError("$", f"invalid JSON: {exc}") from None
     return parse_model(doc)

@@ -41,5 +41,5 @@ def discretize_step_doubling(sys: DeqSystem, tableau: ButcherTableau,
             f"coefficient set was built for N={n}, which takes "
             f"{n.bit_length() - 1} doublings, not {j}")
     iv = power(coeffs.seed, n)
-    return core_result(compose(projected_identity(sys, iv), iv), "doubling",
-                       scheme=coeffs.scheme, steps=n, doublings=j)
+    return core_result(sys, compose(projected_identity(sys, iv), iv),
+                       "doubling", scheme=coeffs.scheme, steps=n, doublings=j)

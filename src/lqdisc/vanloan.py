@@ -8,7 +8,7 @@ matrix exponential:
     Phi_2 = exp(h [[0, I], [0, H_cm']])
         =>  Omega_m = Phi_2_22',  Y_m = Phi_2_12 E_1' Mbar_c
     Phi_3 = exp(h H_c)
-        =>  [[A, B_1], [0, I]] and [[A_v, B_2], [0, I]] on its diagonal
+        =>  T, the diagonal blocks [[A_j, B_j], [0, I]] of the input blocks
     C_3   = exp(h [[-A_c, G_c G_c'], [0, A_c']])
         =>  R_ww = C_3_22' C_3_12
 
@@ -56,17 +56,14 @@ def _upper(a, b, d) -> Mat:
 
 def exact_seed(sys: DeqSystem, h: float) -> Interval:
     """The interval over h from three exponentials, four with G_c."""
-    n_h, n_x, n_xu = sys.n_h, sys.n_x, sys.n_xu
+    n_h = sys.n_h
     S = sys.E1.T @ sys.Qbar_c @ sys.E1
     phi1 = expm(h * _upper(-sys.H_cq.T, S, sys.H_cq))
     phi2 = expm(h * _upper(0.0, np.eye(n_h), sys.H_cm.T))
     phi3 = expm(h * sys.H_c)
     omega_q = phi1[n_h:, n_h:]
-    v = slice(n_xu, n_xu + n_x)
     return Interval(
-        A=phi3[:n_x, :n_x], B_1=phi3[:n_x, n_x:n_xu],
-        A_v=phi3[v, v] if sys.delay else None,
-        B_2=phi3[v, n_xu + n_x:2 * n_xu] if sys.delay else None,
+        T=sys.input_blocks(phi3),
         omega_q=omega_q, X_q=omega_q.T @ phi1[:n_h, n_h:],
         omega_m=phi2[n_h:, n_h:].T,
         Y_m=phi2[:n_h, n_h:] @ (sys.E1.T @ sys.Mbar_c),
@@ -80,7 +77,7 @@ def discretize_expm(sys: DeqSystem) -> CoreResult:
     """
     s = squarings(sys)
     iv = power(exact_seed(sys, sys.Ts / 2 ** s), 2 ** s)
-    return core_result(compose(projected_identity(sys, iv), iv), "expm",
+    return core_result(sys, compose(projected_identity(sys, iv), iv), "expm",
                        doublings=s)
 
 

@@ -74,6 +74,44 @@ def test_non_finite_weight_is_schema_error(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def _with_section(path, value):
+    """scalar.json with the section at `path` replaced by `value`."""
+    doc = json.loads(Path(SCALAR).read_text())
+    if path == "model.transfer.channels[0]":
+        doc["model"] = {"transfer": {"channels": [value]}}
+    elif path == "model.transfer":
+        doc["model"] = {"transfer": value}
+    elif path == "model.state_space":
+        doc["model"]["state_space"] = value
+    else:
+        doc[path] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value", [
+    ("model", 5), ("model", []), ("model.state_space", 5),
+    ("model.transfer", 5), ("model.transfer.channels[0]", 5),
+    ("cost", 5), ("cost", []),
+], ids=["model", "model-list", "state_space", "transfer", "channel", "cost",
+        "cost-list"])
+def test_section_that_is_not_an_object_is_schema_error(tmp_path, capsys,
+                                                       path, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with_section(path, value)))
+    rc = main(["discretize", "--model", str(bad), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert f"schema error: {path}: expected an object" in \
+        capsys.readouterr().err
+
+
+def test_model_file_that_is_not_utf8_is_schema_error(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + Path(SCALAR).read_text().encode("utf-16-le"))
+    rc = main(["discretize", "--model", str(bad), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert "schema error: $: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_missing_file_is_schema_error(tmp_path, capsys):
     rc = main(["discretize", "--model", str(tmp_path / "nope.json"),
                "--out", str(tmp_path)])

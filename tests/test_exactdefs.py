@@ -140,9 +140,9 @@ def test_compose_carries_the_earlier_input_integral_forward():
         [[-1.0]], [[gain]], [[1.0]], [[0.0]]), cost), h)
         for gain, h in ((1.0, 0.3), (2.0, 0.7)))
     want = math.exp(-0.7) * -math.expm1(-0.3) - 2.0 * math.expm1(-0.7)
-    assert exactdefs.compose(a, b).B_1[0, 0] == pytest.approx(want, rel=1e-15)
-    assert exactdefs.compose(a, b).A[0, 0] == pytest.approx(math.exp(-1.0),
-                                                             rel=1e-15)
+    (A, B), _ = exactdefs.compose(a, b).T[0]       # [[A, B], [0, 1]]
+    assert B == pytest.approx(want, rel=1e-15)
+    assert A == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_oracle_self_convergence_is_fourth_order(mimo_deq):
@@ -208,7 +208,7 @@ def _three_block(sys: DeqSystem) -> DeqSystem:
     H_c = np.block([[H_1c, zh, zh], [zh, H_2c, zh], [zh, zh, H_3c]])
     eye = np.eye(sys.n_xu)
     return dataclasses.replace(
-        sys, delay=True, H_c=H_c,
+        sys, H_c=H_c,
         H_cq=H_c - (sys.mu / 2.0) * np.eye(3 * sys.n_xu),
         H_cm=H_c - sys.mu * np.eye(3 * sys.n_xu),
         E1=np.hstack([eye, eye, -eye]), E2=np.vstack([eye, eye, eye]))

@@ -3,14 +3,16 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lqdisc.matcore import (DimensionError, DomainError, SingularMatrixError,
                             max_abs, solve)
-from lqdisc.model import ContinuousStateSpace, CostSpec
+from lqdisc.model import ContinuousStateSpace, CostSpec, load_model
 from lqdisc import fixedstep
+from lqdisc.benchcli import random_system
 from lqdisc.exactdefs import (build_deq, compose, core_result,
                               projected_identity)
 from lqdisc.fixedstep import (SCHEME_NAMES, TABLEAUS, ButcherTableau,
@@ -20,7 +22,7 @@ from lqdisc.vanloan import discretize_expm
 
 
 def _lam(scheme, g, dt):
-    lam, _, _ = propagation(named_tableau(scheme), np.array([[g]]), dt)
+    lam, _ = propagation(named_tableau(scheme), np.array([[g]]), dt)
     return lam[0, 0]
 
 
@@ -156,7 +158,7 @@ def test_fully_implicit_matches_pade():
     rng = np.random.default_rng(3)
     G = rng.normal(size=(3, 3))
     dt = 0.3
-    lam, _, _ = propagation(t, G, dt)
+    lam, _ = propagation(t, G, dt)
     Z = dt * G
     eye = np.eye(3)
     want = solve(eye - Z / 2 + Z @ Z / 12, eye + Z / 2 + Z @ Z / 12)
@@ -185,8 +187,7 @@ def test_coefficients_deterministic_and_integrate_pure(scalar_deq):
     c1 = build_coefficients(scalar_deq, t, 32)
     c2 = build_coefficients(scalar_deq, t, 32)
     present = [name for name, x in c1.seed._asdict().items() if x is not None]
-    assert set(present) == {"A", "B_1", "omega_q", "X_q", "omega_m", "Y_m",
-                            "R"}
+    assert set(present) == {"T", "omega_q", "X_q", "omega_m", "Y_m", "R"}
     for name in present:
         assert np.array_equal(getattr(c1.seed, name), getattr(c2.seed, name))
     before = {name: getattr(c1.seed, name).copy() for name in present}
@@ -309,18 +310,19 @@ def test_singular_stage_named_by_first_use_of_its_diagonal():
 
 def _folded_step_by_step(coeffs, sys):
     """The fold as one compose per step, from the E_2-projected identity,
-    with B_1 and B_2 taken as their defining step sums
-    sum_k A^k B_seed (and A_v^k): the input integrals of the earlier steps
-    carried forward, added in the order of the steps."""
-    seed = coeffs.seed
+    with each input integral B_j of T taken as its defining step sum
+    sum_k A_j^k B_j,seed, from the seed's blocks [[A_j, B_j,seed], [0, I]]:
+    the input integrals of the earlier steps carried forward, added in the
+    order of the steps."""
+    seed, n_x = coeffs.seed, sys.n_x
     iv = projected_identity(sys, seed)
-    B_1, B_2 = iv.B_1, iv.B_2
+    B = np.zeros((len(seed.T), n_x, sys.n_in))
     for _ in range(coeffs.n_steps):
-        B_1 = B_1 + iv.A @ seed.B_1
-        if B_2 is not None:
-            B_2 = B_2 + iv.A_v @ seed.B_2
+        B = B + iv.T[:, :n_x, :n_x] @ seed.T[:, :n_x, n_x:]
         iv = compose(iv, seed)
-    return iv._replace(B_1=B_1, B_2=B_2)
+    T = iv.T.copy()
+    T[:, :n_x, n_x:] = B
+    return iv._replace(T=T)
 
 
 def _plant_variants(scalar_deq, mimo_deq):
@@ -343,8 +345,8 @@ def test_chunked_fold_matches_step_by_step_fold(monkeypatch, scalar_deq,
     sys = _plant_variants(scalar_deq, mimo_deq)[plant]
     folded = []
     monkeypatch.setattr(fixedstep, "core_result",
-                        lambda iv, *a, **k: folded.append(iv) or
-                        core_result(iv, *a, **k))
+                        lambda sys, iv, *a, **k: folded.append(iv) or
+                        core_result(sys, iv, *a, **k))
     for n in (1, 2, 63, 64, 65, 129, 1000, 1024):
         coeffs = build_coefficients(sys, named_tableau(scheme), n)
         got = integrate(coeffs, sys)
@@ -353,14 +355,50 @@ def test_chunked_fold_matches_step_by_step_fold(monkeypatch, scalar_deq,
         # the transitions are seed powers formed from their differences
         # P^i - I, and the integrals add the same increments in another
         # order: both move from the step-by-step fold only by rounding
-        for name in ("A", "A_v", "omega_q", "omega_m"):
-            x, y = getattr(iv, name), getattr(want, name)
-            assert (x is None) == (y is None)
-            if y is not None:
-                assert max_abs(x - y) <= 1e-14 * max_abs(y), (n, name)
-        ref = core_result(want, "fixed")
+        n_x = sys.n_x
+        assert iv.T.shape == want.T.shape
+        pairs = {f"A_{j}": (x[:n_x, :n_x], y[:n_x, :n_x])
+                 for j, (x, y) in enumerate(zip(iv.T, want.T))}
+        pairs.update((name, (getattr(iv, name), getattr(want, name)))
+                     for name in ("omega_q", "omega_m"))
+        for name, (x, y) in pairs.items():
+            assert max_abs(x - y) <= 1e-14 * max_abs(y), (n, name)
+        ref = core_result(sys, want, "fixed")
         for name in ("B_o", "Q", "M", "R_ww"):
             x, y = getattr(got, name), getattr(ref, name)
             assert (x is None) == (y is None)
             if y is not None:
                 assert max_abs(x - y) <= 1e-14 * max_abs(y), (n, name)
+
+
+def _invariant_systems():
+    """mimo_delayed and the first 27 systems of the seed-0 sweep."""
+    plant, cost = load_model(Path(__file__).resolve().parents[1]
+                             / "models" / "mimo_delayed.json")
+    out = [pytest.param(plant, cost, id="mimo_delayed")]
+    rng = np.random.default_rng(0)
+    for i in range(27):
+        plant, cost, _ = random_system(rng, i)
+        out.append(pytest.param(plant, cost, id=f"sweep{i}"))
+    return out
+
+
+@pytest.mark.parametrize("plant,cost", _invariant_systems())
+def test_seed_blocks_step_the_state_and_hold_the_input(plant, cost):
+    """The one-step seed steps each input block [[A, B], [0, 0]] of H_c
+    whole. Its bottom block rows are zero, so every stage keeps the rows
+    [0, I] exactly, and the top-left block is the step of A alone."""
+    sys = build_deq(plant, cost)
+    n_x = sys.n_x
+    bottom = np.hstack([np.zeros((sys.n_in, n_x)), np.eye(sys.n_in)])
+    generators = [sys.A_c] + [sys.V @ sys.A_c] * bool(sys.V.any())
+    for tableau in _tableau_cases():
+        for n in (1, 4, 1024):
+            T = build_coefficients(sys, tableau, n).seed.T
+            assert T.shape == (len(generators), sys.n_xu, sys.n_xu)
+            for j, G in enumerate(generators):
+                case = (tableau.name, n, j)
+                assert np.array_equal(T[j, n_x:], bottom), case
+                want, _ = propagation(tableau, G, sys.Ts / n)
+                assert (max_abs(T[j, :n_x, :n_x] - want)
+                        <= 1e-15 * max_abs(want)), case

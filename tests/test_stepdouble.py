@@ -46,11 +46,15 @@ def test_doubled_factors_are_geometric_sums(mimo_deq):
             P = X @ P
         return acc
 
-    for name in ("A", "A_v", "omega_q", "omega_m"):
+    for name in ("omega_q", "omega_m"):
         want = np.linalg.matrix_power(getattr(seed, name), 8)
         assert max_abs(getattr(got, name) - want) < 1e-13, name
-    assert max_abs(got.B_1 - power_sum(seed.A, lambda P: P @ seed.B_1)) < 1e-13
-    assert max_abs(got.B_2 - power_sum(seed.A_v, lambda P: P @ seed.B_2)) < 1e-13
+    n_x = mimo_deq.n_x
+    assert got.T.shape[0] == 2
+    for T, T_seed in zip(got.T, seed.T):     # the A and the A_v block
+        A, B = T_seed[:n_x, :n_x], T_seed[:n_x, n_x:]
+        assert max_abs(T[:n_x, :n_x] - np.linalg.matrix_power(A, 8)) < 1e-13
+        assert max_abs(T[:n_x, n_x:] - power_sum(A, lambda P: P @ B)) < 1e-13
     assert max_abs(got.Y_m - power_sum(
         seed.omega_m, lambda P: P.T @ seed.Y_m)) < 1e-13
     assert max_abs(got.X_q - power_sum(
@@ -61,14 +65,16 @@ def test_double_updates_sums_before_squares(scalar_deq):
     """One squaring: sums see the power-1 factors, transitions square."""
     seed = build_coefficients(scalar_deq, RK4, 2).seed
     got = compose(seed, seed)
-    lam, om_q, om_m = seed.A, seed.omega_q, seed.omega_m
+    assert seed.T.shape[0] == got.T.shape[0] == 1   # plain plant: one block
+    (lam, b), (A, B) = ((iv.T[0, :1, :1], iv.T[0, :1, 1:])
+                        for iv in (seed, got))
+    om_q, om_m = seed.omega_q, seed.omega_m
     assert max_abs(got.Y_m - (seed.Y_m + om_m.T @ seed.Y_m)) < 1e-15
     assert max_abs(got.X_q - (seed.X_q + om_q.T @ seed.X_q @ om_q)) < 1e-15
-    assert max_abs(got.B_1 - (seed.B_1 + lam @ seed.B_1)) < 1e-15
-    assert max_abs(got.A - lam @ lam) < 1e-15
+    assert max_abs(B - (b + lam @ b)) < 1e-15
+    assert max_abs(A - lam @ lam) < 1e-15
     assert max_abs(got.omega_q - om_q @ om_q) < 1e-15
     assert max_abs(got.R - (seed.R + lam @ seed.R @ lam.T)) < 1e-15
-    assert got.A_v is None and got.B_2 is None   # plain plant
 
 
 def test_zero_doublings_is_one_fixed_step(mimo_deq):
@@ -112,8 +118,8 @@ def test_extract_reuses_state(mimo_deq):
     iv = compose(coeffs.seed, coeffs.seed)
     iv = compose(iv, iv)
     direct = discretize_step_doubling(mimo_deq, RK4, 2, coeffs=coeffs)
-    manual = core_result(compose(projected_identity(mimo_deq, iv), iv),
-                         "doubling")
+    manual = core_result(mimo_deq, compose(projected_identity(mimo_deq, iv),
+                                           iv), "doubling")
     for name in ("A", "B_o", "Q", "M"):
         assert np.array_equal(getattr(manual, name), getattr(direct, name))
 

@@ -123,9 +123,11 @@ def test_block_factors_are_plain_exponentials(mimo_deq):
     n_x = sys.n_x
     assert max_abs(seed.omega_q - expm(t * sys.H_cq)) < 1e-13
     assert max_abs(seed.omega_m - expm(t * sys.H_cm)) < 1e-13
-    assert max_abs(seed.A - expm(t * sys.A_c)) < 1e-13
-    assert max_abs(seed.A_v - expm(t * sys.V @ sys.A_c)) < 1e-13
-    assert max_abs(seed.B_1 - expm(t * sys.h_block(0))[:n_x, n_x:]) < 1e-13
-    assert max_abs(seed.B_2 - expm(t * sys.h_block(1))[:n_x, n_x:]) < 1e-13
+    # T holds the transitions of the two input blocks H_1c and H_2c
+    assert seed.T.shape == (2, sys.n_xu, sys.n_xu)
+    assert max_abs(seed.T[0, :n_x, :n_x] - expm(t * sys.A_c)) < 1e-13
+    assert max_abs(seed.T[1, :n_x, :n_x] - expm(t * sys.V @ sys.A_c)) < 1e-13
+    for j in (0, 1):
+        assert max_abs(seed.T[j] - expm(t * sys.h_block(j))) < 1e-13
     # no diffusion matrix on the transfer model: no noise integral
     assert seed.R is None
