@@ -1,30 +1,40 @@
-"""The JSON text of a float64 array, written without a Python float per
-value.
+"""The text of float64 arrays, written without a Python float per value.
 
-``dumps(a)`` returns exactly ``json.dumps(a.tolist())`` for a 1-D or 2-D
-float64 array. Each finite number is Python's ``repr``: the shortest
-decimal digits that read back to the same double, the closest such
-digits when there is a choice, written positionally when the decimal
-point position ``decpt`` (value = 0.d1d2... x 10^decpt) has
--4 < decpt <= 16 and as ``d.ddde±XX`` otherwise, with ``.0`` after an
-integer.
+Two writers, each equal character for character to the library call it
+replaces:
 
-The digits come from Schubfach (R. Giulietti, "The Schubfach way to
-render doubles", 2020; OpenJDK's ``DoubleToDecimal`` is the reference
-implementation), which finds them from one 126-bit power-of-ten table
-entry with fixed-width integer arithmetic. Here that arithmetic runs on
-whole uint64 arrays. Every operand is uint64, or an int64 exponent kept
-apart from them: numpy turns a uint64/int64 mix into float64.
+- ``dumps(a)`` returns ``json.dumps(a.tolist())`` for a 1-D or 2-D
+  float64 array. Each finite number is Python's ``repr``: the shortest
+  decimal digits that read back to the same double, the closest such
+  digits when there is a choice, written positionally when the decimal
+  point position ``decpt`` (value = 0.d1d2... x 10^decpt) has
+  -4 < decpt <= 16 and as ``d.ddde±XX`` otherwise, with ``.0`` after an
+  integer.
+- ``csv_rows(a)`` returns the CSV lines ``'%d,%.16e,...,%.16e\r\n' %
+  (k, *a[k])`` of a 2-D float64 array. ``'%.16e'`` is the exact value
+  correctly rounded to 17 significant digits, ties to even: not the
+  shortest digits, so it needs digits of its own.
 
-The text is assembled a chunk of whole rows at a time, in a uint8 matrix
-with one column per value and one row per character position a value
-may use. Each character a value does not use is set to 0; the rows no
-value uses are dropped, the matrix is read value by value, and the zeros
-are left out.
+Both sets of digits come from one 126-bit power-of-ten table entry g(k)
+and fixed-width integer arithmetic, as in Schubfach (R. Giulietti, "The
+Schubfach way to render doubles", 2020; OpenJDK's ``DoubleToDecimal`` is
+the reference implementation). Here that arithmetic runs on whole uint64
+arrays. Every operand is uint64, or an int64 exponent kept apart from
+them: numpy turns a uint64/int64 mix into float64. ``shortest`` is
+Schubfach's search. ``seventeen`` takes the integer part and 63 fraction
+bits of c 2^q 10^-k, 17 or 18 digits before the point, from one product,
+and rounds them; the product is less than 2 units of 2^-63 from the exact
+value, so only a value that close to a rounding tie is left open.
 
-Subnormals, NaN and the infinities are written by ``json.dumps`` one at
-a time: below the normal range Schubfach returns at least two digits
-(``7.9e-323`` where ``repr`` gives ``8e-323``).
+The text is assembled a chunk at a time, in a uint8 matrix with one
+column per value (``dumps``) or per CSV line (``csv_rows``) and one row
+per character position. Each character a column does not use is set to
+0; the matrix is read column by column, and the zeros are left out.
+
+Subnormals, NaN and the infinities are written one at a time by the call
+being replaced, and so are the values ``seventeen`` leaves open: below the
+normal range Schubfach returns at least two digits (``7.9e-323`` where
+``repr`` gives ``8e-323``), and ``seventeen`` needs a normal significand.
 """
 
 from __future__ import annotations
@@ -38,8 +48,9 @@ _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
 _M63 = _U((1 << 63) - 1)
 _C_MIN = _U(1 << 52)            # the hidden bit of a normal significand
-_K_MIN, _K_MAX = -324, 292      # decimal exponents the table covers
-_CHUNK = 4096                   # values per chunk of text assembly
+_K_MIN, _K_MAX = -325, 292      # decimal exponents the table covers
+_CHUNK = 4096                   # values (dumps) or rows (csv_rows) per
+                                # chunk of text assembly
 
 
 def _flog10pow2(e):
@@ -83,12 +94,19 @@ def _mulhi(a, b):
             + (mid >> _U(32)))
 
 
-def _rop(g1, g0, cp):
-    """Round to odd of g cp 2^-127, with g = g1 2^63 + g0."""
+def _product(g1, g0, cp):
+    """g cp 2^-127, with g = g1 2^63 + g0, as its integer part and the 63
+    bits after the point; the bits below those are dropped."""
     x1 = _mulhi(g0, cp)
     y1 = _mulhi(g1, cp)
     z = ((g1 * cp) >> _U(1)) + x1
-    return (y1 + (z >> _U(63))) | (((z & _M63) + _M63) >> _U(63))
+    return y1 + (z >> _U(63)), z & _M63
+
+
+def _rop(g1, g0, cp):
+    """Round to odd of g cp 2^-127, with g = g1 2^63 + g0."""
+    whole, frac = _product(g1, g0, cp)
+    return whole | ((frac + _M63) >> _U(63))
 
 
 def shortest(c, q):
@@ -120,6 +138,42 @@ def shortest(c, q):
     wpin = ((sp10 + _U(10)) << _U(2)) + out <= vbr
     fewer = (s >= _U(100)) & (upin != wpin)
     return np.where(fewer, sp10 + wpin.astype(_U) * _U(10), f), k
+
+
+_HALF = _U(1 << 62)             # 1/2 in the 63 bits after the point
+_TIE = _U(2)                    # the product's error bound, in 2^-63
+
+
+def seventeen(c, q):
+    """``'%.16e'`` digits of the normal doubles c 2^q.
+
+    `c` is the uint64 significand with its hidden bit, `q` the int64
+    binary exponent. Returns (f, e, near) with c 2^q ~ f 10^(e-16)
+    rounded to 17 significant digits: f is uint64 in [10^16, 10^17), e
+    is int64. Where `near` is set the value lies within the product's
+    error of a rounding tie, and f may be one off.
+    """
+    # c 2^q 10^-k lies in [4.5 10^16, 9 10^17): 17 or 18 digits before
+    # the point; c << h < 2^61 for h in [5, 8]
+    k = _flog10pow2(q) - 1
+    h = (q + _flog2pow10(-k) + 2).astype(_U)
+    g1, g0 = (part[k - _K_MIN] for part in _table())
+    # g overshoots 10^-k 2^-r by at most 1, which adds less than 2^-66 to
+    # the product, and _product drops less than 1.5 units of 2^-63: the
+    # exact c 2^q 10^-k is less than 2 units of 2^-63 from whole.frac
+    whole, frac = _product(g1, g0, c << h)
+    long = whole >= _POW10[17]
+    last = whole % _U(10)
+    f = np.where(long, whole // _U(10) + (last >= 5),
+                 whole + (frac >= _HALF))
+    # the tie is at .5 with 17 digits and at 5.0 in the last digit of 18
+    near = np.where(long, ((last == 5) & (frac <= _TIE))
+                    | ((last == 4) & (frac > _M63 - _TIE)),
+                    frac - _HALF + _TIE <= _TIE + _TIE)
+    # 9.99...95 and above round up to the next power of ten; with 18
+    # digits whole < 9 10^17 leaves no room to carry
+    carry = f == _POW10[17]
+    return np.where(carry, _POW10[16], f), k + 16 + long + carry, near
 
 
 _POW10 = np.array([10 ** i for i in range(18)], dtype=_U)
@@ -271,12 +325,83 @@ def _columns(x: np.ndarray) -> np.ndarray:
         tail *= ~positional
         tail[2] *= exp >= 100
 
-    # NaN, the infinities and subnormals: json.dumps, one by one
-    for i in np.flatnonzero(~normal):
-        if x[i] == 0:
-            continue
-        word = np.frombuffer(json.dumps(float(x[i])).encode("ascii"),
+    # NaN, the infinities and subnormals
+    _patch(text[_SIGN:-1], x, np.flatnonzero(~normal & (x != 0)), json.dumps)
+    return text
+
+
+def _patch(out, x, which, write) -> None:
+    """Put write(float(x[i])) over column i of `out`, for each i in
+    `which`, one value at a time."""
+    for i in which:
+        word = np.frombuffer(write(float(x[i])).encode("ascii"),
                              dtype=np.uint8)
-        text[_SIGN:-1, i] = 0
-        text[_SIGN:_SIGN + word.size, i] = word
+        out[:, i] = 0
+        out[:word.size, i] = word
+
+
+# '%.16e': sign, a digit, ".", 16 digits, "e", the exponent's sign and
+# three digits, the first only from 100 on
+_SCI = np.frombuffer(b"-0.0000000000000000e+000", dtype=np.uint8)[:, None]
+
+
+def csv_rows(a) -> str:
+    """``"".join("%d,%.16e,...,%.16e\\r\\n" % (k, *a[k]) for k in
+    range(len(a)))`` of a 2-D float64 array: one CSV line per row, led
+    by the row's index."""
+    a = np.asarray(a)
+    if a.dtype != np.float64 or a.ndim != 2:
+        raise ValueError(f"need a 2-D float64 array, got {a.ndim}-D "
+                         f"{a.dtype}")
+    n, cols = a.shape
+    width = len(str(max(n - 1, 0)))        # digits of the last index
+    places = 10 ** np.arange(width - 1, -1, -1)[:, None]
+    block = 1 + len(_SCI)                  # "," and one value
+    out = bytearray()
+    for r in range(0, n, _CHUNK):
+        rows = a[r:r + _CHUNK]
+        m = len(rows)
+        text = np.empty((width + cols * block + 2, m), dtype=np.uint8)
+        # the index without leading zeros
+        index = np.arange(r, r + m)
+        text[:width] = index // places % 10 + ord("0")
+        text[:width - 1] *= index >= places[:-1]
+        values = text[width:-2].reshape(cols, block, m)
+        values[:, 0] = ord(",")
+        # the values column by column, each column's text a block of rows
+        values[:, 1:] = _sci(rows.ravel(order="F")).reshape(
+            len(_SCI), cols, m).transpose(1, 0, 2)
+        text[-2:] = np.frombuffer(b"\r\n", dtype=np.uint8)[:, None]
+        out += text.T.tobytes().translate(None, b"\0")
+    return out.decode("ascii")
+
+
+def _sci(x: np.ndarray) -> np.ndarray:
+    """The text ``'%.16e' % v`` of each value v of x, one column each, with
+    0 for the characters a value does not use."""
+    bits = x.view(_U)
+    field = (bits >> _U(52)) & _U(0x7FF)
+    normal = (field != 0) & (field != 0x7FF)
+    zero = bits << _U(1) == 0
+    c = (bits & (_C_MIN - _U(1))) | _C_MIN
+    # fields 0 and 2047 get an in-range stand-in, replaced below
+    f, e, near = seventeen(c, np.clip(field, 1, 2046).astype(np.int64)
+                           - 1075)
+    f = np.where(zero, _U(0), f)
+    e = np.where(zero, 0, e)
+
+    text = np.empty((len(_SCI), x.size), dtype=np.uint8)
+    text[:] = _SCI
+    text[0] *= bits >> _U(63) == 1
+    _digit_rows(f, text[2:19])
+    text[1] = text[2]
+    text[2] = ord(".")
+    exp = np.abs(e)
+    text[20] = np.where(e < 0, ord("-"), ord("+"))
+    text[21] += (exp // 100).astype(np.uint8)
+    text[21] *= exp >= 100
+    text[22:] = np.take(_PAIRS, exp % 100).view(np.uint8).reshape(-1, 2).T
+
+    # NaN, the infinities, subnormals and the values next to a tie
+    _patch(text, x, np.flatnonzero(~normal & ~zero | near), "%.16e".__mod__)
     return text

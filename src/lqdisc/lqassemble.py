@@ -32,13 +32,19 @@ MU_LIMIT_THRESHOLD = 1e-8
 
 METHODS = ("fixed", "doubling", "expm")
 
-# The array size from which export_result_json writes an array through
-# floattext.dumps instead of json.dumps(x.tolist()); both give the same
-# text. Medians of 400 alternating calls (numpy 2.4, Python 3.11, 2-vCPU
-# x86-64 VM): the two cost the same near 768 N(0,1) draws (0.47 ms) and
-# 650 values of long_horizon's q_k. At 1024 values floattext took 0.85x
-# and 0.70x of json.dumps' time there, and 1.21x on integer values such
-# as t_k, which float.__repr__ writes fastest (they break even near 1536).
+# The array or table size from which an export goes through floattext:
+# export_result_json writes such an array with floattext.dumps instead of
+# json.dumps(x.tolist()), and export_stage_csv such a table with
+# floattext.csv_rows instead of "%.16e" row by row; each pair gives the
+# same text. Medians of 400 alternating calls (numpy 2.4, Python 3.11,
+# 2-vCPU x86-64 VM): the JSON writers cost the same near 768 N(0,1) draws
+# (0.47 ms) and 650 values of long_horizon's q_k. At 1024 values floattext
+# took 0.85x and 0.70x of json.dumps' time there, and 1.21x on integer
+# values such as t_k, which float.__repr__ writes fastest (they break even
+# near 1536). The CSV writers break even near 100 rows (300 values) of
+# long_horizon's table or of N(0,1) draws; at 341 rows (1023 values)
+# csv_rows took 0.51x and 0.47x of the row loop's time. One threshold
+# keeps floattext unimported for short horizons.
 JSON_VECTOR_MIN = 1024
 
 
@@ -293,12 +299,22 @@ def export_stage_csv(dlq: DiscreteLQ, path) -> None:
     """Write the per-stage table (k, t_k, rho_k, ||q_k||) as RFC-4180 CSV.
 
     The rows are what csv.writer writes for these fields: no field needs
-    quoting, and every line ends in CRLF.
+    quoting, and every line ends in CRLF. A table of at least
+    JSON_VECTOR_MIN values is written by `floattext.csv_rows`, which
+    gives the same text from 17 correctly rounded digits computed on the
+    whole table at once; smaller tables go through "%.16e" row by row.
     """
     st = dlq.stages
-    # sqrt(q.q) row by row is what np.linalg.norm evaluates for a 1-D
-    # array; a vectorised norm differs from it in the last bit on some rows
-    rows = zip(range(st.t_k.size), st.t_k.tolist(), st.rho_k.tolist(),
-               [math.sqrt(q.dot(q)) for q in st.q_k])
-    _overwrite(path, ["k,t_k,rho_k,q_norm\r\n", "".join(
-        "%d,%.16e,%.16e,%.16e\r\n" % row for row in rows)])
+    q = st.q_k
+    # sqrt(q.q), what np.linalg.norm evaluates for a 1-D row: a 1 x n by
+    # n x 1 matmul calls the same dot kernel (einsum and norm(q, axis=1)
+    # do not, and differ from it in the last bit on some rows)
+    q_norm = np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])
+    table = np.column_stack([st.t_k, st.rho_k, q_norm])
+    if table.size >= JSON_VECTOR_MIN:
+        from . import floattext
+        body = floattext.csv_rows(table)
+    else:
+        body = "".join("%d,%.16e,%.16e,%.16e\r\n" % (k, *row)
+                       for k, row in enumerate(table.tolist()))
+    _overwrite(path, ["k,t_k,rho_k,q_norm\r\n", body])

@@ -24,6 +24,14 @@ from .matcore import DomainError, Mat, asmat, is_psd, is_symmetric
 INTEGER_DELAY_TOL = 1e-12
 # Two fractional parts closer than this share one state block.
 UNIFORM_V_TOL = 1e-12
+# The longest horizon: every stage stores t_k, e^{-mu t_k}, rho_k and the
+# n_x + n_u entries of q_k, and both exports write a line or an array
+# row per stage.
+MAX_STAGES = 10 ** 6
+# The longest input delay, in sampling periods. Each period of delay adds
+# n_u held inputs to the lifted state, n_h = n_x + (m_bar + 1) n_u, and the
+# methods work on dense blocks of that size.
+MAX_DELAY_SAMPLES = 1000
 
 
 class ModelError(ValueError):
@@ -100,7 +108,7 @@ def _coefficients(value, path: str) -> np.ndarray:
     """Finite polynomial coefficients as a float vector."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ModelError(path, "expected a list of numbers") from None
     if arr.ndim != 1:
         raise ModelError(path, "expected a list of numbers")
@@ -220,6 +228,9 @@ class CostSpec:
                                        f"got {self.N}")
         if self.N < 1:
             raise ModelError("cost.N", "horizon must be >= 1")
+        if self.N > MAX_STAGES:
+            raise ModelError("cost.N", f"horizon must be at most "
+                                       f"{MAX_STAGES} stages, got {self.N:g}")
         zbar = np.atleast_2d(np.asarray(self.zbar, dtype=float))
         if zbar.shape[1] != q.shape[0]:
             raise ModelError("cost.zbar",
@@ -328,15 +339,17 @@ def split_delay(tau: float, Ts: float) -> tuple[int, float]:
     """Split tau/Ts = m - v with integer m >= 0 and 0 <= v < 1.
 
     Ratios within 1e-12 of an integer are treated as exact (v = 0);
-    otherwise m = ceil(tau/Ts).
+    otherwise m = ceil(tau/Ts). A ratio above MAX_DELAY_SAMPLES is a
+    DomainError.
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise DomainError(f"delay must be finite and >= 0, got {tau}")
     if not (math.isfinite(Ts) and Ts > 0):
         raise DomainError(f"sampling time must be finite and > 0, got {Ts}")
     ratio = tau / Ts
-    if not math.isfinite(ratio):
-        raise DomainError(f"delay {tau} is too long for sampling time {Ts}")
+    if not ratio <= MAX_DELAY_SAMPLES:
+        raise DomainError(f"delay {tau} is {ratio:g} sampling periods of "
+                          f"{Ts}; at most {MAX_DELAY_SAMPLES} are supported")
     nearest = round(ratio)
     if abs(ratio - nearest) <= INTEGER_DELAY_TOL:
         return int(nearest), 0.0
@@ -518,7 +531,7 @@ def _reject_unknown(d: dict, allowed: set, path: str):
 def _matrix(value, path: str) -> Mat:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(path, f"not a numeric matrix: {exc}") from None
     if arr.ndim != 2:
         raise ModelError(path, f"expected a nested (row-major) array, got ndim={arr.ndim}")
@@ -528,7 +541,10 @@ def _matrix(value, path: str) -> Mat:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelError(path, "expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:       # a JSON integer beyond the double range
+        raise ModelError(path, "number out of range") from None
 
 
 def parse_model(doc: dict):
@@ -540,6 +556,7 @@ def parse_model(doc: dict):
     if ("state_space" in model_doc) == ("transfer" in model_doc):
         raise ModelError("model", "exactly one of state_space/transfer required")
 
+    delays = []                 # (field path, delay) of every input delay
     if "state_space" in model_doc:
         ssd = model_doc["state_space"]
         _reject_unknown(ssd, _SS_KEYS, "model.state_space")
@@ -555,6 +572,8 @@ def parse_model(doc: dict):
             kwargs["delays"] = tuple(
                 _number(t, f"model.state_space.delays[{k}]")
                 for k, t in enumerate(ssd["delays"]))
+            delays = [(f"model.state_space.delays[{k}]", t)
+                      for k, t in enumerate(kwargs["delays"])]
         plant = ContinuousStateSpace(**kwargs)
     else:
         tfd = model_doc["transfer"]
@@ -573,6 +592,7 @@ def parse_model(doc: dict):
                 den=_require(chd, "den", path),
                 tau=_number(_require(chd, "tau", path), f"{path}.tau"),
             ))
+            delays.append((f"{path}.tau", channels[-1].tau))
         plant = DelayedTransferModel(tuple(channels))
 
     _reject_unknown(cost_doc, _COST_KEYS, "cost")
@@ -592,6 +612,11 @@ def parse_model(doc: dict):
         key = "Qc" if "Qc" in cost_doc else "Wz"
         raise ModelError(f"cost.{key}", f"has {cost.n_z} columns, the "
                                         f"plant has {plant.n_z} outputs")
+    for path, tau in delays:
+        try:
+            split_delay(tau, cost.Ts)
+        except DomainError as exc:
+            raise ModelError(path, str(exc)) from None
     return plant, cost
 
 

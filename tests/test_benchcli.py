@@ -74,6 +74,51 @@ def test_non_finite_weight_is_schema_error(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model,field,value,path", [
+    (SCALAR, ("cost", "N"), 1e12, "cost.N"),
+    (MIMO, ("model", "transfer", "channels", 1, "tau"), 1e9,
+     "model.transfer.channels[1].tau"),
+])
+def test_horizon_or_delay_too_long_is_schema_error(tmp_path, capsys, model,
+                                                   field, value, path):
+    """A horizon or a delay whose arrays could not be allocated is named
+    as a schema error before anything is allocated."""
+    doc = json.loads(Path(model).read_text())
+    section = doc
+    for key in field[:-1]:
+        section = section[key]
+    section[field[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["discretize", "--model", str(bad), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {path}: "), err
+    assert "at most" in err
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize("model,field,path", [
+    (SCALAR, ("cost", "N"), "cost.N"),
+    (SCALAR, ("cost", "Qc", 0, 0), "cost.Qc"),
+    (SCALAR, ("model", "state_space", "A_c", 0, 0), "model.state_space.A_c"),
+    (MIMO, ("model", "transfer", "channels", 0, "num", 0),
+     "channel(1,1).num"),
+])
+def test_integer_beyond_the_double_range_is_schema_error(tmp_path, capsys,
+                                                         model, field, path):
+    doc = json.loads(Path(model).read_text())
+    section = doc
+    for key in field[:-1]:
+        section = section[key]
+    section[field[-1]] = 10 ** 400
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["discretize", "--model", str(bad), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(f"schema error: {path}")
+
+
 def _with_section(path, value):
     """scalar.json with the section at `path` replaced by `value`."""
     doc = json.loads(Path(SCALAR).read_text())

@@ -373,17 +373,40 @@ def test_export_csv_format(tmp_path, mimo_model):
 
 def test_export_csv_norm_is_numpy_norm(tmp_path):
     """q_norm is the exact np.linalg.norm of each row, over rows whose
-    norms run from 1 down to 1e-300."""
+    norms run from 1 down to 1e-300, for tables below the crossover (301
+    rows) and above it (1001 rows), with rows of 2 to 12 entries."""
     dlq = _noisy_delayed_lq(N=1)
     rng = np.random.default_rng(4)
-    q_k = rng.normal(size=(301, 12)) * np.logspace(0, -300, 301)[:, None]
-    st = dataclasses.replace(dlq.stages, t_k=np.arange(301.0),
-                             rho_k=np.ones(301), q_k=q_k)
-    export_stage_csv(dataclasses.replace(dlq, stages=st),
-                     tmp_path / "stages.csv")
-    with open(tmp_path / "stages.csv", newline="", encoding="utf-8") as f:
-        got = [float(row[3]) for row in list(csv.reader(f))[1:]]
-    assert np.array_equal(got, [np.linalg.norm(q) for q in q_k])
+    for rows, width in ((301, 12), (1001, 12), (1001, 2), (1001, 7)):
+        q_k = rng.normal(size=(rows, width)) * np.logspace(
+            0, -300, rows)[:, None]
+        st = dataclasses.replace(dlq.stages, t_k=np.arange(float(rows)),
+                                 rho_k=np.ones(rows), q_k=q_k)
+        export_stage_csv(dataclasses.replace(dlq, stages=st),
+                         tmp_path / "stages.csv")
+        with open(tmp_path / "stages.csv", newline="",
+                  encoding="utf-8") as f:
+            got = [float(row[3]) for row in list(csv.reader(f))[1:]]
+        assert np.array_equal(got, [np.linalg.norm(q) for q in q_k]), \
+            (rows, width)
+
+
+@pytest.mark.parametrize("rows", [JSON_VECTOR_MIN // 3,
+                                  JSON_VECTOR_MIN // 3 + 1])
+def test_export_csv_at_the_crossover(tmp_path, monkeypatch, rows):
+    """Either side of the table size (3 values a row) where the export
+    switches to floattext.csv_rows: the same bytes as csv.writer."""
+    from lqdisc import floattext
+    calls = []
+    csv_rows = floattext.csv_rows
+    monkeypatch.setattr(floattext, "csv_rows",
+                        lambda a: calls.append(a.size) or csv_rows(a))
+    dlq = _noisy_delayed_lq(N=rows)
+    export_stage_csv(dlq, tmp_path / "stages.csv")
+    _reference_csv(dlq, tmp_path / "reference.csv")
+    assert (tmp_path / "stages.csv").read_bytes() == \
+        (tmp_path / "reference.csv").read_bytes()
+    assert calls == ([3 * rows] if 3 * rows >= JSON_VECTOR_MIN else [])
 
 
 def test_build_discrete_lq_provenance_and_errors(scalar_model, mimo_model):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from lqdisc.matcore import DomainError, max_abs
-from lqdisc.model import (ContinuousStateSpace, CostSpec, DelayedTransferModel,
-                          ModelError, TransferChannel, load_model, parse_model,
+from lqdisc.model import (MAX_DELAY_SAMPLES, MAX_STAGES, ContinuousStateSpace,
+                          CostSpec, DelayedTransferModel, ModelError,
+                          TransferChannel, load_model, parse_model,
                           realize_channel, realize_delays, split_delay)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -347,6 +348,27 @@ def test_cost_spec_error_paths(field, kw):
     with pytest.raises(ModelError) as exc:
         CostSpec(**base)
     assert exc.value.path == field
+
+
+def test_horizon_and_delay_limits():
+    """The longest horizon and delay are accepted, one step more is not."""
+    base = dict(Q_c=np.eye(1), mu=0.2, Ts=0.5, zbar=[[1.0]])
+    assert CostSpec(N=MAX_STAGES, **base).N == MAX_STAGES
+    with pytest.raises(ModelError) as exc:
+        CostSpec(N=MAX_STAGES + 1, **base)
+    assert exc.value.path == "cost.N"
+    assert split_delay(0.5 * MAX_DELAY_SAMPLES, 0.5) == (MAX_DELAY_SAMPLES,
+                                                         0.0)
+    with pytest.raises(DomainError, match="at most"):
+        split_delay(0.5 * MAX_DELAY_SAMPLES + 1e-6, 0.5)
+    doc = {"model": {"state_space": {
+        "A_c": [[-1.0]], "B_c": [[1.0, 1.0]], "C_c": [[1.0]],
+        "D_c": [[0.0, 0.0]], "delays": [0.0, 600.0]}},
+        "cost": {"Qc": [[1.0]], "mu": 0.0, "Ts": 0.5, "N": 1,
+                 "zbar": [[0.0]]}}
+    with pytest.raises(ModelError) as exc:
+        parse_model(doc)
+    assert exc.value.path == "model.state_space.delays[1]"
 
 
 def test_cost_spec_rejects_indefinite_weight():
