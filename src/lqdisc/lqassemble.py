@@ -9,6 +9,7 @@ evaluations for Gaussian state uncertainty and integrated process noise.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -33,18 +34,19 @@ MU_LIMIT_THRESHOLD = 1e-8
 METHODS = ("fixed", "doubling", "expm")
 
 # The array or table size from which an export goes through floattext:
-# export_result_json writes such an array with floattext.dumps instead of
-# json.dumps(x.tolist()), and export_stage_csv such a table with
-# floattext.csv_rows instead of "%.16e" row by row; each pair gives the
-# same text. Medians of 400 alternating calls (numpy 2.4, Python 3.11,
-# 2-vCPU x86-64 VM): the JSON writers cost the same near 768 N(0,1) draws
-# (0.47 ms) and 650 values of long_horizon's q_k. At 1024 values floattext
-# took 0.85x and 0.70x of json.dumps' time there, and 1.21x on integer
-# values such as t_k, which float.__repr__ writes fastest (they break even
-# near 1536). The CSV writers break even near 100 rows (300 values) of
-# long_horizon's table or of N(0,1) draws; at 341 rows (1023 values)
-# csv_rows took 0.51x and 0.47x of the row loop's time. One threshold
-# keeps floattext unimported for short horizons.
+# export_result_json writes such an array with floattext.json_chunks
+# instead of json.dumps(x.tolist()), and export_stage_csv such a table
+# with floattext.csv_chunks instead of "%.16e" row by row; each pair gives
+# the same bytes. Medians of 400 alternating calls (numpy 2.4, Python
+# 3.11, 2-vCPU x86-64 VM), floattext's time over the library's: JSON
+# 0.89x at 512 N(0,1) draws and 0.83x at 512 values of long_horizon's
+# q_k (both writers break even near 450 values), 0.64x and 0.49x at 1024;
+# on integer values such as t_k, which float.__repr__ writes fastest,
+# 1.65x at 512 and 1.16x at 1024 (even near 1300). CSV: 0.86x and 0.77x
+# at 100 rows (300 values) of long_horizon's table and of N(0,1) draws,
+# 0.34x and 0.33x at 341 rows (1023 values). From 1024 on only integer
+# arrays below about 1300 values pay (at most 1.16x), and short horizons
+# never import floattext.
 JSON_VECTOR_MIN = 1024
 
 
@@ -139,7 +141,8 @@ def stage_costs(Q: Mat, M: Mat, cost: CostSpec) -> StageCosts:
     else:
         rho_gain = -math.expm1(-x) / (2.0 * mu)
     Z = cost.zbar_at(np.arange(N))       # zbar_k, one row per stage
-    q_k = scale[:, None] * (Z @ M.T)
+    q_k = Z @ M.T
+    q_k *= scale[:, None]
     rho_k = scale * rho_gain * np.sum((Z @ cost.Q_c) * Z, axis=1)
     return StageCosts(t_k=t_k, scale=scale, q_k=q_k, rho_k=rho_k)
 
@@ -232,9 +235,8 @@ def build_discrete_lq(plant, cost: CostSpec, method: str = "expm",
 
 
 def _overwrite(path, pieces) -> None:
-    """Write the strings `pieces` as UTF-8 over the file at `path`, in
-    place, one after the other, so that a generator of pieces never holds
-    the whole text.
+    """Write the bytes `pieces` over the file at `path`, in place, each as
+    it comes, so that a generator of pieces never holds the whole text.
 
     open(path, "w") cuts an existing file to zero length first, and ext4
     (auto_da_alloc) then writes such a file to disk when it is closed; the
@@ -244,22 +246,23 @@ def _overwrite(path, pieces) -> None:
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         for piece in pieces:
-            f.write(piece.encode("utf-8"))
+            f.write(piece)
         if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
             f.truncate()
 
 
-def _json_array(x) -> str:
-    """json.dumps(x.tolist()) of an exported array, "null" for None."""
+def _json_array(x):
+    """json.dumps(x.tolist()) of an exported array as ASCII bytes, in
+    pieces; "null" for None."""
     if x is None:
-        return "null"
+        return [b"null"]
     x = np.asarray(x)
     if x.size >= JSON_VECTOR_MIN and x.dtype == np.float64 and x.ndim <= 2:
         # imported here, so that a process that writes no large array
         # does not compile it (about 2.6 ms without cached bytecode)
         from . import floattext
-        return floattext.dumps(x)
-    return json.dumps(x.tolist())
+        return floattext.json_chunks(x)
+    return [json.dumps(x.tolist()).encode("ascii")]
 
 
 def export_result_json(dlq: DiscreteLQ, path) -> None:
@@ -269,30 +272,31 @@ def export_result_json(dlq: DiscreteLQ, path) -> None:
     so the file parses to the same object as json.dumps(doc, indent=2)
     and every number is its float.__repr__. An array of at least
     JSON_VECTOR_MIN values (on a long horizon: t_k, rho_k and q_k) is
-    written by `floattext.dumps`, which gives the same text from
-    Schubfach's shortest digits (Giulietti 2020) computed on the whole
-    array at once; float.__repr__ one value at a time costs more the
-    larger the exponent, and q_k's discounted values fall to 1e-260 on a
-    3000-stage horizon. Smaller arrays go through json.dumps.
+    written by `floattext.json_chunks`, which gives the same text from
+    Schubfach's shortest digits (Giulietti 2020), computed a chunk of
+    values at a time and written to the file as each chunk is done;
+    float.__repr__ one value at a time costs more the larger the
+    exponent, and q_k's discounted values fall to 1e-260 on a 3000-stage
+    horizon. Smaller arrays go through json.dumps.
     """
     _overwrite(path, _json_pieces(dlq))
 
 
 def _json_pieces(dlq: DiscreteLQ):
-    """The text of result.json, one array at a time."""
-    yield f'{{\n  "provenance": {json.dumps(dlq.provenance)}'
+    """The bytes of result.json, a piece at a time."""
+    yield b'{\n  "provenance": ' + json.dumps(dlq.provenance).encode("ascii")
     for name in ("A", "B_o", "Q", "M", "R_ww",
                  "A_aug", "B_aug", "C_aug", "D_aug"):
-        yield f',\n  "{name}": '
-        yield _json_array(getattr(dlq, name))
+        yield f',\n  "{name}": '.encode("ascii")
+        yield from _json_array(getattr(dlq, name))
     st = dlq.stages
-    yield ',\n  "stages": {"t_k": '
-    yield _json_array(st.t_k)
-    yield ', "rho_k": '
-    yield _json_array(st.rho_k)
-    yield ', "q_k": '
-    yield _json_array(st.q_k)
-    yield "}\n}\n"
+    yield b',\n  "stages": {"t_k": '
+    yield from _json_array(st.t_k)
+    yield b', "rho_k": '
+    yield from _json_array(st.rho_k)
+    yield b', "q_k": '
+    yield from _json_array(st.q_k)
+    yield b"}\n}\n"
 
 
 def export_stage_csv(dlq: DiscreteLQ, path) -> None:
@@ -300,9 +304,10 @@ def export_stage_csv(dlq: DiscreteLQ, path) -> None:
 
     The rows are what csv.writer writes for these fields: no field needs
     quoting, and every line ends in CRLF. A table of at least
-    JSON_VECTOR_MIN values is written by `floattext.csv_rows`, which
-    gives the same text from 17 correctly rounded digits computed on the
-    whole table at once; smaller tables go through "%.16e" row by row.
+    JSON_VECTOR_MIN values is written by `floattext.csv_chunks`, which
+    gives the same text from 17 correctly rounded digits, computed a
+    chunk of rows at a time and written to the file as each chunk is
+    done; smaller tables go through "%.16e" row by row.
     """
     st = dlq.stages
     q = st.q_k
@@ -313,8 +318,9 @@ def export_stage_csv(dlq: DiscreteLQ, path) -> None:
     table = np.column_stack([st.t_k, st.rho_k, q_norm])
     if table.size >= JSON_VECTOR_MIN:
         from . import floattext
-        body = floattext.csv_rows(table)
+        body = floattext.csv_chunks(table)
     else:
-        body = "".join("%d,%.16e,%.16e,%.16e\r\n" % (k, *row)
-                       for k, row in enumerate(table.tolist()))
-    _overwrite(path, ["k,t_k,rho_k,q_norm\r\n", body])
+        body = ["".join("%d,%.16e,%.16e,%.16e\r\n" % (k, *row)
+                        for k, row in enumerate(table.tolist()))
+                .encode("ascii")]
+    _overwrite(path, itertools.chain([b"k,t_k,rho_k,q_norm\r\n"], body))

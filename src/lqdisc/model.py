@@ -11,6 +11,7 @@ system. An undelayed plant has m_bar = 0.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,6 +41,19 @@ class ModelError(ValueError):
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
+
+
+@contextlib.contextmanager
+def _named(label, path):
+    """Report a ModelError raised inside the block, whose path starts with
+    `label` (how an object names itself), under the model-file `path`."""
+    try:
+        yield
+    except ModelError as exc:
+        if not exc.path.startswith(label):
+            raise
+        raise ModelError(path + exc.path[len(label):], exc.message) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +152,7 @@ class TransferChannel:
     tau: float
 
     def __post_init__(self):
-        path = f"channel({self.i:g},{self.j:g})"
+        path = self._label(self.i, self.j)
         for name in ("i", "j"):
             index = getattr(self, name)
             if not (float(index).is_integer() and index >= 1):
@@ -158,10 +172,19 @@ class TransferChannel:
         object.__setattr__(self, "den", tuple(den))
         object.__setattr__(self, "tau", float(self.tau))
 
+    @staticmethod
+    def _label(i, j) -> str:
+        """How a channel names itself in its errors: channel(i,j)."""
+        return f"channel({i:g},{j:g})"
+
 
 @dataclass(frozen=True)
 class DelayedTransferModel:
-    """n_z x n_u grid of TransferChannels, one per (i, j), indices 1-based."""
+    """n_z x n_u grid of TransferChannels, one per (i, j), indices 1-based.
+
+    Errors name the entry of `channels` at fault (channels[k]), or
+    `channels` for a channel that is missing.
+    """
 
     channels: tuple[TransferChannel, ...]
 
@@ -169,16 +192,17 @@ class DelayedTransferModel:
         if not self.channels:
             raise ModelError("channels", "at least one channel required")
         seen = {}
-        for ch in self.channels:
+        for k, ch in enumerate(self.channels):
             if (ch.i, ch.j) in seen:
-                raise ModelError(f"channel({ch.i},{ch.j})", "duplicate channel")
+                raise ModelError(f"channels[{k}]",
+                                 f"duplicate channel ({ch.i}, {ch.j})")
             seen[(ch.i, ch.j)] = ch
         n_z = max(ch.i for ch in self.channels)
         n_u = max(ch.j for ch in self.channels)
         for i in range(1, n_z + 1):
             for j in range(1, n_u + 1):
                 if (i, j) not in seen:
-                    raise ModelError(f"channel({i},{j})", "missing channel")
+                    raise ModelError("channels", f"missing channel ({i}, {j})")
 
     @property
     def n_z(self):
@@ -585,15 +609,16 @@ def parse_model(doc: dict):
         for k, chd in enumerate(chs):
             path = f"model.transfer.channels[{k}]"
             _reject_unknown(chd, _CH_KEYS, path)
-            channels.append(TransferChannel(
-                i=_number(_require(chd, "i", path), f"{path}.i"),
-                j=_number(_require(chd, "j", path), f"{path}.j"),
-                num=_require(chd, "num", path),
-                den=_require(chd, "den", path),
-                tau=_number(_require(chd, "tau", path), f"{path}.tau"),
-            ))
+            i = _number(_require(chd, "i", path), f"{path}.i")
+            j = _number(_require(chd, "j", path), f"{path}.j")
+            num = _require(chd, "num", path)
+            den = _require(chd, "den", path)
+            tau = _number(_require(chd, "tau", path), f"{path}.tau")
+            with _named(TransferChannel._label(i, j), path):
+                channels.append(TransferChannel(i, j, num, den, tau))
             delays.append((f"{path}.tau", channels[-1].tau))
-        plant = DelayedTransferModel(tuple(channels))
+        with _named("channels", "model.transfer.channels"):
+            plant = DelayedTransferModel(tuple(channels))
 
     _reject_unknown(cost_doc, _COST_KEYS, "cost")
     if ("Qc" in cost_doc) == ("Wz" in cost_doc):

@@ -103,7 +103,7 @@ def test_horizon_or_delay_too_long_is_schema_error(tmp_path, capsys, model,
     (SCALAR, ("cost", "Qc", 0, 0), "cost.Qc"),
     (SCALAR, ("model", "state_space", "A_c", 0, 0), "model.state_space.A_c"),
     (MIMO, ("model", "transfer", "channels", 0, "num", 0),
-     "channel(1,1).num"),
+     "model.transfer.channels[0].num"),
 ])
 def test_integer_beyond_the_double_range_is_schema_error(tmp_path, capsys,
                                                          model, field, path):
@@ -117,6 +117,49 @@ def test_integer_beyond_the_double_range_is_schema_error(tmp_path, capsys,
     rc = main(["discretize", "--model", str(bad), "--out", str(tmp_path)])
     assert rc == EXIT_SCHEMA
     assert capsys.readouterr().err.startswith(f"schema error: {path}")
+
+
+def _edited_mimo(tmp_path, edit):
+    doc = json.loads(Path(MIMO).read_text())
+    edit(doc["model"]["transfer"]["channels"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+@pytest.mark.parametrize("key,value,path", [
+    ("num", [1.0, math.nan], "model.transfer.channels[2].num"),
+    ("den", [0.0, 0.0], "model.transfer.channels[2].den"),
+    ("num", [1.0, 0.0, 0.0], "model.transfer.channels[2]"),   # improper
+    ("i", 1.5, "model.transfer.channels[2].i"),
+    ("j", 0, "model.transfer.channels[2].j"),
+    ("tau", -0.5, "model.transfer.channels[2].tau"),
+])
+def test_channel_field_errors_name_the_model_file_path(tmp_path, capsys,
+                                                       key, value, path):
+    """A bad field of a transfer channel is named by its place in the
+    model file, like every other field, and exits 2."""
+    bad = _edited_mimo(tmp_path,
+                       lambda channels: channels[2].update({key: value}))
+    rc = main(["discretize", "--model", str(bad), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {path}: "), err
+
+
+@pytest.mark.parametrize("edit,path,message", [
+    (lambda channels: channels.append(dict(channels[1])),
+     "model.transfer.channels[4]", "duplicate channel (1, 2)"),
+    (lambda channels: channels.pop(2),
+     "model.transfer.channels", "missing channel (2, 1)"),
+], ids=["duplicate", "missing"])
+def test_channel_grid_errors_name_the_model_file_path(tmp_path, capsys,
+                                                      edit, path, message):
+    bad = _edited_mimo(tmp_path, edit)
+    rc = main(["discretize", "--model", str(bad), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(
+        f"schema error: {path}: {message}")
 
 
 def _with_section(path, value):

@@ -125,9 +125,9 @@ def test_export_text_at_the_crossover(size):
     rng = np.random.default_rng(size)
     x = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
     for a in (x, x.reshape(size, 1), np.arange(float(size))):
-        assert _json_array(a) == json.dumps(a.tolist())
+        assert b"".join(_json_array(a)) == json.dumps(a.tolist()).encode()
         _same_text(a)
-    assert _json_array(None) == "null"
+    assert b"".join(_json_array(None)) == b"null"
 
 
 def test_rejects_other_arrays():
@@ -148,6 +148,63 @@ def test_shortest_digits_of_powers_of_ten():
     for value, digits, exp in zip(x.tolist(), f.tolist(), k.tolist()):
         assert str(digits).rstrip("0") == "1", value
         assert float(f"{digits}e{exp}") == value
+
+
+def _field_values(fields, significands):
+    bits = (np.asarray(fields, dtype=np.uint64) << np.uint64(52)) | \
+        np.asarray(significands, dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+def test_interval_ends_from_one_product():
+    """`shortest` takes the ends of each value's rounding interval from the
+    value's own product and a shifted g, and only where such a sum lies
+    near an integer from the end's own product. Against json.dumps:
+
+    - every exponent field with the significands where the interval
+      changes shape: 2^52 (a power of two, half the gap below), 2^52 + 1
+      and 2^53 - 1, and random ones;
+    - integers from 2^53 to 2^67, where g is nearly exact and about a
+      third of the sums land within the window of an integer;
+    - dyadic values (x.5, x.25, 2^k) and short decimals."""
+    rng = np.random.default_rng(2020)
+    fields = np.arange(1, 2047)
+    special = [_field_values(fields, np.full(fields.size, s)) for s in
+               (0, 1, 2 ** 52 - 1)]
+    randoms = _field_values(np.repeat(fields, 10),
+                            rng.integers(0, 2 ** 52, 10 * fields.size))
+    big = np.repeat(np.arange(1076, 1091), 1000)
+    integers = _field_values(big, rng.integers(0, 2 ** 52, big.size))
+    assert np.all(np.floor(integers) == integers)
+    dyadic = np.concatenate([np.arange(-3000, 3000) + 0.5,
+                             np.arange(-3000, 3000) + 0.25,
+                             np.ldexp(1.0, np.arange(-1022, 1024)),
+                             np.arange(1, 5000) * 2.0 ** 60])
+    decimals = np.concatenate([np.arange(1, 20000) / 1000,
+                               np.arange(1, 20000) * 1e-7,
+                               np.round(rng.uniform(-1e6, 1e6, 20000), 3),
+                               10.0 ** np.arange(-300, 300) * 1.5])
+    for x in (*special, randoms, integers, dyadic, decimals):
+        _same_text(np.concatenate([x, -x]))
+
+
+def test_own_products_only_near_an_integer(monkeypatch):
+    """The three-product route (`_rop`) takes none of 10^5 N(0,1) draws;
+    large integers do take it, and still read back exactly."""
+    taken = []
+    rop = floattext._rop
+
+    def spy(g, cp):
+        taken.append(cp.shape[-1])
+        return rop(g, cp)
+
+    monkeypatch.setattr(floattext, "_rop", spy)
+    _same_text(np.random.default_rng(5).standard_normal(100_000))
+    assert taken == []
+    big = np.repeat(np.arange(1079, 1085), 500)
+    _same_text(_field_values(big, np.random.default_rng(6).integers(
+        0, 2 ** 52, big.size)))
+    assert sum(taken) > 100
 
 
 # ---------------------------------------------------------------------------

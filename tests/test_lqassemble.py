@@ -395,18 +395,79 @@ def test_export_csv_norm_is_numpy_norm(tmp_path):
                                   JSON_VECTOR_MIN // 3 + 1])
 def test_export_csv_at_the_crossover(tmp_path, monkeypatch, rows):
     """Either side of the table size (3 values a row) where the export
-    switches to floattext.csv_rows: the same bytes as csv.writer."""
+    switches to floattext.csv_chunks: the same bytes as csv.writer."""
     from lqdisc import floattext
     calls = []
-    csv_rows = floattext.csv_rows
-    monkeypatch.setattr(floattext, "csv_rows",
-                        lambda a: calls.append(a.size) or csv_rows(a))
+    csv_chunks = floattext.csv_chunks
+    monkeypatch.setattr(floattext, "csv_chunks",
+                        lambda a: calls.append(a.size) or csv_chunks(a))
     dlq = _noisy_delayed_lq(N=rows)
     export_stage_csv(dlq, tmp_path / "stages.csv")
     _reference_csv(dlq, tmp_path / "reference.csv")
     assert (tmp_path / "stages.csv").read_bytes() == \
         (tmp_path / "reference.csv").read_bytes()
     assert calls == ([3 * rows] if 3 * rows >= JSON_VECTOR_MIN else [])
+
+
+def test_streamed_exports_at_chunk_seams(tmp_path, monkeypatch, mimo_model):
+    """Both files are written a chunk at a time. On horizons whose q_k (in
+    result.json) or whose table (in stages.csv, 3 values a row) ends one
+    row before, on and one row after the end of a floattext chunk, they
+    equal, byte for byte, json.dumps of each top-level value and
+    csv.writer; no piece handed to the file is longer than one chunk's
+    text. Two plants: one with R_ww, and the bundled MIMO model, whose
+    q_k rows also straddle chunks."""
+    from lqdisc import floattext, lqassemble
+    step = floattext._CHUNK
+    plant, cost = mimo_model
+
+    def mimo_lq(N):
+        zbar = np.random.default_rng(N).uniform(-1.0, 1.0, size=(N, 2))
+        return build_discrete_lq(plant, dataclasses.replace(
+            cost, N=N, zbar=zbar), method="expm")
+
+    pieces = {}
+    overwrite = lqassemble._overwrite
+
+    def spy(path, parts):
+        sizes = []
+        pieces.setdefault(os.path.basename(path), []).append(sizes)
+        overwrite(path, (sizes.append(len(part)) or part for part in parts))
+
+    monkeypatch.setattr(lqassemble, "_overwrite", spy)
+    widths = []
+    for build in (_noisy_delayed_lq, mimo_lq):
+        width = build(1).stages.q_k.shape[1]
+        widths.append(width)
+        seams = (step // math.gcd(step, width), step // 3)
+        for N in [seam + d for seam in seams for d in (-1, 0, 1)]:
+            dlq = build(N)
+            export_result_json(dlq, tmp_path / "result.json")
+            st = dlq.stages
+            doc = {"provenance": dlq.provenance,
+                   **{name: None if getattr(dlq, name) is None
+                      else getattr(dlq, name).tolist()
+                      for name in _EXPORTED},
+                   "stages": {"t_k": st.t_k.tolist(),
+                              "rho_k": st.rho_k.tolist(),
+                              "q_k": st.q_k.tolist()}}
+            want = "{\n" + ",\n".join(f'  "{k}": {json.dumps(v)}'
+                                      for k, v in doc.items()) + "\n}\n"
+            assert (tmp_path / "result.json").read_bytes() == \
+                want.encode(), (width, N)
+            export_stage_csv(dlq, tmp_path / "stages.csv")
+            _reference_csv(dlq, tmp_path / "reference.csv")
+            assert (tmp_path / "stages.csv").read_bytes() == \
+                (tmp_path / "reference.csv").read_bytes(), (width, N)
+    assert any(step % width for width in widths)
+    # a value is at most 24 characters ("-1.2345678901234567e-308") with
+    # ", " and a bracket on either side; a CSV line here at most 4 digits
+    # of index, 3 values with their commas and CRLF
+    for name, limit in (("result.json", step * 28),
+                        ("stages.csv", step // 3 * (4 + 3 * 25 + 2))):
+        assert max(max(sizes) for sizes in pieces[name]) <= limit, name
+    # the header and two chunks of rows, from seam + 1 rows on
+    assert [len(sizes) for sizes in pieces["stages.csv"][-3:]] == [2, 2, 3]
 
 
 def test_build_discrete_lq_provenance_and_errors(scalar_model, mimo_model):

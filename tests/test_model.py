@@ -454,14 +454,15 @@ def test_parse_model_paths():
                            match="^cost.Qc: non-finite entries$"):
             parse_model(json.loads(json.dumps(bad)))
 
-    # channel fields: no truncated index, no non-finite coefficient or delay
+    # channel fields: no truncated index, no non-finite coefficient or
+    # delay; named by their place in the model file
     for key, value, field in (
-            ("i", 1.5, "channel(1.5,1).i"),
-            ("j", 0, "channel(1,0).j"),
-            ("num", [math.nan], "channel(1,1).num"),
-            ("den", [4.5, math.nan, 1.0], "channel(1,1).den"),
-            ("tau", math.nan, "channel(1,1).tau"),
-            ("tau", math.inf, "channel(1,1).tau")):
+            ("i", 1.5, "model.transfer.channels[0].i"),
+            ("j", 0, "model.transfer.channels[0].j"),
+            ("num", [math.nan], "model.transfer.channels[0].num"),
+            ("den", [4.5, math.nan, 1.0], "model.transfer.channels[0].den"),
+            ("tau", math.nan, "model.transfer.channels[0].tau"),
+            ("tau", math.inf, "model.transfer.channels[0].tau")):
         bad = _mimo_doc()
         bad["model"]["transfer"]["channels"][0][key] = value
         with pytest.raises(ModelError) as exc:
