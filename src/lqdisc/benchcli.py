@@ -10,9 +10,11 @@ Subcommands:
 * ``validate``: randomized sweep checking the three methods against each
   other, against the quadrature oracle, and against structural identities.
 
-CSV output is RFC 4180 with a header row and 17-significant-digit
-scientific notation; every row carries its provenance (method, scheme, N,
-reference id). Everything runs sequentially.
+CSV output is RFC 4180: a header row, floats as ``%.16e``, the reference
+id last. ``convergence.csv`` holds the errors e_A, e_B_o, e_M, e_Q per
+(method, scheme, N), ``orders.csv`` the points fitted and the order per
+(method, scheme), ``bench.csv`` each grid row's errors and median
+coeff_seconds and run_seconds. Everything runs sequentially.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +51,7 @@ EXIT_NUMERICAL = 3
 EXIT_REFERENCE = 4
 
 REFERENCE_ID = "expm"
+CONVERGENCE_METHODS = ("fixed", "doubling")
 SECONDARY_REFERENCE_ID = "simpson-65536"
 SECONDARY_PANELS = 65536
 # Errors at or below this are treated as roundoff when fitting orders.
@@ -72,41 +76,19 @@ _LIMITED_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    """Validated description of a convergence or timing study."""
-
-    methods: tuple
-    schemes: tuple
-    steps: tuple
-    out_dir: str = "."
-    reps: int = 9
-
-    def __post_init__(self):
-        if self.reps < 1:
-            raise DomainError(f"reps must be >= 1, got {self.reps}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise DomainError(
-                    f"unknown method {m!r}; choose from {METHODS}")
-        for n in self.steps:
-            if n < 1:
-                raise DomainError(f"steps must be >= 1, got {n}")
-
-
 def errors_against(core, ref) -> dict:
     """Elementwise-max errors on (A, B_o, M, Q) between two result sets."""
     return {f"e_{q}": max_abs(getattr(core, q) - getattr(ref, q))
             for q in _QUANTITIES}
 
 
-def fit_order(steps, errors, floor: float = ORDER_FIT_FLOOR):
-    """Least-squares order: -slope of log2(error) vs log2(N) above floor.
+def fit_order(steps, errors):
+    """Least-squares order: -slope of log2(e) vs log2(N), e > ORDER_FIT_FLOOR.
 
     Returns (order, points_used); order is NaN with fewer than two usable
     points.
     """
-    pts = [(n, e) for n, e in zip(steps, errors) if e > floor]
+    pts = [(n, e) for n, e in zip(steps, errors) if e > ORDER_FIT_FLOOR]
     if len(pts) < 2:
         return math.nan, len(pts)
     x = np.log2([float(p[0]) for p in pts])
@@ -124,42 +106,16 @@ def _run_steps(deq: DeqSystem, method: str, tableau: ButcherTableau,
         deq, tableau, coeffs.n_steps.bit_length() - 1, coeffs=coeffs)
 
 
-def convergence_rows(deq: DeqSystem, methods, schemes, steps,
-                     reference=None) -> list[dict]:
-    """Evaluate the (method, scheme, N) grid; rows in deterministic order."""
-    ref = reference if reference is not None else discretize_expm(deq)
-    rows = []
+def _check_grid(methods, steps, reps: int, known=METHODS) -> None:
+    """Refuse a study grid before any of it is computed."""
+    if reps < 1:
+        raise DomainError(f"reps must be >= 1, got {reps}")
     for m in methods:
-        if m not in ("fixed", "doubling"):
-            raise DomainError(f"convergence grid supports fixed and "
-                              f"doubling, got {m!r}")
-        for s in schemes:
-            tb = named_tableau(s)
-            for n in steps:
-                core = _run_steps(deq, m, tb, build_coefficients(deq, tb, n))
-                row = {"method": m, "scheme": s, "N": n}
-                row.update(errors_against(core, ref))
-                rows.append(row)
-    return rows
-
-
-def fitted_orders(rows: list[dict]) -> list[dict]:
-    """Fit one order per (method, scheme) from the max error over targets."""
-    seen, out = [], []
-    for row in rows:
-        key = (row["method"], row["scheme"])
-        if key not in seen:
-            seen.append(key)
-    for method, scheme in seen:
-        ns, es = [], []
-        for row in rows:
-            if (row["method"], row["scheme"]) == (method, scheme):
-                ns.append(row["N"])
-                es.append(max(row[f"e_{q}"] for q in _QUANTITIES))
-        order, points = fit_order(ns, es)
-        out.append({"method": method, "scheme": scheme,
-                    "order": order, "points": points})
-    return out
+        if m not in known:
+            raise DomainError(f"unknown method {m!r}; choose from {known}")
+    for n in steps:
+        if n < 1:
+            raise DomainError(f"steps must be >= 1, got {n}")
 
 
 def _median_time(fn, reps: int):
@@ -174,29 +130,50 @@ def _median_time(fn, reps: int):
 
 def bench_rows(deq: DeqSystem, methods, schemes, steps, reps: int,
                reference=None) -> list[dict]:
-    """Sequential timing rows; (coeff, run) medians over reps each."""
+    """The (method, scheme, N) study grid, run sequentially in that order:
+    per row the medians over reps of the coefficient and the run seconds,
+    and the errors against `reference` (expm when None). An expm row has
+    scheme "-", N 0 and no coefficient time."""
+    _check_grid(methods, steps, reps)
     ref = reference if reference is not None else discretize_expm(deq)
     rows = []
     for m in methods:
-        if m == "expm":
-            run_t, core = _median_time(lambda: discretize_expm(deq), reps)
-            row = {"method": m, "scheme": "-", "N": 0,
-                   "coeff_seconds": 0.0, "run_seconds": run_t}
-            row.update(errors_against(core, ref))
-            rows.append(row)
-            continue
-        for s in schemes:
-            tb = named_tableau(s)
-            for n in steps:
+        for s, n in ([("-", 0)] if m == "expm" else product(schemes, steps)):
+            if m == "expm":
+                coeff_t = 0.0
+                run_t, core = _median_time(lambda: discretize_expm(deq), reps)
+            else:
+                tb = named_tableau(s)
                 coeff_t, coeffs = _median_time(
                     lambda: build_coefficients(deq, tb, n), reps)
                 run_t, core = _median_time(
                     lambda: _run_steps(deq, m, tb, coeffs), reps)
-                row = {"method": m, "scheme": s, "N": n,
-                       "coeff_seconds": coeff_t, "run_seconds": run_t}
-                row.update(errors_against(core, ref))
-                rows.append(row)
+            rows.append({"method": m, "scheme": s, "N": n,
+                         "coeff_seconds": coeff_t, "run_seconds": run_t,
+                         **errors_against(core, ref)})
     return rows
+
+
+def convergence_rows(deq: DeqSystem, methods, schemes, steps,
+                     reference=None) -> list[dict]:
+    """The study grid of bench_rows at one rep, fixed and doubling only."""
+    _check_grid(methods, steps, 1, CONVERGENCE_METHODS)
+    return bench_rows(deq, methods, schemes, steps, 1, reference)
+
+
+def fitted_orders(rows: list[dict]) -> list[dict]:
+    """Fit one order per (method, scheme) from the max error over targets."""
+    groups = {}
+    for row in rows:
+        ns, es = groups.setdefault((row["method"], row["scheme"]), ([], []))
+        ns.append(row["N"])
+        es.append(max(row[f"e_{q}"] for q in _QUANTITIES))
+    out = []
+    for (method, scheme), (ns, es) in groups.items():
+        order, points = fit_order(ns, es)
+        out.append({"method": method, "scheme": scheme,
+                    "order": order, "points": points})
+    return out
 
 
 MU_CYCLE = (0.0, 0.2, 1.0)
@@ -403,15 +380,15 @@ def run_validation(seed: int = 0, count: int = 50, steps: int = 1024,
                             elapsed=time.perf_counter() - t0)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _out_dir(path) -> Path:
+    """The --out directory, made if missing; exit 2 if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"--out {path}: cannot make the output directory "
+                          f"({exc.strerror})") from None
+    return out
 
 
 def _load(path):
@@ -443,8 +420,7 @@ def cmd_discretize(args) -> int:
               else args.scheme or "rk4")
     dlq = build_discrete_lq(plant, cost, method=args.method, scheme=scheme,
                             steps=args.steps)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     json_path, csv_path = out / "result.json", out / "stages.csv"
     export_result_json(dlq, json_path)
     export_stage_csv(dlq, csv_path)
@@ -456,51 +432,61 @@ def cmd_discretize(args) -> int:
     return EXIT_OK
 
 
-def cmd_convergence(args) -> int:
+def _study(args, reps: int, known=METHODS):
+    """The start of convergence and bench: the model and the grid, checked
+    before any work, then the system and its expm reference (None, with
+    the failure printed, if that cannot be computed)."""
     plant, cost = _load(args.model)
-    config = StudyConfig(methods=_split_arg(args.method),
-                         schemes=_split_arg(args.scheme),
-                         steps=_int_list(args.steps, "--steps"),
-                         out_dir=args.out)
+    grid = (_split_arg(args.method), _split_arg(args.scheme),
+            _int_list(args.steps, "--steps"))
+    _check_grid(grid[0], grid[2], reps, known)
     deq = build_deq(realize_plant(plant, cost.Ts), cost)
     try:
-        ref = discretize_expm(deq)
+        return deq, grid, discretize_expm(deq)
     except Exception as exc:
         print(f"reference failure ({REFERENCE_ID}): {exc}", file=sys.stderr)
-        return EXIT_REFERENCE
+        return deq, grid, None
 
-    meta = {"reference": REFERENCE_ID,
-            "secondary_reference": {"id": SECONDARY_REFERENCE_ID,
-                                    "evaluated": False}}
+
+def _write_study(out_arg, tables, meta_name, meta) -> Path:
+    """Each (file name, columns, dict rows) table as RFC 4180 CSV, floats
+    as %.16e and the rest as str, with the reference id last; then the
+    metadata JSON."""
+    out = _out_dir(out_arg)
+    for name, columns, rows in tables:
+        with open(out / name, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow((*columns, "reference"))
+            writer.writerows(
+                [*(f"{r[c]:.16e}" if isinstance(r[c], float) else str(r[c])
+                   for c in columns), REFERENCE_ID] for r in rows)
+    (out / meta_name).write_text(json.dumps(meta, indent=2) + "\n",
+                                 encoding="utf-8")
+    return out
+
+
+def cmd_convergence(args) -> int:
+    deq, grid, ref = _study(args, 1, CONVERGENCE_METHODS)
+    if ref is None:
+        return EXIT_REFERENCE
+    secondary = {"id": SECONDARY_REFERENCE_ID, "evaluated": args.verify}
     if args.verify:
         oracle = oracle_quadrature(deq, panels=SECONDARY_PANELS)
-        gap = max(errors_against(ref, oracle).values())
-        meta["secondary_reference"] = {"id": SECONDARY_REFERENCE_ID,
-                                       "evaluated": True, "max_gap": gap}
+        gap = secondary["max_gap"] = max(errors_against(ref, oracle).values())
         if gap > 1e-6:
             print(f"reference failure: {REFERENCE_ID} and "
                   f"{SECONDARY_REFERENCE_ID} disagree by {gap:.3e}",
                   file=sys.stderr)
             return EXIT_REFERENCE
 
-    rows = convergence_rows(deq, config.methods, config.schemes,
-                            config.steps, reference=ref)
+    rows = convergence_rows(deq, *grid, reference=ref)
     orders = fitted_orders(rows)
-
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "convergence.csv",
-               ["method", "scheme", "N", "e_A", "e_B_o", "e_M", "e_Q",
-                "reference"],
-               [[r["method"], r["scheme"], str(r["N"]),
-                 _fmt(r["e_A"]), _fmt(r["e_B_o"]), _fmt(r["e_M"]),
-                 _fmt(r["e_Q"]), REFERENCE_ID] for r in rows])
-    _write_csv(out / "orders.csv",
-               ["method", "scheme", "points", "order", "reference"],
-               [[o["method"], o["scheme"], str(o["points"]),
-                 _fmt(o["order"]), REFERENCE_ID] for o in orders])
-    (out / "convergence_meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    out = _write_study(args.out, (
+        ("convergence.csv", ("method", "scheme", "N", "e_A", "e_B_o", "e_M",
+                             "e_Q"), rows),
+        ("orders.csv", ("method", "scheme", "points", "order"), orders),
+    ), "convergence_meta.json",
+        {"reference": REFERENCE_ID, "secondary_reference": secondary})
     for o in orders:
         print(f"{o['method']:9s} {o['scheme']:22s} "
               f"order {o['order']:7.3f} ({o['points']} points)")
@@ -509,36 +495,20 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    plant, cost = _load(args.model)
     if args.reps < 5:
         raise DomainError(f"timing needs --reps >= 5, got {args.reps}")
-    config = StudyConfig(methods=_split_arg(args.method),
-                         schemes=_split_arg(args.scheme),
-                         steps=_int_list(args.steps, "--steps"),
-                         out_dir=args.out, reps=args.reps)
-    deq = build_deq(realize_plant(plant, cost.Ts), cost)
-    try:
-        ref = discretize_expm(deq)
-    except Exception as exc:
-        print(f"reference failure ({REFERENCE_ID}): {exc}", file=sys.stderr)
+    deq, grid, ref = _study(args, args.reps)
+    if ref is None:
         return EXIT_REFERENCE
-
-    rows = bench_rows(deq, config.methods, config.schemes, config.steps,
-                      config.reps, reference=ref)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "bench.csv",
-               ["method", "scheme", "N", "coeff_seconds", "run_seconds",
-                "e_A", "e_B_o", "e_M", "e_Q", "reference"],
-               [[r["method"], r["scheme"], str(r["N"]),
-                 _fmt(r["coeff_seconds"]), _fmt(r["run_seconds"]),
-                 _fmt(r["e_A"]), _fmt(r["e_B_o"]), _fmt(r["e_M"]),
-                 _fmt(r["e_Q"]), REFERENCE_ID] for r in rows])
-    (out / "bench_meta.json").write_text(json.dumps({
+    rows = bench_rows(deq, *grid, args.reps, reference=ref)
+    out = _write_study(args.out, (
+        ("bench.csv", ("method", "scheme", "N", "coeff_seconds",
+                       "run_seconds", "e_A", "e_B_o", "e_M", "e_Q"), rows),
+    ), "bench_meta.json", {
         "reference": REFERENCE_ID,
-        "reps": config.reps,
+        "reps": args.reps,
         "timing_note": "median wall-clock seconds; machine-dependent",
-    }, indent=2) + "\n", encoding="utf-8")
+    })
     for r in rows:
         e_max = max(r[f"e_{q}"] for q in _QUANTITIES)
         print(f"{r['method']:9s} {r['scheme']:22s} N={r['N']:5d} "

@@ -598,7 +598,8 @@ def parse_model(doc: dict):
                 for k, t in enumerate(ssd["delays"]))
             delays = [(f"model.state_space.delays[{k}]", t)
                       for k, t in enumerate(kwargs["delays"])]
-        plant = ContinuousStateSpace(**kwargs)
+        with _named("state_space", "model.state_space"):
+            plant = ContinuousStateSpace(**kwargs)
     else:
         tfd = model_doc["transfer"]
         _reject_unknown(tfd, _TF_KEYS, "model.transfer")

@@ -13,12 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqdisc import benchcli
+from lqdisc import benchcli, build_deq, load_model, realize_plant
 from lqdisc.matcore import DimensionError, DomainError
 from lqdisc.model import realize_delays
 from lqdisc.benchcli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
-                             StudyConfig, SystemCheck, ValidationReport,
-                             fit_order, main, random_system, run_validation)
+                             SystemCheck, ValidationReport, bench_rows,
+                             convergence_rows, fit_order, main, random_system,
+                             run_validation)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 MIMO = str(MODELS / "mimo_delayed.json")
@@ -145,6 +146,32 @@ def test_channel_field_errors_name_the_model_file_path(tmp_path, capsys,
     assert rc == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith(f"schema error: {path}: "), err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("A_c", [[-1.0, 0.0]], "must be square"),
+    ("B_c", [[1.0], [2.0]], "expected (1, 1), got (2, 1)"),
+    ("C_c", [[1.0, 2.0]], "expected (1, 1), got (1, 2)"),
+    ("D_c", [[0.0, 0.0]], "expected (1, 1), got (1, 2)"),
+    ("G_c", [[1.0], [1.0]], "expected 1 rows, got 2"),
+    ("delays", [0.5, 0.5], "expected 1 entries, got 2"),
+    ("delays", [-0.5], "delays must be finite and >= 0"),
+    ("A_c", [[math.nan]], "non-finite entries"),
+], ids=["A_c-square", "B_c-shape", "C_c-shape", "D_c-shape", "G_c-rows",
+        "delays-count", "delays-sign", "non-finite"])
+def test_state_space_field_errors_name_the_model_file_path(tmp_path, capsys,
+                                                           key, value,
+                                                           message):
+    """A state-space field the plant refuses is named by its place in the
+    model file, like every other field, and exits 2."""
+    doc = json.loads(Path(SCALAR).read_text())
+    doc["model"]["state_space"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["discretize", "--model", str(bad), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert capsys.readouterr().err == (
+        f"schema error: model.state_space.{key}: {message}\n")
 
 
 @pytest.mark.parametrize("edit,path,message", [
@@ -495,22 +522,116 @@ def test_fit_order_filters_floor():
     assert math.isnan(order)
 
 
-def test_study_config_invariants():
-    ok = StudyConfig(methods=("fixed",), schemes=("rk4",), steps=(16, 32))
-    assert ok.reps == 9
-    with pytest.raises(DomainError, match="reps"):
-        StudyConfig(methods=("fixed",), schemes=("rk4",),
-                    steps=(16,), reps=0)
-    with pytest.raises(DomainError, match="unknown method"):
-        StudyConfig(methods=("euler",), schemes=("rk4",),
-                    steps=(16,))
-    with pytest.raises(DomainError, match="steps"):
-        StudyConfig(methods=("fixed",), schemes=("rk4",),
-                    steps=(0,))
+def _never(*args, **kwargs):
+    raise AssertionError("computed before the grid was checked")
+
+
+def test_bench_rows_checks_the_grid(monkeypatch):
+    """The study grid refuses an unknown method, an N below 1 and reps
+    below 1 before it computes anything, the reference included; the
+    convergence grid takes fixed and doubling only."""
+    plant, cost = load_model(SCALAR)
+    deq = build_deq(realize_plant(plant, cost.Ts), cost)
+    with monkeypatch.context() as patch:
+        for name in ("discretize_expm", "build_coefficients"):
+            patch.setattr(benchcli, name, _never)
+        for methods, steps, reps, match in (
+                (("fixed",), (16,), 0, "reps"),
+                (("fxied",), (16,), 1, "unknown method"),
+                (("euler",), (16,), 9, "unknown method"),
+                (("fixed",), (16, 0), 9, "steps")):
+            with pytest.raises(DomainError, match=match):
+                bench_rows(deq, methods, ("rk4",), steps, reps)
+        with pytest.raises(DomainError, match="'expm'"):
+            convergence_rows(deq, ("fixed", "expm"), ("rk4",), (16,))
     # doubling powers the seed for any N, not only powers of two
-    mixed = StudyConfig(methods=("fixed", "doubling"),
-                        schemes=("rk4",), steps=(48,))
-    assert mixed.steps == (48,)
+    rows = bench_rows(deq, ("fixed", "doubling"), ("rk4",), (48,), reps=1)
+    assert [(r["method"], r["N"]) for r in rows] == [("fixed", 48),
+                                                     ("doubling", 48)]
+    assert abs(rows[0]["e_Q"] - rows[1]["e_Q"]) <= 1e-12
+    assert rows[1]["e_Q"] < 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--method", "fixed,expm", "--verify"],
+    ["convergence", "--method", "fixed,euler", "--verify"],
+    ["convergence", "--steps", "16,0", "--verify"],
+    ["bench", "--method", "fxied"],
+    ["bench", "--steps", "0"],
+], ids=["convergence-expm", "convergence-unknown", "convergence-steps",
+        "bench-unknown", "bench-steps"])
+def test_grid_errors_fail_before_any_work(tmp_path, capsys, monkeypatch,
+                                          argv):
+    for name in ("discretize_expm", "oracle_quadrature", "build_coefficients"):
+        monkeypatch.setattr(benchcli, name, _never)
+    rc = main([argv[0], "--model", SCALAR, *argv[1:],
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("invalid configuration: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["discretize"],
+    ["convergence", "--method", "fixed", "--scheme", "rk4", "--steps", "16"],
+    ["bench", "--method", "expm", "--reps", "5"],
+], ids=["discretize", "convergence", "bench"])
+def test_out_that_cannot_be_a_directory_is_schema_error(tmp_path, capsys,
+                                                        argv):
+    """--out naming a file, or a path below one, exits 2 naming the path,
+    and nothing is written."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for out in (taken, taken / "sub"):
+        rc = main([argv[0], "--model", SCALAR, *argv[1:], "--out", str(out)])
+        assert rc == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: --out {out}: "), err
+        assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_text() == "kept"
+
+
+def _table(path):
+    """The CSV file's fields, after checking every line ends in CRLF."""
+    raw = path.read_bytes()
+    lines = raw.split(b"\r\n")
+    assert lines[-1] == b"" and not any(b"\n" in line for line in lines)
+    return [line.decode("ascii").split(",") for line in lines[:-1]]
+
+
+def test_study_tables_keep_their_format(tmp_path):
+    """convergence.csv, orders.csv and bench.csv: the exact header, CRLF,
+    the reference id last, integers as plain digits and every float as its
+    %.16e text, a NaN order (one point above the fit floor) included."""
+    assert main(["convergence", "--model", SCALAR, "--method", "fixed",
+                 "--scheme", "rk4,explicit-euler", "--steps", "16,1024",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["bench", "--model", SCALAR, "--method", "doubling,expm",
+                 "--steps", "16,32", "--reps", "5",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    errors = ["e_A", "e_B_o", "e_M", "e_Q"]
+    tables = {
+        "convergence.csv": ["method", "scheme", "N", *errors, "reference"],
+        "orders.csv": ["method", "scheme", "points", "order", "reference"],
+        "bench.csv": ["method", "scheme", "N", "coeff_seconds",
+                      "run_seconds", *errors, "reference"],
+    }
+    for name, header in tables.items():
+        rows = _table(tmp_path / name)
+        assert rows[0] == header, name
+        assert len(rows) > 1
+        for row in rows[1:]:
+            assert len(row) == len(header) and row[-1] == "expm", row
+            for column, field in zip(header[2:-1], row[2:-1]):
+                if column in ("N", "points"):
+                    assert field.isdigit() and field == str(int(field)), row
+                else:
+                    assert field == "%.16e" % float(field), row
+    orders = {tuple(row[:2]): row[3]
+              for row in _table(tmp_path / "orders.csv")[1:]}
+    assert orders[("fixed", "rk4")] == "nan"
+    assert float(orders[("fixed", "explicit-euler")]) > 0.9
 
 
 CLI_SCRIPT = """

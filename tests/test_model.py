@@ -482,8 +482,9 @@ def test_parse_model_state_space_form():
         parse_model(doc)
     assert exc.value.path == "model.state_space.A_c"
 
-    for key, value, field in (("delays", [math.nan], "state_space.delays"),
-                              ("G_c", [[math.inf]], "state_space.G_c")):
+    for key, value, field in (("delays", [math.nan],
+                               "model.state_space.delays"),
+                              ("G_c", [[math.inf]], "model.state_space.G_c")):
         doc = json.loads((MODELS / "scalar.json").read_text())
         doc["model"]["state_space"][key] = value
         with pytest.raises(ModelError) as exc:
