@@ -106,13 +106,16 @@ def _run_steps(deq: DeqSystem, method: str, tableau: ButcherTableau,
         deq, tableau, coeffs.n_steps.bit_length() - 1, coeffs=coeffs)
 
 
-def _check_grid(methods, steps, reps: int, known=METHODS) -> None:
-    """Refuse a study grid before any of it is computed."""
+def _check_grid(methods, schemes, steps, reps: int, known=METHODS) -> None:
+    """Refuse a study grid before any of it is computed. Every scheme
+    named is checked, also when only expm rows would run."""
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     for m in methods:
         if m not in known:
             raise DomainError(f"unknown method {m!r}; choose from {known}")
+    for s in schemes:
+        named_tableau(s)
     for n in steps:
         if n < 1:
             raise DomainError(f"steps must be >= 1, got {n}")
@@ -134,7 +137,7 @@ def bench_rows(deq: DeqSystem, methods, schemes, steps, reps: int,
     per row the medians over reps of the coefficient and the run seconds,
     and the errors against `reference` (expm when None). An expm row has
     scheme "-", N 0 and no coefficient time."""
-    _check_grid(methods, steps, reps)
+    _check_grid(methods, schemes, steps, reps)
     ref = reference if reference is not None else discretize_expm(deq)
     rows = []
     for m in methods:
@@ -157,7 +160,7 @@ def bench_rows(deq: DeqSystem, methods, schemes, steps, reps: int,
 def convergence_rows(deq: DeqSystem, methods, schemes, steps,
                      reference=None) -> list[dict]:
     """The study grid of bench_rows at one rep, fixed and doubling only."""
-    _check_grid(methods, steps, 1, CONVERGENCE_METHODS)
+    _check_grid(methods, schemes, steps, 1, CONVERGENCE_METHODS)
     return bench_rows(deq, methods, schemes, steps, 1, reference)
 
 
@@ -295,29 +298,23 @@ class ValidationReport:
 def _gamma_identity_gap(deq: DeqSystem, samples: int = 10) -> float:
     """Max deviation of the stacked transition from its three-term split
     and of its bottom block rows from [0 I], over sampled times."""
-    gap = 0.0
     n_x = deq.n_x
     bottom = np.hstack([np.zeros((deq.n_in, n_x)), np.eye(deq.n_in)])
-    for t in np.linspace(deq.Ts / samples, deq.Ts, samples):
-        g = deq.gamma(t)
-        stacked = deq.E1 @ expm(deq.H_c * t) @ deq.E2
-        gap = max(gap, max_abs(g - stacked), max_abs(g[n_x:, :] - bottom))
-    return gap
+    ts = np.linspace(deq.Ts / samples, deq.Ts, samples)
+    g = np.stack([deq.gamma(t) for t in ts])
+    stacked = deq.E1 @ expm(deq.H_c * ts[:, None, None]) @ deq.E2
+    return max(max_abs(g - stacked), max_abs(g[:, n_x:, :] - bottom))
 
 
 def _bdot_gap(deq: DeqSystem, ode_steps: int = 2048) -> float:
     """Agreement of direct dB/dt = A B + B_c integration with the
-    exponential-block value of the same integral."""
+    exponential-block value of the same integral, per input block."""
     n_x = deq.n_x
-    blk = expm(deq.h_block(0) * deq.Ts)
-    gap = max_abs(b_alternative(deq.A_c, deq.B_1c, deq.Ts, ode_steps)
-                  - blk[:n_x, n_x:])
-    if deq.delay:
-        blk2 = expm(deq.h_block(1) * deq.Ts)
-        gap = max(gap, max_abs(
-            b_alternative(deq.V @ deq.A_c, deq.B_2c_bar, deq.Ts, ode_steps)
-            - blk2[:n_x, n_x:]))
-    return gap
+    blocks = expm(deq.input_blocks(deq.H_c) * deq.Ts)
+    forms = ((deq.A_c, deq.B_1c), (deq.V @ deq.A_c, deq.B_2c_bar))
+    return max(
+        max_abs(b_alternative(A, B, deq.Ts, ode_steps) - blk[:n_x, n_x:])
+        for (A, B), blk in zip(forms, blocks))
 
 
 def _zero_delay_gap(plant: ContinuousStateSpace, cost: CostSpec) -> float:
@@ -380,6 +377,22 @@ def run_validation(seed: int = 0, count: int = 50, steps: int = 1024,
                             elapsed=time.perf_counter() - t0)
 
 
+# The files each command writes into its --out directory.
+OUTPUT_FILES = {
+    "discretize": ("result.json", "stages.csv"),
+    "convergence": ("convergence.csv", "orders.csv", "convergence_meta.json"),
+    "bench": ("bench.csv", "bench_meta.json"),
+}
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output file that is a directory."""
+    for name in OUTPUT_FILES.get(args.command, ()):
+        path = Path(args.out) / name
+        if path.is_dir():
+            raise DomainError(f"--out {args.out}: {path} is a directory")
+
+
 def _out_dir(path) -> Path:
     """The --out directory, made if missing; exit 2 if it cannot be."""
     out = Path(path)
@@ -417,7 +430,7 @@ def _int_list(value: str, flag: str) -> tuple:
 def cmd_discretize(args) -> int:
     plant, cost = _load(args.model)
     scheme = (ButcherTableau.from_file(args.tableau) if args.tableau
-              else args.scheme or "rk4")
+              else named_tableau(args.scheme or "rk4"))
     dlq = build_discrete_lq(plant, cost, method=args.method, scheme=scheme,
                             steps=args.steps)
     out = _out_dir(args.out)
@@ -439,7 +452,7 @@ def _study(args, reps: int, known=METHODS):
     plant, cost = _load(args.model)
     grid = (_split_arg(args.method), _split_arg(args.scheme),
             _int_list(args.steps, "--steps"))
-    _check_grid(grid[0], grid[2], reps, known)
+    _check_grid(*grid, reps, known)
     deq = build_deq(realize_plant(plant, cost.Ts), cost)
     try:
         return deq, grid, discretize_expm(deq)
@@ -598,6 +611,7 @@ def main(argv=None) -> int:
     handlers = {"discretize": cmd_discretize, "convergence": cmd_convergence,
                 "bench": cmd_bench, "validate": cmd_validate}
     try:
+        _check_outputs(args)
         return handlers[args.command](args)
     except ModelError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

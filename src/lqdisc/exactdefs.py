@@ -93,25 +93,24 @@ class DeqSystem:
         """True when H_c is the three-block stack of a fractional delay."""
         return self.n_h == 3 * self.n_xu
 
-    def h_block(self, k: int) -> Mat:
-        """Diagonal block k of H_c: H_1c, H_2c, H_3c for k = 0, 1, 2 with a
-        fractional delay; H_c itself for k = 0 otherwise."""
-        d = slice(k * self.n_xu, (k + 1) * self.n_xu)
-        return self.H_c[d, d]
-
-    def input_blocks(self, X: Mat) -> np.ndarray:
-        """The diagonal blocks of X (H_c or e^{H_c h}) where H_c's carry an
-        input, H_1c and with a fractional delay H_2c: (k, n_xu, n_xu)."""
+    def diagonal_blocks(self, X: Mat) -> np.ndarray:
+        """The n_xu x n_xu diagonal blocks of an n_h x n_h matrix X (H_c,
+        H_cq or H_cm): (n_h / n_xu, n_xu, n_xu). For H_c, H_1c, H_2c and
+        H_3c with a fractional delay; H_c itself otherwise."""
         n = self.n_xu
         return np.stack([X[j * n:(j + 1) * n, j * n:(j + 1) * n]
-                         for j in range(1 + self.delay)])
+                         for j in range(self.n_h // n)])
+
+    def input_blocks(self, X: Mat) -> np.ndarray:
+        """The diagonal blocks of X where H_c's carry an input, H_1c and
+        with a fractional delay H_2c: (k, n_xu, n_xu)."""
+        return self.diagonal_blocks(X)[:1 + self.delay]
 
     def gamma(self, t: float) -> Mat:
-        """Gamma(t) = E_1 e^{H_c t} E_2, the [[A, B_o], [0, I]] transition."""
-        if self.delay:
-            return (expm(self.h_block(0) * t) + expm(self.h_block(1) * t)
-                    - expm(self.h_block(2) * t))
-        return expm(self.H_c * t)
+        """Gamma(t) = E_1 e^{H_c t} E_2, the [[A, B_o], [0, I]] transition,
+        from one stacked exponential of the diagonal blocks of H_c."""
+        E = expm(self.diagonal_blocks(self.H_c) * t)
+        return E[0] + E[1] - E[2] if self.delay else E[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,9 @@
 Because every right-hand side in the system is linear with a constant
 generator, the Runge-Kutta stage combinations collapse into constant
 matrices (Lambda, Omega...) that are computed once per (tableau, step
-size). They form the one-step seed `Interval`, which `integrate`
+size). The stage kernels take a stack of same-size generators, so one
+stacked propagation steps every n_xu x n_xu block of the system at once.
+The coefficients form the one-step seed `Interval`, which `integrate`
 folds N times, one chunk of 64 steps per iteration: the seed's powers
 P^i - I (i < 64) are built once, and each chunk's steps and their
 increments to the integrals are a few batched products on that stack. No
@@ -175,33 +177,43 @@ def named_tableau(name: str) -> ButcherTableau:
         ) from None
 
 
-def stage_coefficients(tableau: ButcherTableau, G: Mat, dt: float) -> list[Mat]:
-    """Constant stage coefficients Lambda_i with Lambda_i = I + dt sum_j
-    a_ij G Lambda_j, solved once per (tableau, generator, step size).
+def _stage_error(exc: SingularMatrixError, what: str, tableau: ButcherTableau,
+                 dt: float) -> SingularMatrixError:
+    return SingularMatrixError(
+        f"singular {what} for scheme {tableau.name!r} at dt={dt:.6g}: {exc}",
+        pivot_index=exc.pivot_index, stack_index=exc.stack_index)
 
-    A diagonally implicit tableau factors I - dt d G once per distinct
-    diagonal value d and reuses the inverse for every stage with that d."""
+
+def stage_coefficients(tableau: ButcherTableau, G: Mat, dt: float) -> Mat:
+    """Constant stage coefficients Lambda_i with Lambda_i = I + dt sum_j
+    a_ij G Lambda_j, solved once per (tableau, generator, step size), for
+    each generator of a stack G (..., n, n): a stack (s, ..., n, n) over
+    the s stages.
+
+    Each stage sums its nonzero dt a_ij G Lambda_j in order of j, each a
+    product per matrix of the stack, so an explicit tableau gives every
+    generator the bits of a call on its own. A diagonally implicit tableau
+    factors I - dt d G once per distinct diagonal value d, one stacked
+    solve, and reuses the inverses for every stage with that d. A fully
+    implicit one makes one coupled stacked solve."""
     G = np.asarray(G, dtype=float)
-    n = G.shape[0]
+    n = G.shape[-1]
     a = tableau.a
     s = tableau.stages
     eye = np.eye(n)
     if tableau.kind == "implicit":
         # coupled stages: (I - dt (a kron G)) X = [I; ...; I]
         big = np.eye(s * n) - dt * np.kron(a, G)
-        rhs = np.tile(eye, (s, 1))
         try:
-            X = solve(big, rhs)
+            X = solve(big, np.tile(eye, (s, 1)))
         except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"singular stage system for scheme {tableau.name!r} at "
-                f"dt={dt:.6g}: {exc}", pivot_index=exc.pivot_index) from None
-        return [X[i * n:(i + 1) * n, :] for i in range(s)]
-    out: list[Mat] = []
+            raise _stage_error(exc, "stage system", tableau, dt) from None
+        return np.moveaxis(X.reshape(G.shape[:-2] + (s, n, n)), -3, 0)
+    out = np.empty((s,) + G.shape)
     g_lam: dict[int, Mat] = {}          # G Lambda_j, formed at its first use
     inverses: dict[float, Mat] = {}     # (I - dt d G)^-1 per diagonal value d
     for i, row in enumerate(a.tolist()):
-        rhs = eye.copy()
+        rhs = eye
         for j in range(i):
             if row[j] != 0.0:
                 if j not in g_lam:
@@ -213,24 +225,21 @@ def stage_coefficients(tableau: ButcherTableau, G: Mat, dt: float) -> list[Mat]:
                 try:
                     inverses[d] = solve(eye - (dt * d) * G, eye)
                 except SingularMatrixError as exc:
-                    raise SingularMatrixError(
-                        f"singular stage {i} for scheme {tableau.name!r} at "
-                        f"dt={dt:.6g}: {exc}",
-                        pivot_index=exc.pivot_index) from None
-            lam_i = inverses[d] @ rhs
-        else:
-            lam_i = rhs
-        out.append(lam_i)
+                    raise _stage_error(exc, f"stage {i}", tableau,
+                                       dt) from None
+            rhs = inverses[d] @ rhs
+        out[i] = rhs
     return out
 
 
 def propagation(tableau: ButcherTableau, G: Mat, dt: float):
-    """(Lambda, stage list) for one generator: Lambda = I + dt G sum_i b_i
-    Lambda_i advances the state by dt."""
+    """(Lambda, stages) for a generator stack G (..., n, n), stages as from
+    `stage_coefficients`: Lambda = I + dt G sum_i b_i Lambda_i advances the
+    state by dt."""
     G = np.asarray(G, dtype=float)
     stages = stage_coefficients(tableau, G, dt)
     theta = sum(bi * lam_i for bi, lam_i in zip(tableau.b, stages))
-    return np.eye(G.shape[0]) + dt * (G @ theta), stages
+    return np.eye(G.shape[-1]) + dt * (G @ theta), stages
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,36 +251,56 @@ class CoefficientSet:
     seed: Interval
 
 
+def _quadrature(tableau: ButcherTableau, dt: float, terms: Mat) -> Mat:
+    """dt sum_i b_i terms_i over a stack of per-stage terms: the tableau's
+    own quadrature."""
+    return dt * sum(bi * x for bi, x in zip(tableau.b, terms))
+
+
+def _block_diag(blocks: Mat) -> Mat:
+    """The block-diagonal matrices (..., d n, d n) of blocks (..., d, n, n)."""
+    d, n = blocks.shape[-3], blocks.shape[-1]
+    out = np.zeros(blocks.shape[:-3] + (d * n, d * n))
+    for j in range(d):
+        out[..., j * n:(j + 1) * n, j * n:(j + 1) * n] = blocks[..., j, :, :]
+    return out
+
+
 def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
                        n_steps: int) -> CoefficientSet:
-    """Precompute the one-step interval for N = n_steps substeps. An input
-    block [[A, B], [0, 0]] has zero bottom rows, so its stages keep the rows
-    [0, I] and their top-left blocks are the stages of A alone."""
+    """Precompute the one-step interval for N = n_steps substeps.
+
+    One stacked propagation steps every n_xu x n_xu generator at once: the
+    input blocks of H_c, then the diagonal blocks of H_cq and of H_cm (both
+    block diagonal, each block an H_jc shifted by mu/2 or mu). omega_q,
+    omega_m and their stages are those blocks put back on the diagonal; the
+    integrals are the tableau's own quadrature dt sum_i b_i over the
+    stages. An input block [[A, B], [0, 0]] has zero bottom rows, so its
+    stages keep the rows [0, I] and their top-left blocks are the stages
+    of A alone, which give R."""
     n_steps = operator.index(n_steps)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     dt = sys.Ts / n_steps
-    steps = [propagation(tableau, H, dt) for H in sys.input_blocks(sys.H_c)]
-    omega_q, stages_q = propagation(tableau, sys.H_cq, dt)
-    omega_m, stages_m = propagation(tableau, sys.H_cm, dt)
-
-    def quadrature(stages, term):
-        """dt sum_i b_i term(stage i): the tableau's own quadrature."""
-        return dt * sum(bi * term(x) for bi, x in zip(tableau.b, stages))
-
+    inputs = sys.input_blocks(sys.H_c)
+    k, d = len(inputs), sys.n_h // sys.n_xu
+    lam, stages = propagation(tableau, np.concatenate([
+        inputs, sys.diagonal_blocks(sys.H_cq),
+        sys.diagonal_blocks(sys.H_cm)]), dt)
+    q, m = slice(k, k + d), slice(k + d, None)
+    L_q, L_m = _block_diag(stages[:, q]), _block_diag(stages[:, m])
     S = sys.E1.T @ sys.Qbar_c @ sys.E1
-    q_c_t = symmetrize(quadrature(stages_q, lambda om: om.T @ S @ om))
     ME = sys.E1.T @ sys.Mbar_c
-    m_c_t = quadrature(stages_m, lambda om: om.T @ ME)
-    r_c = None
+    X_q = _quadrature(tableau, dt, L_q.swapaxes(1, 2) @ S @ L_q)
+    Y_m = _quadrature(tableau, dt, L_m.swapaxes(1, 2) @ ME)
+    R = None
     if sys.G_c is not None:
-        GG, n = sys.G_c @ sys.G_c.T, sys.n_x
-        r_c = symmetrize(quadrature(
-            steps[0][1], lambda li: li[:n, :n] @ GG @ li[:n, :n].T))
-
-    seed = Interval(T=np.stack([lam for lam, _ in steps]),
-                    omega_q=omega_q, X_q=q_c_t, omega_m=omega_m, Y_m=m_c_t,
-                    R=r_c)
+        A = stages[:, 0, :sys.n_x, :sys.n_x]
+        R = symmetrize(_quadrature(
+            tableau, dt, A @ (sys.G_c @ sys.G_c.T) @ A.swapaxes(1, 2)))
+    seed = Interval(T=lam[:k], omega_q=_block_diag(lam[q]),
+                    X_q=symmetrize(X_q), omega_m=_block_diag(lam[m]),
+                    Y_m=Y_m, R=R)
     return CoefficientSet(scheme=tableau.name, n_steps=n_steps, seed=seed)
 
 

@@ -7,8 +7,8 @@ matrix exponential:
         =>  Omega_q = Phi_1_22,  X_q = Phi_1_22' Phi_1_12
     Phi_2 = exp(h [[0, I], [0, H_cm']])
         =>  Omega_m = Phi_2_22',  Y_m = Phi_2_12 E_1' Mbar_c
-    Phi_3 = exp(h H_c)
-        =>  T, the diagonal blocks [[A_j, B_j], [0, I]] of the input blocks
+    Phi_3 = exp(h H_j), one stack over the input blocks H_j of H_c
+        =>  T, the transitions [[A_j, B_j], [0, I]]
     C_3   = exp(h [[-A_c, G_c G_c'], [0, A_c']])
         =>  R_ww = C_3_22' C_3_12
 
@@ -60,10 +60,9 @@ def exact_seed(sys: DeqSystem, h: float) -> Interval:
     S = sys.E1.T @ sys.Qbar_c @ sys.E1
     phi1 = expm(h * _upper(-sys.H_cq.T, S, sys.H_cq))
     phi2 = expm(h * _upper(0.0, np.eye(n_h), sys.H_cm.T))
-    phi3 = expm(h * sys.H_c)
     omega_q = phi1[n_h:, n_h:]
     return Interval(
-        T=sys.input_blocks(phi3),
+        T=expm(h * sys.input_blocks(sys.H_c)),
         omega_q=omega_q, X_q=omega_q.T @ phi1[:n_h, n_h:],
         omega_m=phi2[n_h:, n_h:].T,
         Y_m=phi2[:n_h, n_h:] @ (sys.E1.T @ sys.Mbar_c),

@@ -17,9 +17,9 @@ from lqdisc import benchcli, build_deq, load_model, realize_plant
 from lqdisc.matcore import DimensionError, DomainError
 from lqdisc.model import realize_delays
 from lqdisc.benchcli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
-                             SystemCheck, ValidationReport, bench_rows,
-                             convergence_rows, fit_order, main, random_system,
-                             run_validation)
+                             OUTPUT_FILES, SystemCheck, ValidationReport,
+                             bench_rows, convergence_rows, fit_order, main,
+                             random_system, run_validation)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 MIMO = str(MODELS / "mimo_delayed.json")
@@ -527,9 +527,10 @@ def _never(*args, **kwargs):
 
 
 def test_bench_rows_checks_the_grid(monkeypatch):
-    """The study grid refuses an unknown method, an N below 1 and reps
-    below 1 before it computes anything, the reference included; the
-    convergence grid takes fixed and doubling only."""
+    """The study grid refuses an unknown method or scheme (also where only
+    expm rows would run), an N below 1 and reps below 1 before it computes
+    anything, the reference included; the convergence grid takes fixed and
+    doubling only."""
     plant, cost = load_model(SCALAR)
     deq = build_deq(realize_plant(plant, cost.Ts), cost)
     with monkeypatch.context() as patch:
@@ -542,6 +543,11 @@ def test_bench_rows_checks_the_grid(monkeypatch):
                 (("fixed",), (16, 0), 9, "steps")):
             with pytest.raises(DomainError, match=match):
                 bench_rows(deq, methods, ("rk4",), steps, reps)
+        for methods in (("fixed",), ("expm",)):
+            with pytest.raises(DomainError, match="unknown scheme 'rk5'"):
+                bench_rows(deq, methods, ("rk4", "rk5"), (16,), 1)
+        with pytest.raises(DomainError, match="unknown scheme 'rk5'"):
+            convergence_rows(deq, ("doubling",), ("rk5",), (16,))
         with pytest.raises(DomainError, match="'expm'"):
             convergence_rows(deq, ("fixed", "expm"), ("rk4",), (16,))
     # doubling powers the seed for any N, not only powers of two
@@ -556,13 +562,19 @@ def test_bench_rows_checks_the_grid(monkeypatch):
     ["convergence", "--method", "fixed,expm", "--verify"],
     ["convergence", "--method", "fixed,euler", "--verify"],
     ["convergence", "--steps", "16,0", "--verify"],
+    ["convergence", "--scheme", "rk4,rk5", "--verify"],
     ["bench", "--method", "fxied"],
     ["bench", "--steps", "0"],
+    ["bench", "--method", "expm", "--scheme", "bogus"],
+    ["discretize", "--method", "expm", "--scheme", "bogus"],
 ], ids=["convergence-expm", "convergence-unknown", "convergence-steps",
-        "bench-unknown", "bench-steps"])
+        "convergence-scheme", "bench-unknown", "bench-steps",
+        "bench-expm-scheme", "discretize-expm-scheme"])
 def test_grid_errors_fail_before_any_work(tmp_path, capsys, monkeypatch,
                                           argv):
-    for name in ("discretize_expm", "oracle_quadrature", "build_coefficients"):
+    """Also an unknown scheme, even where only expm would run."""
+    for name in ("discretize_expm", "oracle_quadrature", "build_coefficients",
+                 "build_discrete_lq"):
         monkeypatch.setattr(benchcli, name, _never)
     rc = main([argv[0], "--model", SCALAR, *argv[1:],
                "--out", str(tmp_path / "out")])
@@ -590,6 +602,42 @@ def test_out_that_cannot_be_a_directory_is_schema_error(tmp_path, capsys,
         assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == [taken]
     assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["discretize"], name) for name in OUTPUT_FILES["discretize"]] + [
+    (["convergence", "--method", "fixed", "--scheme", "rk4", "--steps", "16"],
+     name) for name in OUTPUT_FILES["convergence"]] + [
+    (["bench", "--method", "expm", "--reps", "5"], name)
+    for name in OUTPUT_FILES["bench"]])
+def test_output_file_that_is_a_directory_is_schema_error(
+        tmp_path, capsys, monkeypatch, argv, name):
+    """An output file whose path is an existing directory exits 2 naming
+    that path, before any work, and nothing is written."""
+    for fn in ("build_discrete_lq", "discretize_expm", "build_coefficients"):
+        monkeypatch.setattr(benchcli, fn, _never)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    rc = main([argv[0], "--model", SCALAR, *argv[1:], "--out", str(out)])
+    assert rc == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err == (f"invalid configuration: --out {out}: {out / name} "
+                   "is a directory\n")
+    assert list(out.iterdir()) == [out / name]
+    assert list((out / name).iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["discretize"],
+    ["convergence", "--method", "fixed", "--scheme", "rk4", "--steps", "16"],
+    ["bench", "--method", "expm", "--reps", "5"],
+], ids=["discretize", "convergence", "bench"])
+def test_each_command_writes_its_output_files(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([argv[0], "--model", SCALAR, *argv[1:], "--out", str(out)]) \
+        == EXIT_OK
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(OUTPUT_FILES[argv[0]])
 
 
 def _table(path):

@@ -221,13 +221,14 @@ def test_generators_equal_their_block_assembly(mimo_deq, scalar_deq):
         zu = np.zeros((sys.n_in, sys.n_in))
         H_1c = np.block([[sys.A_c, sys.B_1c], [zx, zu]])
         want = {"H_c": H_1c, "block 0": H_1c}
-        got = {"H_c": sys.H_c, "block 0": sys.h_block(0)}
+        blocks = sys.diagonal_blocks(sys.H_c)
+        got = {"H_c": sys.H_c, "block 0": blocks[0]}
         if sys.delay:
             full = _three_block(sys)
             want["H_c"] = full.H_c
             for k in (1, 2):
-                want[f"block {k}"] = full.h_block(k)
-                got[f"block {k}"] = sys.h_block(k)
+                want[f"block {k}"] = full.diagonal_blocks(full.H_c)[k]
+                got[f"block {k}"] = blocks[k]
         for name, ref in want.items():
             assert got[name].shape == ref.shape, name
             assert got[name].tobytes() == ref.tobytes(), name

@@ -308,6 +308,116 @@ def test_singular_stage_named_by_first_use_of_its_diagonal():
         stage_coefficients(t, np.eye(2) / 0.3, 1.0)
 
 
+def _different_generators(p, n, seed=11):
+    """p generators of size n, each with its own spectrum."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.normal(size=(n, n)) / math.sqrt(n)
+                     - (1.0 + j) * np.eye(n) for j in range(p)])
+
+
+def _assert_same(got, want, tableau, case):
+    """Bits for an explicit tableau, whose stages are sums of products; an
+    implicit one also solves, so allow the last bits to move."""
+    if tableau.kind == "explicit":
+        assert np.array_equal(got, want), case
+    else:
+        assert max_abs(got - want) <= 1e-15 * max_abs(want), case
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_a_stack_of_generators_matches_separate_calls(n):
+    """Every tableau kind, two diagonal values and a fully implicit one
+    included: stages and transitions of a stack are, generator by
+    generator, those of separate calls, in any stack shape."""
+    G = _different_generators(4, n)
+    for tableau in _tableau_cases():
+        for dt in (0.1, 1.0):
+            lam, stages = propagation(tableau, G, dt)
+            assert lam.shape == G.shape
+            assert stages.shape == (tableau.stages,) + G.shape
+            for j, Gj in enumerate(G):
+                lam_j, stages_j = propagation(tableau, Gj, dt)
+                case = (tableau.name, dt, j)
+                _assert_same(stages[:, j], stages_j, tableau, case)
+                _assert_same(lam[j], lam_j, tableau, case)
+            nested = stage_coefficients(tableau, G.reshape(2, 2, n, n), dt)
+            assert np.array_equal(nested, stages.reshape(-1, 2, 2, n, n))
+
+
+def test_singular_member_of_a_stack_is_named_by_stage_and_index():
+    t = ButcherTableau.from_dict(TWO_DIAGONALS)
+    G = np.stack([np.eye(2), np.eye(2) / 0.6, np.eye(2) / 0.3])
+    with pytest.raises(SingularMatrixError, match="stage 0 for scheme "
+                       "'two-diagonal-dirk' at dt=1: .*stack index 2, "
+                       "pivot 0") as exc:
+        stage_coefficients(t, G, 1.0)
+    assert (exc.value.stack_index, exc.value.pivot_index) == ((2,), 0)
+    with pytest.raises(SingularMatrixError, match="stage 1 .*stack index 1"):
+        stage_coefficients(t, G[:2], 1.0)
+
+
+def _seed_per_generator(sys, tableau, n):
+    """The one-step seed from one propagation per generator at full size:
+    each input block, then H_cq and H_cm whole, with the quadratures taken
+    stage by stage."""
+    dt = sys.Ts / n
+    steps = [propagation(tableau, H, dt) for H in sys.input_blocks(sys.H_c)]
+    omega_q, stages_q = propagation(tableau, sys.H_cq, dt)
+    omega_m, stages_m = propagation(tableau, sys.H_cm, dt)
+    S = sys.E1.T @ sys.Qbar_c @ sys.E1
+    ME = sys.E1.T @ sys.Mbar_c
+    b = tableau.b
+    X_q = dt * sum(bi * (x.T @ S @ x) for bi, x in zip(b, stages_q))
+    Y_m = dt * sum(bi * (x.T @ ME) for bi, x in zip(b, stages_m))
+    R = None
+    if sys.G_c is not None:
+        n_x, GG = sys.n_x, sys.G_c @ sys.G_c.T
+        R = dt * sum(bi * (x[:n_x, :n_x] @ GG @ x[:n_x, :n_x].T)
+                     for bi, x in zip(b, steps[0][1]))
+    return dict(T=np.stack([lam for lam, _ in steps]), omega_q=omega_q,
+                X_q=X_q, omega_m=omega_m, Y_m=Y_m, R=R)
+
+
+@pytest.mark.parametrize(
+    "plant", ["plain", "plain-diffusion", "delayed", "delayed-diffusion"])
+def test_stacked_seed_matches_one_propagation_per_generator(scalar_deq,
+                                                            mimo_deq, plant):
+    """The n_xu-sized blocks of H_cq and H_cm, stepped in one stack and put
+    back on the diagonal, give the seed of the full-size generators."""
+    sys = _plant_variants(scalar_deq, mimo_deq)[plant]
+    for tableau in _tableau_cases():
+        got = build_coefficients(sys, tableau, 64).seed._asdict()
+        want = _seed_per_generator(sys, tableau, 64)
+        for name, y in want.items():
+            x = got[name]
+            assert (x is None) == (y is None), name
+            if y is not None:
+                assert x.shape == y.shape, (tableau.name, name)
+                assert max_abs(x - y) <= 1e-15 * max_abs(y), (tableau.name,
+                                                              name)
+
+
+def test_one_stacked_solve_per_diagonal_value_for_a_whole_build(monkeypatch,
+                                                                mimo_deq):
+    """On the delayed model esdirk4 solves once for all eight generators:
+    two input blocks, and three blocks each of H_cq and H_cm."""
+    calls = []
+
+    def counting_solve(A, B):
+        calls.append(A.shape)
+        return solve(A, B)
+
+    monkeypatch.setattr("lqdisc.fixedstep.solve", counting_solve)
+    build_coefficients(mimo_deq, named_tableau("esdirk4"), 1024)
+    assert calls == [(8, mimo_deq.n_xu, mimo_deq.n_xu)]
+    calls.clear()
+    build_coefficients(mimo_deq, ButcherTableau.from_dict(TWO_DIAGONALS), 16)
+    assert len(calls) == 2
+    calls.clear()
+    build_coefficients(mimo_deq, named_tableau("rk4"), 1024)
+    assert calls == []
+
+
 def _folded_step_by_step(coeffs, sys):
     """The fold as one compose per step, from the E_2-projected identity,
     with each input integral B_j of T taken as its defining step sum

@@ -164,6 +164,34 @@ def test_expm_matches_scipy_on_the_methods_arguments(
         assert expm_gap(X) <= EXPM_RTOL
 
 
+def _different_generators(n):
+    """Matrices of size n whose 1-norms fall in every Pade degree band and
+    across the squaring thresholds of degree 13, a zero matrix among them."""
+    rng = np.random.default_rng(n)
+    out = [np.zeros((n, n))]
+    for norm in (*THETA, 0.5 * THETA_13, 2 * THETA_13, 40.0, 300.0):
+        X = rng.normal(size=(n, n))
+        out.append(X * (0.9 * norm / norm1(X)))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("n", (1, 3, 12))
+def test_expm_on_a_stack_matches_separate_calls(n):
+    """Each matrix of a stack gets its own degree and squarings: the stack
+    gives, matrix by matrix, the bits of separate calls, within the bound
+    against mpmath at 30 digits, in any stack shape."""
+    stack = _different_generators(n)
+    got = expm(stack)
+    assert got.shape == stack.shape
+    for X, R in zip(stack, got):
+        assert np.array_equal(R, expm(X))
+        want = mp_expm(X)
+        assert max_abs(R - want) <= EXPM_RTOL * max_abs(want)
+    nested = stack[:8].reshape(2, 4, n, n)
+    assert np.array_equal(expm(nested), got[:8].reshape(2, 4, n, n))
+    assert expm(stack[:0]).shape == (0, n, n)
+
+
 def test_expm_nilpotent():
     X = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert max_abs(expm(X) - np.array([[1.0, 1.0], [0.0, 1.0]])) < 1e-15
@@ -192,6 +220,60 @@ def test_solve_singular_reports_pivot():
     with pytest.raises(SingularMatrixError) as exc:
         solve(A, np.eye(2))
     assert exc.value.pivot_index == 1
+
+
+def _stack_for_solve(n):
+    """Well-conditioned matrices, and one whose inverse fails the pivot
+    bound while its smallest pivot (3 tolerances) stays above it, so it
+    takes the explicit elimination and then LAPACK's solve."""
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(4, n, n)) + n * np.eye(n)
+    A[2] = np.eye(n)
+    A[2, -1, -1] = 3 * PIVOT_RTOL
+    return A
+
+
+@pytest.mark.parametrize("n", (1, 2, 6))
+def test_solve_on_a_stack_matches_separate_calls(n):
+    A = _stack_for_solve(n)
+    rng = np.random.default_rng(n + 1)
+    B = rng.normal(size=(n, 3))
+    Bs = rng.normal(size=(4, n, 3))
+    for rhs, per in ((B, lambda i: B), (Bs, lambda i: Bs[i])):
+        got = solve(A, rhs)
+        assert got.shape == (4, n, 3)
+        for i in range(4):
+            assert np.array_equal(got[i], solve(A[i], per(i))), i
+    with pytest.raises(DimensionError):
+        solve(A, Bs[:2])
+
+
+def test_singular_member_of_a_stack_names_its_index_and_pivot():
+    good = np.array([[2.0, 1.0], [1.0, 3.0]])
+    rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])   # pivot 1 vanishes
+    near = rank_one + [[0.0, 0.0], [0.0, 1e-14]]    # pivot 1 below the rule
+    stacks = {
+        # the stacked inverse exists; the pivot rule fails on member 2
+        "bound": np.stack([good, good, near]),
+        # an exactly singular matrix makes the stacked inverse raise, so
+        # every member takes the elimination, in stack order
+        "inverse raises": np.stack([good, np.zeros((2, 2)), rank_one]),
+    }
+    np.linalg.inv(stacks["bound"])
+    for name, A in stacks.items():
+        with pytest.raises(SingularMatrixError, match="stack index") as exc:
+            solve(A, np.eye(2))
+        want = (2, 1) if name == "bound" else (1, 0)
+        assert (exc.value.stack_index, exc.value.pivot_index) == (
+            (want[0],), want[1]), name
+        assert f"stack index {want[0]}, pivot {want[1]}" in str(exc.value)
+    with pytest.raises(SingularMatrixError) as exc:
+        solve(np.stack([[good, good], [good, rank_one]]), np.eye(2))
+    assert exc.value.stack_index == (1, 1)
+    with pytest.raises(SingularMatrixError) as exc:
+        solve(rank_one, np.eye(2))
+    assert exc.value.stack_index is None
+    assert "stack" not in str(exc.value)
 
 
 def _parent_pivot_check(A):

@@ -127,7 +127,7 @@ def test_block_factors_are_plain_exponentials(mimo_deq):
     assert seed.T.shape == (2, sys.n_xu, sys.n_xu)
     assert max_abs(seed.T[0, :n_x, :n_x] - expm(t * sys.A_c)) < 1e-13
     assert max_abs(seed.T[1, :n_x, :n_x] - expm(t * sys.V @ sys.A_c)) < 1e-13
-    for j in (0, 1):
-        assert max_abs(seed.T[j] - expm(t * sys.h_block(j))) < 1e-13
+    for j, H in enumerate(sys.input_blocks(sys.H_c)):
+        assert max_abs(seed.T[j] - expm(t * H)) < 1e-13
     # no diffusion matrix on the transfer model: no noise integral
     assert seed.R is None
