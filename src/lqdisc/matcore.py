@@ -1,12 +1,12 @@
 """Dense real-matrix kernel shared by the discretization modules.
 
 Numpy only, with the dimension and conditioning checks the rest of the
-package relies on: the matrix exponential (Pade scaling and squaring,
-Higham 2005 and Al-Mohy & Higham 2009), a pivot-checked linear solve, and
-symmetry/PSD helpers. The two seed kernels, `expm` and `solve`, take a
-stack (..., n, n) of same-size matrices and treat each matrix as a
-separate call would, with one batched pass of numpy work per stack; a
-single matrix is a stack of one.
+package relies on: the matrix exponential (truncated Taylor series by
+Paterson-Stockmeyer with scaling and squaring, Al-Mohy & Higham 2011),
+a pivot-checked linear solve, and symmetry/PSD helpers. The two seed
+kernels, `expm` and `solve`, take a stack (..., n, n) of same-size
+matrices and treat each matrix as a separate call would, with one
+batched pass of numpy work per stack; a single matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -69,50 +69,28 @@ def _require_finite(X: Mat, name: str) -> Mat:
     return X
 
 
-def _pade(m: int) -> tuple:
-    """Coefficients b_0..b_m of the [m/m] Pade numerator of e^x, b_m = 1."""
-    return tuple(float(math.factorial(2 * m - j)
-                       // (math.factorial(j) * math.factorial(m - j)))
-                 for j in range(m + 1))
-
-
-# Largest 1-norm at which the degree-m approximant is accurate to unit
-# roundoff (Higham 2005), and the degree-13 bound on the power-norm
-# estimate (Al-Mohy & Higham 2009).
-_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-          (7, 9.504178996162932e-1), (9, 2.097847961257068))
-_THETA_BOUNDS = [theta for _, theta in _THETA]
-_THETA_13 = 4.25
-_B = {m: _pade(m) for m in (3, 5, 7, 9, 13)}
-# Degree m < 13: U = X W_0, V = W_1 with W = rows @ [I, X^2, X^4, ...].
-_ODD_EVEN = {m: np.array([b[1::2], b[0::2]]) for m, b in _B.items() if m < 13}
-# Degree 13: U = X (X^6 W_0 + W_1), V = X^6 W_2 + W_3 over [I, X^2, X^4, X^6].
-_ROWS_13 = np.array([[0.0, *_B[13][9::2]], _B[13][1:9:2],
-                     [0.0, *_B[13][8:13:2]], _B[13][0:8:2]])
-# log2(u / |c_27|): u the unit roundoff, c_27 the leading coefficient of
-# the degree-13 backward error series.
-_LOG2_U_C27 = -53 + math.log2(math.factorial(26) * math.factorial(27)
-                              / math.factorial(13) ** 2)
-
-
-def _ell(X: Mat, norm1: float) -> int:
-    """Squarings the degree-13 approximant needs beyond the power-norm
-    choice (Al-Mohy & Higham 2009): ceil(log2(alpha / u) / 26)
-    with alpha = |c_27| || |X|^27 ||_1 / ||X||_1, or 0. Since
-    || |X|^27 ||_1 <= ||X||_1^27, it is 0 when ||X||_1^26 |c_27| <= u."""
-    log2_bound = 26 * math.log2(norm1)
-    if log2_bound <= _LOG2_U_C27:
-        return 0
-    C = np.abs(X) / norm1               # ||C||_1 = 1: no power overflows
-    v = C.sum(axis=0)                   # 1' C
-    C2 = C @ C
-    C4 = C2 @ C2
-    C8 = C4 @ C4
-    v = v @ C2 @ C8 @ (C8 @ C8)         # 1' C^(1 + 2 + 8 + 16)
-    top = float(v.max())
-    if top == 0.0:
-        return 0
-    return max(math.ceil((log2_bound + math.log2(top) - _LOG2_U_C27) / 26), 0)
+# Taylor degrees m = 4q + 3, each with the largest 1-norm at which the
+# truncated series T_m is accurate to unit roundoff u = 2^-53:
+# theta_m solves sum_k |c_k| theta^(k-1) = u over the series
+# log(e^-x T_m(x)) = sum_{k>m} c_k x^k (Al-Mohy & Higham 2011). Degree 31
+# would never be the cheapest: what it covers with s squarings, degree 23
+# covers with s + 1 (2 theta_23 > theta_31) at one product less.
+_DEGREES = (3, 7, 11, 15, 19, 23, 27)
+_THETA = (1.3863478661191213e-5, 2.3844555325002736e-2,
+          2.1423580684517107e-1, 6.4108352330411986e-1,
+          1.2603810606426388, 2.0147107809446162, 2.861449633934264)
+# Per degree from 7 up, highest first: (products, log2 theta_m, index, p).
+# The products are X^2, X^3, X^4 and one per block after the first; p is
+# the largest of 3, 4, 5 with p (p - 1) <= m + 1, so alpha_p may bound
+# the degree's backward error (see _scaled).
+_STEPS = tuple((3 + m // 4, math.log2(theta), d,
+                max(p for p in (3, 4, 5) if p * (p - 1) <= m + 1))
+               for d, (m, theta) in reversed(list(enumerate(zip(_DEGREES,
+                                                                 _THETA))))
+               if m > 3)
+# Row j: the coefficients 1/(4j + i)!, i = 0..3, of the block B_j.
+_ROWS = tuple(np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)]
+                        for j in range(m // 4 + 1)]) for m in _DEGREES)
 
 
 def _square_stack(X, name: str) -> Mat:
@@ -131,69 +109,115 @@ def _norms(X: Mat, axis: int) -> Mat:
     return np.abs(X).sum(axis=axis).max(axis=-1, initial=0.0)
 
 
-def _even_powers(X: Mat, k: int) -> Mat:
-    """[X^2, X^4, ..., X^(2k)] of each matrix of a stack X (p, n, n), as
-    (p, k, n, n)."""
-    P = np.empty(X.shape[:1] + (k,) + X.shape[1:])
-    np.matmul(X, X, out=P[:, 0])
-    for j in range(1, k):
-        np.matmul(P[:, j - 1], P[:, 0], out=P[:, j])
+def _powers(X: Mat, k: int) -> Mat:
+    """[I, X, X^2, X^3, X^4] of each matrix of a stack X (p, n, n), as
+    (p, 5, n, n); X^4 is left zero for k = 3."""
+    p, n = X.shape[:2]
+    P = np.zeros((p, 5, n, n))
+    P.reshape(p, -1)[:, :n * n:n + 1] = 1.0
+    P[:, 1] = X
+    np.matmul(X, X, out=P[:, 2])
+    np.matmul(P[:, 2:3], P[:, 1:k - 1], out=P[:, 3:k + 1])  # X^2 [X, X^2]
     return P
 
 
-def _combine(rows: Mat, P: Mat) -> Mat:
-    """rows @ [I, P_1, ..., P_k] over the flattened matrices, per stack
-    member: (p, r, n, n) from P (p, k, n, n)."""
-    p, k, n = P.shape[:2] + P.shape[-1:]
-    W = rows[:, 1:] @ P.reshape(p, k, n * n)
-    W[..., ::n + 1] += rows[:, :1]
-    return W.reshape(p, len(rows), n, n)
-
-
-def _pade_ratio(U: Mat, V: Mat) -> Mat:
-    """r_m = (V - U)^-1 (V + U)."""
-    return np.linalg.solve(V - U, V + U)
-
-
-def _approximant(X: Mat, d: int, norm1: list) -> Mat:
-    """The approximant of degree index d (3, 5, 7, 9, then 13 with its
-    squarings) on a stack X (p, n, n) of 1-norms norm1."""
-    if d < len(_THETA):
-        m = _THETA[d][0]
-        W = _combine(_ODD_EVEN[m], _even_powers(X, m // 2))
-        return _pade_ratio(X @ W[:, 0], W[:, 1])
-    P = _even_powers(X, 3)
-    s = []
-    for Xi, (n4, n6), norm in zip(X, _norms(P[:, 1:], -2).tolist(), norm1):
-        eta = max(n4 ** 0.25, (n4 * n6) ** 0.1)
-        si = max(math.ceil(math.log2(eta / _THETA_13)), 0) if eta > 0.0 else 0
-        s.append(si + _ell(Xi * 2.0 ** -si, norm * 2.0 ** -si))
-    if max(s):
-        scale = np.array([2.0 ** -si for si in s])
-        X = X * scale[:, None, None]
-        P *= (scale[:, None] ** np.array([2, 4, 6]))[..., None, None]
-    W = _combine(_ROWS_13, P)
-    U = X @ (P[:, 2] @ W[:, 0] + W[:, 1])
-    R = _pade_ratio(U, P[:, 2] @ W[:, 2] + W[:, 3])
-    for _ in range(min(s)):             # the squarings every matrix takes
-        R = R @ R
-    for k in range(min(s), max(s)):
-        live = [i for i, si in enumerate(s) if si > k]
-        R[live] = R[live] @ R[live]
+def _taylor(P: Mat, d: int) -> Mat:
+    """T_m(X), m = _DEGREES[d], per matrix from P = [I, X, ..., X^4]
+    (p, 5, n, n) by Paterson-Stockmeyer: T_m = sum_j (X^4)^j B_j with
+    B_j = sum_i X^i / (4j + i)!, in Horner form in X^4."""
+    p, n = P.shape[0], P.shape[-1]
+    B = (_ROWS[d] @ P[:, :4].reshape(p, 4, n * n)).reshape(p, -1, n, n)
+    R, X4 = B[:, -1], P[:, 4]
+    for j in range(B.shape[1] - 2, -1, -1):
+        R = R @ X4
+        R += B[:, j]
     return R
 
 
+def _step(log2_alpha: tuple) -> tuple:
+    """(degree index, squarings) for log2_alpha[p - 3] = log2(alpha_p),
+    p = 3, 4, 5: the fewest products plus squarings, the fewest squarings
+    on a tie."""
+    best = (math.inf,)
+    for products, log2_theta, d, p in _STEPS:
+        s = math.ceil(log2_alpha[p - 3] - log2_theta)
+        if s < 0:
+            s = 0
+        if products + s < best[0]:
+            best = (products + s, d, s)
+    return best[1:]
+
+
+def _scaled(X: Mat, norm1: list) -> tuple:
+    """Degree index, squarings s and the powers [I, X_s, ..., X_s^4] of
+    X_s = 2^-s X, per matrix of a stack X (p, n, n) of 1-norms norm1.
+
+    With d_k = ||X^k||^(1/k), alpha_p = max(d_p, d_(p+1)) bounds the
+    backward error of T_m where p (p - 1) <= m + 1 (Al-Mohy & Higham 2011,
+    Thm 4.2), and so does its minimum over smaller p, and ||X||. Each
+    matrix takes the degree m >= 7 and the s >= 0 with
+    2^-s alpha <= theta_m at the fewest products plus squarings, first
+    from X^2, X^3, X^4, which T_m uses anyway (alpha_3). Where that asks
+    for two squarings or more and d_4 is at most alpha_3 / 2, X^5 and X^6
+    give alpha_4 and alpha_5: on a non-normal matrix, such as a Van Loan
+    block with a large coupling, they save squarings, and each squaring
+    costs accuracy. A matrix of 1-norm 2^128 or more has its powers taken
+    of 2^-e X, with 1-norm below 1, so that none overflows; the powers of
+    X_s are then scaled by 2^(k (e - s)), exactly.
+    """
+    e = [math.frexp(x)[1] if x >= 2.0 ** 128 else 0 for x in norm1]
+    if any(e):
+        X = np.ldexp(X, np.negative(e)[:, None, None])
+    P = _powers(X, 4)
+    alpha, steps, refine = [], [], []
+    for i, (x, (y2, y3, y4)) in enumerate(
+            zip(norm1, _norms(P[:, 2:], -2).tolist())):
+        d3, d4 = y3 ** (1 / 3), y4 ** 0.25
+        a = min(math.ldexp(x, -e[i]), max(y2 ** 0.5, d3), max(d3, d4))
+        alpha.append(a)
+        # a zero alpha (vanishing powers) counts as the least double
+        t = e[i] + math.log2(max(a, 5e-324))
+        steps.append(_step((t, t, t)))
+        if steps[-1][1] >= 2 and d4 <= a / 2:
+            refine.append((i, d4))
+    if refine:
+        Y = _rows_of(P, [i for i, _ in refine])
+        y5 = _norms(Y[:, 4] @ Y[:, 1], -2).tolist()
+        y6 = _norms(Y[:, 4] @ Y[:, 2], -2).tolist()
+        for (i, d4), x5, x6 in zip(refine, y5, y6):
+            d5 = x5 ** 0.2
+            a4 = min(alpha[i], max(d4, d5))
+            a5 = min(a4, max(d5, x6 ** (1 / 6)))
+            steps[i] = _step(tuple(e[i] + math.log2(max(a, 5e-324))
+                                   for a in (alpha[i], a4, a5)))
+    degree = [d for d, _ in steps]
+    s = [si for _, si in steps]
+    shift = [[k * (ei - si) for k in range(1, 5)] for ei, si in zip(e, s)]
+    if any(map(any, shift)):
+        np.ldexp(P[:, 1:], np.array(shift)[..., None, None], out=P[:, 1:])
+    return degree, s, P
+
+
 def expm(X: Mat) -> Mat:
-    """Matrix exponential e^X by Pade scaling and squaring, per matrix of a
-    stack (..., n, n); one matrix is a stack of one.
+    """Matrix exponential e^X by Taylor scaling and squaring, per matrix of
+    a stack (..., n, n); one matrix is a stack of one.
+
+    The truncated series T_m of degree m = 3, 7, ..., 27 is evaluated by
+    Paterson-Stockmeyer from X^2, X^3 and X^4 with matrix products alone,
+    and no LAPACK call: a solve, as a Pade approximant needs, costs as
+    much as 11-13 products of its size on numpy with OpenBLAS. A matrix
+    whose 1-norm is at most theta_27 takes the cheapest degree with
+    ||X||_1 <= theta_m, unscaled. Above, the degree m >= 7 and the
+    squarings s come from alpha = min(||X||, max(d_2, d_3), max(d_3, d_4)),
+    d_k = ||X^k||^(1/k), with 2^-s alpha <= theta_m (Al-Mohy & Higham
+    2011), and from X^5 and X^6 too where the powers fall off fast (see
+    `_scaled`). X^2, X^3 and X^4 are formed once for both. No 1-norm in the
+    double range overflows them, and e^X below the double range comes
+    back as zeros.
 
     Each matrix gets its own degree and squarings, so a stack gives, matrix
-    by matrix, the results of separate calls. Degree 3, 5, 7 or 9 when the
-    1-norm is at most its threshold (Higham 2005). Above, degree 13 with s
-    squarings picked from ||X^4||^(1/4) and
-    ||X^10||^(1/10) <= (||X^4|| ||X^6||)^(1/10), the powers the degree-13
-    approximant forms anyway (Al-Mohy & Higham 2009). The matrices of one
-    degree go through the approximant as one stack.
+    by matrix, the results of separate calls. The matrices of one degree,
+    scaled or not, go through the approximant as one stack.
     """
     X = _square_stack(X, "expm argument")
     shape, n = X.shape, X.shape[-1]
@@ -202,15 +226,47 @@ def expm(X: Mat) -> Mat:
     if not max(norm1, default=0.0) < math.inf:
         _require_finite(X, "expm argument")
         raise DomainError("expm argument has a 1-norm that overflows")
-    degree = [bisect.bisect_left(_THETA_BOUNDS, x) for x in norm1]
-    groups = set(degree)
-    if len(groups) == 1:
-        return _approximant(X, groups.pop(), norm1).reshape(shape)
-    R = np.empty_like(X)
-    for d in groups:
-        sel = [i for i, di in enumerate(degree) if di == d]
-        R[sel] = _approximant(X[sel], d, [norm1[i] for i in sel])
-    return R.reshape(shape)
+    degree = [bisect.bisect_left(_THETA, x) for x in norm1]
+    s = [0] * len(degree)
+    direct = [i for i, d in enumerate(degree) if d < len(_THETA)]
+    R = None
+    if len(direct) < len(degree):
+        scaled = [i for i, d in enumerate(degree) if d == len(_THETA)]
+        ds, ss, P = _scaled(_rows_of(X, scaled), [norm1[i] for i in scaled])
+        for i, di, si in zip(scaled, ds, ss):
+            degree[i], s[i] = di, si
+        R = _fill(R, X, scaled, degree, P)
+    if direct:
+        k = 4 if max(degree[i] for i in direct) else 3
+        R = _fill(R, X, direct, degree, _powers(_rows_of(X, direct), k))
+    for k in range(max(s, default=0)):
+        live = [i for i, si in enumerate(s) if si > k]
+        if len(live) == len(s):
+            R = R @ R
+        else:
+            R[live] = R[live] @ R[live]
+    return (X.copy() if R is None else R).reshape(shape)
+
+
+def _rows_of(X: Mat, index: list) -> Mat:
+    """X[index], without a copy when index is the whole stack."""
+    return X if len(index) == len(X) else X[index]
+
+
+def _fill(R, X: Mat, index: list, degree: list, P: Mat) -> Mat:
+    """R with R[index] = T_m of the matrices X[index], whose powers are P,
+    m = _DEGREES[degree[i]], one stack per degree; R is made when None."""
+    groups = {}
+    for j, i in enumerate(index):
+        groups.setdefault(degree[i], []).append(j)
+    for d, sel in groups.items():
+        T = _taylor(_rows_of(P, sel), d)
+        if len(sel) == len(X):
+            return T
+        if R is None:
+            R = np.empty_like(X)
+        R[[index[j] for j in sel]] = T
+    return R
 
 
 def _first_small_pivot(A: Mat, tol: float):

@@ -19,7 +19,10 @@ the quadrature cross-check.
 The -H_cq' block grows like e^{||h H_cq||}, so a long or strongly
 discounted interval overflows Phi_1. The seed is therefore taken at
 h = Ts/2^s, with s chosen from the 1-norms of Ts H_cq and Ts H_cm, and
-squared s times with `compose` (Higham, 2005).
+squared s times with `compose`: the scaling and squaring that
+`matcore.expm` applies to its Taylor approximant (Paterson-Stockmeyer,
+degree and squarings from the alpha_p power-norm bound of Al-Mohy &
+Higham, 2011), here over the whole interval.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 
 import numpy as np
 
-from .matcore import Mat, asmat, expm, symmetrize
+from .matcore import Mat, NumericalError, asmat, expm, symmetrize
 from .exactdefs import (CoreResult, DeqSystem, Interval, compose,
                         core_result, power, projected_identity)
 
@@ -81,9 +84,20 @@ def discretize_expm(sys: DeqSystem) -> CoreResult:
 
 
 def rww_expm(A_c: Mat, G_c: Mat, t: float) -> Mat:
-    """R_ww(t) = int_0^t e^{A_c s} G_c G_c' e^{A_c' s} ds via one exponential."""
+    """R_ww(t) = int_0^t e^{A_c s} G_c G_c' e^{A_c' s} ds via one exponential.
+
+    The block holds both -A_c and A_c', so it grows like e^{t ||A_c||}
+    whatever the sign of A_c's eigenvalues; where it overflows, this
+    raises NumericalError naming t and ||A_c||_1 instead of returning NaN.
+    """
     A_c = asmat(A_c)
     G_c = asmat(G_c)
     n = A_c.shape[0]
-    c3 = expm(t * _upper(-A_c, G_c @ G_c.T, A_c.T))
-    return symmetrize(c3[n:, n:].T @ c3[:n, n:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c3 = expm(t * _upper(-A_c, G_c @ G_c.T, A_c.T))
+        R = c3[n:, n:].T @ c3[:n, n:]
+    if not np.isfinite(R).all():
+        raise NumericalError(
+            f"R_ww over t = {t:.6g} overflows: its Van Loan block grows like "
+            f"e^(t ||A_c||), ||A_c||_1 = {np.linalg.norm(A_c, 1):.6g}")
+    return symmetrize(R)

@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import lqdisc.exactdefs
+import lqdisc.matcore
 import lqdisc.vanloan
 from lqdisc import build_deq, discretize_expm, oracle_quadrature, rww_expm
 from lqdisc.matcore import (PIVOT_RTOL, DimensionError, DomainError,
@@ -206,6 +207,169 @@ def test_expm_rejects_bad_input():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(DomainError, match="overflows"):
             expm(np.array([[1e308, 0.0], [1e308, 0.0]]))
+
+
+def taylor_theta(m, guess):
+    """Largest theta with sum_k |c_k| theta^(k-1) = 2^-53, where
+    log(e^-x T_m(x)) = sum_{k>m} c_k x^k; 60 digits, 160 terms."""
+    terms = 160
+    with mp.workdps(60):
+        p = [mp.fsum(mp.mpf(-1) ** (k - j) / (mp.factorial(j)
+                                              * mp.factorial(k - j))
+                     for j in range(min(k, m) + 1)) for k in range(terms)]
+        c = [mp.mpf(0)] * terms             # log(p), p[0] = 1
+        for k in range(1, terms):
+            c[k] = p[k] - mp.fsum(j * c[j] * p[k - j]
+                                  for j in range(1, k)) / k
+        assert max(abs(x) for x in c[1:m + 1]) < mp.mpf(10) ** -50
+        u = mp.mpf(2) ** -53
+        theta = mp.findroot(
+            lambda x: mp.fsum(abs(c[k]) * x ** (k - 1)
+                              for k in range(m + 1, terms)) - u,
+            mp.mpf(guess))
+        return float(theta)
+
+
+def test_taylor_thresholds_match_their_series():
+    """Each theta_m of the kernel, recomputed; as a check on the routine,
+    degrees 18 and 30 give their published values 1.09086 and 3.53967."""
+    degrees, thetas = lqdisc.matcore._DEGREES, lqdisc.matcore._THETA
+    assert degrees == (3, 7, 11, 15, 19, 23, 27)
+    for m, theta in zip(degrees, thetas):
+        got = taylor_theta(m, 1.1 * theta)
+        assert got == pytest.approx(theta, rel=1e-10), m
+    assert taylor_theta(18, 1.1) == pytest.approx(1.09086, abs=5e-6)
+    assert taylor_theta(30, 3.5) == pytest.approx(3.53967, abs=5e-6)
+
+
+# The Taylor thresholds theta_m, m = 3, 7, ..., 27, checked above.
+TAYLOR_THETA = lqdisc.matcore._THETA
+
+
+def alpha3(X):
+    """min(||X||, max(d_2, d_3), max(d_3, d_4)), d_k = ||X^k||^(1/k): the
+    power-norm bound that picks the Taylor squarings."""
+    d = [norm1(np.linalg.matrix_power(X, k)) ** (1 / k) for k in (2, 3, 4)]
+    return min(norm1(X), max(d[0], d[1]), max(d[1], d[2]))
+
+
+@pytest.mark.parametrize("theta", TAYLOR_THETA)
+@pytest.mark.parametrize("side", (1 - 1e-9, 1 + 1e-9))
+def test_expm_matches_high_precision_at_each_taylor_threshold(theta, side):
+    rng = np.random.default_rng(15)
+    for n in (2, 3, 6, 12):
+        X = rng.normal(size=(n, n))
+        X *= side * theta / norm1(X)
+        want = mp_expm(X)
+        assert max_abs(expm(X) - want) <= EXPM_RTOL * max_abs(want)
+
+
+@pytest.mark.parametrize("theta", TAYLOR_THETA[3:])
+@pytest.mark.parametrize("squarings", (1, 3))
+@pytest.mark.parametrize("side", (1 - 1e-9, 1 + 1e-9))
+def test_expm_matches_high_precision_at_each_taylor_squaring_edge(
+        theta, squarings, side):
+    """alpha at 2^s theta_m, where the degree or the squarings change."""
+    rng = np.random.default_rng(16)
+    for n in (2, 5, 8):
+        X = rng.normal(size=(n, n))
+        X *= side * theta * 2.0 ** squarings / alpha3(X)
+        want = mp_expm(X)
+        assert max_abs(expm(X) - want) <= EXPM_RTOL * max_abs(want)
+
+
+def test_expm_of_a_huge_norm_is_its_representable_limit():
+    """No OverflowError and no NaN for a finite argument: the power-norm
+    bound is formed from 2^-e X, so a 1-norm up to the double range gives
+    e^X, here zeros (or I + X for a nilpotent X), with no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(expm([[-1e32]]), [[0.0]])
+        assert np.array_equal(expm([[-1e160, 1.0], [0.0, -1e160]]),
+                              np.zeros((2, 2)))
+        shapes = (np.array([[-1.0, 1e-3], [0.0, -1.0]]),
+                  np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                            [0.0, -1.0, 2.0]]) * -1.0,
+                  np.array([[-1.0, 0.5], [-0.5, -1.0]]),
+                  np.array([[-1.0, 1.0], [0.0, -1.0]]))
+        for k in range(20, 301, 10):
+            for A in shapes:
+                X = A * (10.0 ** k / norm1(A))
+                assert np.array_equal(expm(X), np.zeros_like(X)), (k, A)
+            N = np.array([[0.0, 10.0 ** k], [0.0, 0.0]])
+            assert np.array_equal(expm(N), np.eye(2) + N)
+
+
+def _taylor_generators(n):
+    """Matrices of size n in every Taylor degree band, unscaled and
+    scaled with several squaring counts, a zero matrix, a nilpotent one
+    (n > 1), a non-normal Van Loan block (its power norms fall off fast)
+    and a 1-norm near the double range among them."""
+    rng = np.random.default_rng(100 + n)
+    out = [np.zeros((n, n))]
+    for norm in (*TAYLOR_THETA, 3.0, 8.0, 40.0, 300.0):
+        X = rng.normal(size=(n, n))
+        out.append(X * (0.9 * norm / norm1(X)))
+    out.append(5.0 * np.eye(n, k=n - 1))     # X^2 = 0: alpha = 0, s = 0
+    G = rng.normal(size=(n, n))
+    out.append(-1e200 * (G @ G.T + np.eye(n)) / norm1(G @ G.T + np.eye(n)))
+    if n % 2 == 0:
+        H = rng.normal(size=(n // 2, n // 2)) * 4.0 / n
+        S = rng.normal(size=(n // 2, n // 2))
+        out.append(np.block([[-H.T, 1e8 * (S @ S.T)],
+                             [np.zeros((n // 2, n // 2)), H]]))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("n", (1, 4, 12))
+def test_expm_on_a_stack_mixing_both_regimes_matches_separate_calls(n):
+    """Unscaled (1-norm) and scaled (power-norm) matrices in one stack,
+    in any order: each gives the bits of its separate call."""
+    stack = _taylor_generators(n)
+    single = [expm(X) for X in stack]
+    rng = np.random.default_rng(n)
+    for order in (np.arange(len(stack)), rng.permutation(len(stack)),
+                  np.arange(len(stack))[::-1]):
+        got = expm(stack[order])
+        for i, R in zip(order, got):
+            assert np.array_equal(R, single[i]), i
+    for X, R in zip(stack, single):
+        if norm1(X) > 1e100:
+            assert not R.any()
+            continue
+        want = mp_expm(X)
+        assert max_abs(R - want) <= EXPM_RTOL * max_abs(want)
+
+
+def test_expm_makes_products_only(monkeypatch):
+    """No solve and no inverse, over stacks that take every degree, both
+    regimes and several squaring counts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called LAPACK")
+
+    for name in ("solve", "inv", "lstsq", "pinv", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    degrees, squarings = set(), set()
+    taylor, scaled = lqdisc.matcore._taylor, lqdisc.matcore._scaled
+
+    def record_taylor(P, d):
+        degrees.add(lqdisc.matcore._DEGREES[d])
+        return taylor(P, d)
+
+    def record_scaled(X, norm1):
+        out = scaled(X, norm1)
+        squarings.update(out[1])
+        return out
+
+    monkeypatch.setattr(lqdisc.matcore, "_taylor", record_taylor)
+    monkeypatch.setattr(lqdisc.matcore, "_scaled", record_scaled)
+    for n in (1, 4, 12):
+        stack = _taylor_generators(n)
+        expm(stack)
+        for X in stack:
+            expm(X)
+    assert degrees == set(lqdisc.matcore._DEGREES)
+    assert {0, 1, 2, 3} <= squarings and max(squarings) > 600
 
 
 def test_solve_matches_numpy():

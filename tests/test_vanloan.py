@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from lqdisc.matcore import expm, is_psd, is_symmetric, max_abs
+from lqdisc.matcore import (NumericalError, expm, is_psd, is_symmetric,
+                            max_abs)
 from lqdisc.model import ContinuousStateSpace, CostSpec
 from lqdisc.exactdefs import build_deq, oracle_quadrature
 from lqdisc.vanloan import discretize_expm, exact_seed, rww_expm
@@ -93,6 +94,21 @@ def test_rww_scalar_hand_value():
     want = -math.expm1(-2.0) / 2.0  # int_0^1 e^{-2s} ds
     got = rww_expm(np.array([[-1.0]]), np.array([[1.0]]), 1.0)
     assert got[0, 0] == pytest.approx(want, abs=1e-15)
+
+
+def test_rww_that_overflows_is_numerical_error():
+    """The Van Loan block holds -A_c and A_c', so a stable A_c of large
+    norm overflows it (e^(1e30)); the error names t and ||A_c||, where the
+    block's exponential alone would give NaN."""
+    with pytest.raises(NumericalError,
+                       match=r"t = 1 overflows.*\|\|A_c\|\|_1 = 1e\+30$"):
+        rww_expm(np.array([[-1e30]]), np.array([[1.0]]), 1.0)
+    with pytest.raises(NumericalError, match=r"t = 3 overflows.*= 400$"):
+        rww_expm(np.array([[-300.0, 100.0], [0.0, -300.0]]), np.eye(2), 3.0)
+    # the same A_c over a short enough t is finite
+    got = rww_expm(np.array([[-300.0, 100.0], [0.0, -300.0]]), np.eye(2),
+                   1e-3)
+    assert np.isfinite(got).all() and is_psd(got)
 
 
 def test_rww_consistent_with_full_extraction():
