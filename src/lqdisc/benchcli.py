@@ -66,13 +66,13 @@ VALIDATION_LIMITS = {
 }
 
 _QUANTITIES = ("A", "B_o", "M", "Q")
-# (SystemCheck field, message label, VALIDATION_LIMITS key)
+# (SystemCheck field, failure label, VALIDATION_LIMITS key, summary label)
 _LIMITED_CHECKS = (
-    ("pairwise", "pairwise", "pairwise"),
-    ("vs_oracle", "oracle", "oracle"),
-    ("zero_delay_gap", "zero-delay gap", "zero_delay"),
-    ("gamma_gap", "gamma identity", "gamma"),
-    ("bdot_gap", "B-form gap", "bdot"),
+    ("pairwise", "pairwise", "pairwise", "pairwise method gap"),
+    ("vs_oracle", "oracle", "oracle", "gap vs oracle"),
+    ("zero_delay_gap", "zero-delay gap", "zero_delay", "zero-delay pipeline"),
+    ("gamma_gap", "gamma identity", "gamma", "transition split"),
+    ("bdot_gap", "B-form gap", "bdot", "input-integral forms"),
 )
 
 
@@ -280,7 +280,7 @@ class ValidationReport:
         """One message per violated limit, naming the system that set the
         worst value and the seed that reproduces it. NaN is the worst."""
         out = []
-        for field, label, limit in _LIMITED_CHECKS:
+        for field, label, limit, _ in _LIMITED_CHECKS:
             worst = max(self.checks, key=lambda c: (
                 math.isnan(getattr(c, field)), getattr(c, field)))
             value = getattr(worst, field)
@@ -538,17 +538,11 @@ def cmd_validate(args) -> int:
     print(f"validated {report.count} systems "
           f"(seed={report.seed}, start={args.start}, N={report.steps}) "
           f"in {report.elapsed:.1f} s")
-    print(f"pairwise method gap   {report.max_pairwise:.3e}  "
-          f"(limit {VALIDATION_LIMITS['pairwise']:.0e})")
-    print(f"gap vs oracle         {report.max_vs_oracle:.3e}  "
-          f"(limit {VALIDATION_LIMITS['oracle']:.0e})")
-    print(f"Q, R_ww PSD           {'yes' if report.all_psd else 'NO'}")
-    print(f"zero-delay pipeline   {report.max_zero_delay_gap:.3e}  "
-          f"(limit {VALIDATION_LIMITS['zero_delay']:.0e})")
-    print(f"transition split      {report.max_gamma_gap:.3e}  "
-          f"(limit {VALIDATION_LIMITS['gamma']:.0e})")
-    print(f"input-integral forms  {report.max_bdot_gap:.3e}  "
-          f"(limit {VALIDATION_LIMITS['bdot']:.0e})")
+    lines = [f"{summary:22s}{getattr(report, 'max_' + field):.3e}  "
+             f"(limit {VALIDATION_LIMITS[limit]:.0e})"
+             for field, _, limit, summary in _LIMITED_CHECKS]
+    lines.insert(2, f"Q, R_ww PSD           {'yes' if report.all_psd else 'NO'}")
+    print("\n".join(lines))
     failures = report.failures()
     if failures:
         for f in failures:

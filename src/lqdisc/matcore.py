@@ -220,6 +220,8 @@ def expm(X: Mat) -> Mat:
     scaled or not, go through the approximant as one stack.
     """
     X = _square_stack(X, "expm argument")
+    if X.size == 0:
+        return X.copy()
     shape, n = X.shape, X.shape[-1]
     X = X.reshape((-1, n, n))
     norm1 = _norms(X, -2).tolist()

@@ -137,6 +137,18 @@ def _trim_leading(c: np.ndarray) -> np.ndarray:
     return c[nonzero[0]:] if nonzero.size else c[:0]
 
 
+def _proper(num, den, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A proper channel's coefficients, trimmed, over a monic denominator;
+    errors name `path`.num, `path`.den or `path` (an improper channel)."""
+    num = _trim_leading(_coefficients(num, f"{path}.num"))
+    den = _trim_leading(_coefficients(den, f"{path}.den"))
+    if den.size == 0:
+        raise ModelError(f"{path}.den", "denominator is zero")
+    if num.size > den.size:
+        raise ModelError(path, "improper channel (deg num > deg den)")
+    return num / den[0], den / den[0]
+
+
 @dataclass(frozen=True)
 class TransferChannel:
     """One proper rational channel num(s)/den(s) with input delay tau.
@@ -158,16 +170,9 @@ class TransferChannel:
             if not (float(index).is_integer() and index >= 1):
                 raise ModelError(f"{path}.{name}", "index must be an integer >= 1")
             object.__setattr__(self, name, int(index))
-        num = _trim_leading(_coefficients(self.num, f"{path}.num"))
-        den = _trim_leading(_coefficients(self.den, f"{path}.den"))
-        if den.size == 0:
-            raise ModelError(f"{path}.den", "denominator is zero")
-        if num.size > den.size:
-            raise ModelError(path, "improper channel (deg num > deg den)")
+        num, den = _proper(self.num, self.den, path)
         if not (math.isfinite(self.tau) and self.tau >= 0):
             raise ModelError(f"{path}.tau", "delay must be finite and >= 0")
-        num = num / den[0]
-        den = den / den[0]
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", tuple(den))
         object.__setattr__(self, "tau", float(self.tau))
@@ -392,16 +397,10 @@ def realize_channel(num, den) -> tuple[Mat, Mat, Mat, float]:
     Returns
     -------
     (A, B, C, D) with A n-by-n for n = deg den; n = 0 gives empty A, B, C
-    and the constant gain in D.
+    and the constant gain in D. Raises ModelError as TransferChannel does,
+    naming channel.num, channel.den or channel.
     """
-    num = _trim_leading(np.asarray(num, dtype=float))
-    den = _trim_leading(np.asarray(den, dtype=float))
-    if den.size == 0:
-        raise ModelError("channel", "denominator is zero")
-    if num.size > den.size:
-        raise ModelError("channel", "improper channel (deg num > deg den)")
-    num = num / den[0]
-    den = den / den[0]
+    num, den = _proper(num, den, "channel")
     n = den.size - 1
     num_full = np.concatenate([np.zeros(den.size - num.size), num])
     D = num_full[0]

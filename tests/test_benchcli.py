@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -400,9 +401,17 @@ def test_bench_expm_single_row(tmp_path):
 def test_validate_small_run(capsys):
     rc = main(["validate", "--count", "3", "--steps", "512"])
     assert rc == EXIT_OK
-    out = capsys.readouterr().out
-    assert "validated 3 systems" in out
-    assert "pairwise method gap" in out
+    head, *summary = capsys.readouterr().out.splitlines()
+    assert head.startswith("validated 3 systems (seed=0, start=0, N=512) in ")
+    gaps = [re.sub(r"\d\.\d{3}e[-+]\d\d ", "X ", line) for line in summary]
+    assert gaps == [
+        "pairwise method gap   X  (limit 1e-09)",
+        "gap vs oracle         X  (limit 1e-08)",
+        "Q, R_ww PSD           yes",
+        "zero-delay pipeline   X  (limit 1e-12)",
+        "transition split      X  (limit 1e-12)",
+        "input-integral forms  X  (limit 1e-10)",
+    ]
 
 
 def test_validate_start_reruns_one_system_alone(capsys):

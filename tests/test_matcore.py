@@ -198,6 +198,15 @@ def test_expm_nilpotent():
     assert max_abs(expm(X) - np.array([[1.0, 1.0], [0.0, 1.0]])) < 1e-15
 
 
+@pytest.mark.parametrize("shape", ((0, 0), (2, 0, 0), (0, 3, 3)))
+def test_expm_of_an_empty_stack_is_empty(shape):
+    assert expm(np.zeros(shape)).shape == shape
+
+
+def test_rww_expm_without_states_is_empty():
+    assert rww_expm(np.zeros((0, 0)), np.zeros((0, 1)), 1.0).shape == (0, 0)
+
+
 def test_expm_rejects_bad_input():
     with pytest.raises(DimensionError):
         expm(np.ones((2, 3)))

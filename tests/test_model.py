@@ -93,6 +93,16 @@ def test_realize_channel_rejects_improper():
         realize_channel((1.0, 0.0, 0.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("num, den, path, message", (
+    ([math.nan], [1.0, 1.0], "channel.num", "non-finite coefficients"),
+    ([1.0], [1.0, math.inf], "channel.den", "non-finite coefficients"),
+    ([[1.0]], [1.0, 1.0], "channel.num", "expected a list of numbers")))
+def test_realize_channel_checks_its_coefficients(num, den, path, message):
+    with pytest.raises(ModelError) as exc:
+        realize_channel(num, den)
+    assert (exc.value.path, exc.value.message) == (path, message)
+
+
 def test_leading_zero_coefficients_are_trimmed():
     ch = TransferChannel(1, 1, (0.0, 0.0, 2.0), (0.0, 2.0, 4.0), tau=0.0)
     assert ch.num == (1.0,) and ch.den == (1.0, 2.0)

@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# Smoke test of an installed lqdisc command: every subcommand on the
+# bundled models, and the two exports over 3000 stages. Writes its outputs
+# under OUT_DIR and exits non-zero at the first step that fails.
+#
+#     tools/smoke.sh OUT_DIR
+#
+# Needs `lqdisc` on PATH and a `python` that imports lqdisc and numpy.
+set -eo pipefail
+if [ $# -ne 1 ]; then
+    echo "usage: tools/smoke.sh OUT_DIR" >&2
+    exit 2
+fi
+mkdir -p "$1"
+out=$(cd "$1" && pwd)
+cd "$(dirname "$0")/.."
+
+# the stacked stage build for every bundled scheme, explicit and
+# diagonally implicit; a scheme that fails to run fails the script
+schemes=$(python -c 'from lqdisc import SCHEME_NAMES; print(*SCHEME_NAMES)')
+for S in $schemes; do
+    lqdisc discretize --model models/mimo_delayed.json --method doubling --scheme "$S" --verify --out "$out/scheme-$S"
+done
+lqdisc discretize --model models/scalar.json --method fixed --scheme esdirk4 --verify --out "$out/scalar"
+lqdisc validate --count 9
+lqdisc convergence --model models/mimo_delayed.json --method doubling --scheme rk4 --steps 64,128 --verify --out "$out/conv"
+lqdisc bench --model models/scalar.json --reps 5 --out "$out/bench"
+
+# 3000 discounted stages: result.json's stage arrays and the stages.csv
+# table take the vectorized writers; every JSON number must still be its
+# repr, and every CSV float its '%.16e'
+python - "$out/long.json" <<'EOF'
+import json, sys
+import numpy as np
+doc = json.load(open("models/mimo_delayed.json"))
+doc["cost"]["N"] = 3000
+doc["cost"]["zbar"] = np.random.default_rng(1).uniform(-1.0, 1.0, (3000, 2)).tolist()
+json.dump(doc, open(sys.argv[1], "w"))
+EOF
+lqdisc discretize --model "$out/long.json" --method expm --verify --out "$out/long"
+python - "$out/long/result.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]), parse_float=str)
+doc.pop("provenance")
+flat = lambda v: [t for x in (v.values() if isinstance(v, dict) else v) for t in flat(x)] if isinstance(v, (dict, list)) else [v]
+tokens = [t for t in flat(doc) if t is not None]
+bad = [t for t in tokens if t != repr(float(t))]
+print(len(tokens), "number tokens,", len(bad), "not repr:", bad[:5])
+sys.exit(bool(bad) or len(tokens) < 36000)
+EOF
+python - "$out/long/stages.csv" <<'EOF'
+import sys
+raw = open(sys.argv[1], "rb").read()
+lines = raw.split(b"\r\n")
+fields = [f for line in lines[1:-1] for f in line.decode("ascii").split(",")[1:]]
+bad = [f for f in fields if f != "%.16e" % float(f)]
+print(len(lines) - 1, "CRLF lines,", len(fields), "floats,", len(bad), "not %.16e:", bad[:5])
+sys.exit(lines[-1] != b"" or len(lines) - 1 != 3001 or b"\n" in b"".join(lines) or bool(bad) or len(fields) != 9000)
+EOF
+# the file is written a chunk at a time: rebuilt from its parsed document
+# with json.dumps, it must come out byte for byte, so a seam between
+# chunks that breaks a separator or a bracket fails
+python - "$out/long/result.json" <<'EOF'
+import json, sys
+raw = open(sys.argv[1], "rb").read()
+doc = json.loads(raw)
+ref = ("{\n" + ",\n".join(f"  \"{k}\": {json.dumps(v)}" for k, v in doc.items()) + "\n}\n").encode()
+print(len(raw), "bytes;", "equal to" if ref == raw else "NOT equal to", "the text rebuilt from its parsed document")
+sys.exit(ref != raw)
+EOF
