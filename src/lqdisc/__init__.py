@@ -17,12 +17,12 @@ from .model import (ContinuousStateSpace, CostSpec, DelayRealization,
                     load_model, parse_model, realize_channel, realize_delays,
                     split_delay)
 from .exactdefs import (CoreResult, DeqSystem, Interval, b_alternative,
-                        build_deq, compose, oracle_quadrature)
+                        build_deq, compose, oracle_quadrature, rww_expm)
 from .fixedstep import (SCHEME_NAMES, ButcherTableau, CoefficientSet,
                         build_coefficients, discretize_fixed, integrate,
                         named_tableau, stage_coefficients)
 from .stepdouble import discretize_step_doubling
-from .vanloan import discretize_expm, rww_expm
+from .vanloan import discretize_expm
 from .lqassemble import (DiscreteLQ, ExpectedCost, StageCosts,
                          assemble_augmented, build_discrete_lq,
                          discretize_core, expected_stage_cost,

@@ -20,6 +20,8 @@ and discounted integrals over one span of time. Two spans compose by one
 law (`compose`), so the methods differ only in their seed interval (one
 Runge-Kutta step, or the exact exponentials over Ts/2^s) and in how they
 compose it: `fixed` folds the seed N times, `doubling` and `expm` power it.
+R_ww has no discount, delay or input: `core_result` gives every method the
+one `rww_expm` over Ts, exact to expm accuracy whatever the scheme.
 
 `oracle_quadrature` evaluates every target by matrix exponentials at
 composite-Simpson nodes, each node a two-level power of a node
@@ -31,12 +33,14 @@ seeds nor `compose`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .matcore import DimensionError, DomainError, Mat, expm, symmetrize
+from .matcore import (DimensionError, DomainError, Mat, NumericalError,
+                      _require_finite, asmat, expm, inf_norm, symmetrize)
 from .model import CostSpec, realize_plant
 
 
@@ -139,7 +143,6 @@ class Interval(NamedTuple):
     omega_q       e^{H_cq h}, and omega_m = e^{H_cm h}
     X_q           int_0^h omega_q(s)' S omega_q(s) ds, S = E_1' Qbar_c E_1
     Y_m           int_0^h omega_m(s)' ds E_1' Mbar_c
-    R             int_0^h A(s) G_c G_c' A(s)' ds (None without diffusion)
 
     In the E_2-projected form omega_q and omega_m carry a right factor E_2,
     so X_q and Y_m are already Q and M.
@@ -150,7 +153,6 @@ class Interval(NamedTuple):
     X_q: Mat
     omega_m: Mat
     Y_m: Mat
-    R: Mat | None
 
 
 def compose(a: Interval, b: Interval) -> Interval:
@@ -159,20 +161,14 @@ def compose(a: Interval, b: Interval) -> Interval:
     T = b.T a.T carries the input integrals of `a` forward through the
     transitions of `b`, so spans with different inputs compose. The
     discounted integrals over `b` are carried back through the transitions
-    of `a`, and so is R: every span shares A_c, so R reads the same either
-    way. `a` may be E_2-projected, `b` may not.
+    of `a`. `a` may be E_2-projected, `b` may not.
     """
-    R = None
-    if a.R is not None:
-        A = a.T[0, :len(a.R), :len(a.R)]
-        R = a.R + A @ b.R @ A.T
     return Interval(
         T=b.T @ a.T,
         omega_q=b.omega_q @ a.omega_q,
         X_q=a.X_q + a.omega_q.T @ b.X_q @ a.omega_q,
         omega_m=b.omega_m @ a.omega_m,
-        Y_m=a.Y_m + a.omega_m.T @ b.Y_m,
-        R=R)
+        Y_m=a.Y_m + a.omega_m.T @ b.Y_m)
 
 
 def power(seed: Interval, n: int) -> Interval:
@@ -190,25 +186,72 @@ def power(seed: Interval, n: int) -> Interval:
         seed = compose(seed, seed)
 
 
-def projected_identity(sys: DeqSystem, like: Interval) -> Interval:
-    """The zero-length span in E_2-projected form, with the optional R of
-    `like`. Folding from it carries omega E_2 (n_h x n_xu) instead of
-    omega; composing it before a full interval projects that interval."""
+def projected_identity(sys: DeqSystem) -> Interval:
+    """The zero-length span of `sys` in E_2-projected form. Folding from it
+    carries omega E_2 (n_h x n_xu) instead of omega; composing it before a
+    full interval projects that interval."""
+    n = sys.n_xu
     return Interval(
-        T=np.broadcast_to(np.eye(sys.n_xu), like.T.shape),
-        omega_q=sys.E2, X_q=np.zeros((sys.n_xu, sys.n_xu)),
-        omega_m=sys.E2, Y_m=np.zeros((sys.n_xu, sys.n_z)),
-        R=None if like.R is None else np.zeros((sys.n_x, sys.n_x)))
+        T=np.broadcast_to(np.eye(n), (1 + sys.delay, n, n)),
+        omega_q=sys.E2, X_q=np.zeros((n, n)),
+        omega_m=sys.E2, Y_m=np.zeros((n, sys.n_z)))
+
+
+def _upper(a, b, d) -> Mat:
+    """[[a, b], [0, d]] from n x n blocks; d fixes n."""
+    n = d.shape[0]
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = a
+    M[:n, n:] = b
+    M[n:, n:] = d
+    return M
+
+
+def rww_expm(A_c: Mat, G_c: Mat, t: float) -> Mat:
+    """R_ww(t) = int_0^t e^{A_c s} G_c G_c' e^{A_c' s} ds by a Van Loan
+    block exponential (1978), scaled and squared.
+
+    C = exp(h [[-A_c, G_c G_c'], [0, A_c']]), h = t/2^s with s the least
+    such that ||A_c||_1 h <= 1, gives E = C_22' = e^{A_c h} and R_ww(h) =
+    E C_12; then s times R <- R + E R E', E <- E E. So the block never
+    holds the e^{t ||A_c||} of its -A_c corner: a stable A_c of any norm
+    gives R_ww, and an R_ww that overflows raises NumericalError.
+    """
+    A_c, G_c = _require_finite(asmat(A_c), "A_c"), asmat(G_c)
+    n = A_c.shape[0]
+    if A_c.shape != (n, n) or G_c.shape[0] != n:
+        raise DimensionError(f"R_ww needs A_c square and G_c with its rows, "
+                             f"got {A_c.shape} and {G_c.shape}")
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError(f"R_ww needs a finite t >= 0, got {t}")
+    norm = inf_norm(A_c.T)
+    # log2(||A_c||_1 t), without the product, which may overflow
+    x = math.log2(norm) + math.log2(t) if norm and t else 0.0
+    s = math.ceil(x) if x > 0 else 0
+    h = math.ldexp(t, -s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c3 = expm(_upper(-h * A_c, h * (G_c @ G_c.T), h * A_c.T))
+        E = c3[n:, n:].T
+        R = E @ c3[:n, n:]
+        for _ in range(s):
+            R = R + E @ R @ E.T
+            E = E @ E
+    if not np.isfinite(R).all():
+        raise NumericalError(
+            f"R_ww over t = {t:.6g} overflows: e^(A_c t) leaves the double "
+            f"range, ||A_c||_1 = {norm:.6g}")
+    return symmetrize(R)
 
 
 def core_result(sys: DeqSystem, iv: Interval, method: str,
                 **provenance) -> CoreResult:
-    """Read (A, B_o, Q, M, R_ww) off an E_2-projected interval of `sys`."""
+    """Read (A, B_o, Q, M) off an E_2-projected interval of `sys`; R_ww is
+    `rww_expm` over Ts (None without G_c)."""
     n_x = sys.n_x
     return CoreResult(
         A=iv.T[0, :n_x, :n_x].copy(), B_o=iv.T[:, :n_x, n_x:].sum(axis=0),
         Q=symmetrize(iv.X_q), M=iv.Y_m,
-        R_ww=None if iv.R is None else symmetrize(iv.R),
+        R_ww=None if sys.G_c is None else rww_expm(sys.A_c, sys.G_c, sys.Ts),
         method=method, **provenance)
 
 

@@ -275,9 +275,7 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
     block diagonal, each block an H_jc shifted by mu/2 or mu). omega_q,
     omega_m and their stages are those blocks put back on the diagonal; the
     integrals are the tableau's own quadrature dt sum_i b_i over the
-    stages. An input block [[A, B], [0, 0]] has zero bottom rows, so its
-    stages keep the rows [0, I] and their top-left blocks are the stages
-    of A alone, which give R."""
+    stages."""
     n_steps = operator.index(n_steps)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
@@ -293,14 +291,9 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
     ME = sys.E1.T @ sys.Mbar_c
     X_q = _quadrature(tableau, dt, L_q.swapaxes(1, 2) @ S @ L_q)
     Y_m = _quadrature(tableau, dt, L_m.swapaxes(1, 2) @ ME)
-    R = None
-    if sys.G_c is not None:
-        A = stages[:, 0, :sys.n_x, :sys.n_x]
-        R = symmetrize(_quadrature(
-            tableau, dt, A @ (sys.G_c @ sys.G_c.T) @ A.swapaxes(1, 2)))
     seed = Interval(T=lam[:k], omega_q=_block_diag(lam[q]),
                     X_q=symmetrize(X_q), omega_m=_block_diag(lam[m]),
-                    Y_m=Y_m, R=R)
+                    Y_m=Y_m)
     return CoefficientSet(scheme=tableau.name, n_steps=n_steps, seed=seed)
 
 
@@ -318,31 +311,25 @@ def integrate(coeffs: CoefficientSet, sys: DeqSystem) -> CoreResult:
     """Fold the seed N times from the E_2-projected identity, one chunk of
     m <= C = 64 steps per iteration, from D_i = P^i - I (i < C) and P^C - I
     built once per seed transition P (omega_q, omega_m and the stack T). A
-    chunk's transitions (I + D_i) base and their increments to X_q (and R)
-    are batched products over the stack of omega_q (and of T's A): one
-    small product per step, which BLAS keeps on the calling thread. Y_m
-    takes the power sum, and each base (T with its input integrals)
-    advances by P^m.
+    chunk's transitions (I + D_i) base and their increments to X_q are
+    batched products over the stack of omega_q: one small product per
+    step, which BLAS keeps on the calling thread. Y_m takes the power sum,
+    and each base (T with its input integrals) advances by P^m.
     """
-    seed, n, n_x = coeffs.seed, coeffs.n_steps, sys.n_x
+    seed, n = coeffs.seed, coeffs.n_steps
     sizes = [_CHUNK] * (n // _CHUNK) + [n % _CHUNK] * (n % _CHUNK > 0)
     pow_q, tq = _chunk_powers(seed.omega_q, sizes)
-    pow_t, tt = _chunk_powers(seed.T, sizes)
-    pow_a = pow_t[:, 0, :n_x, :n_x]                  # A^i - I, for R only
+    tt = _chunk_powers(seed.T, sizes)[1]
     tm = _chunk_powers(seed.omega_m, sizes)[1]
-    T, W_q, X_q, W_m, Y_m, R = projected_identity(sys, seed)
+    T, W_q, X_q, W_m, Y_m = projected_identity(sys)
     for m in sizes:
         Wk = W_q + pow_q[:m] @ W_q                   # omega_q^{k+i} E_2
         X_q = X_q + (Wk.swapaxes(1, 2) @ seed.X_q @ Wk).sum(axis=0)
-        if R is not None:
-            A = T[0, :n_x, :n_x]
-            U = A + pow_a[:m] @ A                    # A^{k+i}
-            R = R + (U @ seed.R @ U.swapaxes(1, 2)).sum(axis=0)
         Y_m = Y_m + W_m.T @ (tm[m][1].T @ seed.Y_m)
         T = T + tt[m][0] @ T
         W_q = W_q + tq[m][0] @ W_q
         W_m = W_m + tm[m][0] @ W_m
-    return core_result(sys, Interval(T, W_q, X_q, W_m, Y_m, R), "fixed",
+    return core_result(sys, Interval(T, W_q, X_q, W_m, Y_m), "fixed",
                        scheme=coeffs.scheme, steps=coeffs.n_steps)
 
 

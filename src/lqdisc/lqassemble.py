@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DimensionError, DomainError, Mat, NumericalError, is_psd
+from .matcore import (DimensionError, DomainError, Mat, NumericalError, asmat,
+                      is_psd)
 from .model import CostSpec, DelayRealization, realize_plant
 from .exactdefs import CoreResult, DeqSystem, build_deq
 from .fixedstep import (ButcherTableau, build_coefficients, discretize_fixed,
@@ -155,10 +156,10 @@ def expected_stage_cost(Q_k: Mat, q_k, rho_k: float, x_mean, u,
     E(1/2 w'Sw) = 1/2 m'Sm + 1/2 Tr(S R): the deterministic part evaluates
     the stage cost at the mean [x_mean; u]; trace_state is Tr(Q_k P~_k)
     with P_k zero-padded over the input block; trace_noise is
-    Tr(C_c R_ww C_c').
+    Tr(C_c R_ww C_c'), R_ww and C_c given together or not at all.
     """
-    w = np.concatenate([np.asarray(x_mean, float).reshape(-1),
-                        np.asarray(u, float).reshape(-1)])
+    x = np.asarray(x_mean, float).reshape(-1)
+    w = np.concatenate([x, np.asarray(u, float).reshape(-1)])
     if w.size != Q_k.shape[0]:
         raise DimensionError(
             f"[x; u] has size {w.size}, Q_k is {Q_k.shape[0]}x{Q_k.shape[0]}")
@@ -167,12 +168,18 @@ def expected_stage_cost(Q_k: Mat, q_k, rho_k: float, x_mean, u,
     trace_state = 0.0
     if P_k is not None:
         P_k = np.asarray(P_k, float)
+        if P_k.shape != (x.size, x.size):
+            raise DimensionError(f"P_k is {P_k.shape} for {x.size} states")
         if not is_psd(P_k):
             raise DomainError("P_k must be positive semidefinite")
-        n_x = P_k.shape[0]
-        trace_state = float(np.trace(Q_k[:n_x, :n_x] @ P_k))
+        trace_state = float(np.trace(Q_k[:x.size, :x.size] @ P_k))
     trace_noise = 0.0
-    if R_ww is not None and C_c is not None:
+    if R_ww is not None or C_c is not None:
+        if R_ww is None or C_c is None:
+            raise DimensionError("Tr(C_c R_ww C_c') needs both R_ww and C_c")
+        R_ww, C_c = asmat(R_ww), asmat(C_c)
+        if R_ww.shape != (C_c.shape[1],) * 2:
+            raise DimensionError(f"C_c {C_c.shape}, R_ww {R_ww.shape} do not conform")
         trace_noise = float(np.trace(C_c @ R_ww @ C_c.T))
     return ExpectedCost(deterministic=det, trace_state=trace_state,
                         trace_noise=trace_noise)

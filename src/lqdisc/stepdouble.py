@@ -8,10 +8,6 @@ of the half it doubles, before the transitions are squared:
 
     X_q(2n) = X_q(n) + Omega_q(n)' X_q(n) Omega_q(n)
     Y_m(2n) = Y_m(n) + Omega_m(n)' Y_m(n)
-    R(2n)   = R(n) + A(n) R(n) A(n)'
-
-R_ww is not part of the published recurrences; it composes the same way
-and is validated against the fixed-step R_ww as an extension.
 """
 
 from __future__ import annotations
@@ -41,5 +37,5 @@ def discretize_step_doubling(sys: DeqSystem, tableau: ButcherTableau,
             f"coefficient set was built for N={n}, which takes "
             f"{n.bit_length() - 1} doublings, not {j}")
     iv = power(coeffs.seed, n)
-    return core_result(sys, compose(projected_identity(sys, iv), iv),
+    return core_result(sys, compose(projected_identity(sys), iv),
                        "doubling", scheme=coeffs.scheme, steps=n, doublings=j)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lqdisc import exactdefs, fixedstep, stepdouble, vanloan
+from lqdisc import (SCHEME_NAMES, discretize_core, exactdefs, fixedstep,
+                    realize_plant, rww_expm, stepdouble, vanloan)
 from lqdisc.benchcli import random_system
 from lqdisc.matcore import DomainError, expm, is_psd, max_abs, symmetrize
 from lqdisc.model import (ContinuousStateSpace, CostSpec, DelayedTransferModel,
@@ -444,3 +445,29 @@ def test_powers_match_repeated_products(size):
             max(max_abs(Pi), 1.0), i
         Pi = Pi @ P
     assert not stack[0].any()
+
+
+def _noisy_systems():
+    """scalar.json's plant and the seed-0 sweep systems 0-26 with a G_c."""
+    out = [pytest.param("scalar", None, id="scalar")]
+    rng = np.random.default_rng(0)
+    for i in range(27):
+        plant, cost, _ = random_system(rng, i)
+        if plant.G_c is not None:
+            out.append(pytest.param(plant, cost, id=f"sweep{i}"))
+    return out
+
+
+@pytest.mark.parametrize("plant,cost", _noisy_systems())
+def test_every_method_and_scheme_takes_r_ww_from_rww_expm(scalar_deq, plant,
+                                                          cost):
+    """R_ww depends on the plant alone: expm, and fixed and doubling with
+    every bundled scheme, give the bits of one rww_expm over Ts."""
+    sys = scalar_deq if plant == "scalar" else build_deq(
+        realize_plant(plant, cost.Ts), cost)
+    want = rww_expm(sys.A_c, sys.G_c, sys.Ts)
+    runs = [discretize_core(sys, "expm")] + [
+        discretize_core(sys, method, scheme=scheme, steps=16)
+        for method in ("fixed", "doubling") for scheme in SCHEME_NAMES]
+    for core in runs:
+        assert np.array_equal(core.R_ww, want), (core.method, core.scheme)

@@ -234,6 +234,24 @@ def test_expected_stage_cost_validation():
                             P_k=bad_p)
 
 
+def test_expected_stage_cost_checks_the_shapes_of_its_covariances():
+    """P_k is square over the entries of x_mean; R_ww and C_c come together
+    and conform. None of these is read off in part or broadcast."""
+    Q_k, q_k, x, u = np.eye(3), np.zeros(3), [1.0, 2.0], [0.0]
+    with pytest.raises(DimensionError, match=r"P_k is \(1, 1\) for 2"):
+        expected_stage_cost(Q_k, q_k, 0.0, x, u, P_k=np.eye(1))
+    with pytest.raises(DimensionError, match="needs both"):
+        expected_stage_cost(Q_k, q_k, 0.0, x, u, R_ww=np.eye(2))
+    with pytest.raises(DimensionError, match="needs both"):
+        expected_stage_cost(Q_k, q_k, 0.0, x, u, C_c=np.eye(2))
+    with pytest.raises(DimensionError, match="do not conform"):
+        expected_stage_cost(Q_k, q_k, 0.0, x, u, R_ww=np.eye(2),
+                            C_c=np.ones((1, 3)))
+    got = expected_stage_cost(Q_k, q_k, 0.0, x, u, R_ww=np.eye(2),
+                              C_c=np.ones((1, 2)))
+    assert got.trace_noise == 2.0
+
+
 def test_minimizer_invariant_across_methods(mimo_model):
     """The one-step minimizer over u_k is stable across methods.
 

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from lqdisc.matcore import (NumericalError, expm, is_psd, is_symmetric,
-                            max_abs)
+from lqdisc.matcore import (DimensionError, DomainError, NumericalError, expm,
+                            is_psd, is_symmetric, max_abs)
 from lqdisc.model import ContinuousStateSpace, CostSpec
 from lqdisc.exactdefs import build_deq, oracle_quadrature
 from lqdisc.vanloan import discretize_expm, exact_seed, rww_expm
@@ -97,18 +97,57 @@ def test_rww_scalar_hand_value():
 
 
 def test_rww_that_overflows_is_numerical_error():
-    """The Van Loan block holds -A_c and A_c', so a stable A_c of large
-    norm overflows it (e^(1e30)); the error names t and ||A_c||, where the
-    block's exponential alone would give NaN."""
+    """An unstable A_c whose R_ww leaves the double range (e^(2000)) is a
+    NumericalError naming t and ||A_c||, where the squarings alone would
+    give inf or NaN."""
     with pytest.raises(NumericalError,
-                       match=r"t = 1 overflows.*\|\|A_c\|\|_1 = 1e\+30$"):
-        rww_expm(np.array([[-1e30]]), np.array([[1.0]]), 1.0)
+                       match=r"t = 1 overflows.*\|\|A_c\|\|_1 = 1000$"):
+        rww_expm(np.array([[1e3]]), np.array([[1.0]]), 1.0)
     with pytest.raises(NumericalError, match=r"t = 3 overflows.*= 400$"):
-        rww_expm(np.array([[-300.0, 100.0], [0.0, -300.0]]), np.eye(2), 3.0)
+        rww_expm(np.array([[300.0, 100.0], [0.0, 300.0]]), np.eye(2), 3.0)
     # the same A_c over a short enough t is finite
-    got = rww_expm(np.array([[-300.0, 100.0], [0.0, -300.0]]), np.eye(2),
+    got = rww_expm(np.array([[300.0, 100.0], [0.0, 300.0]]), np.eye(2),
                    1e-3)
     assert np.isfinite(got).all() and is_psd(got)
+
+
+@pytest.mark.parametrize("mu", (2000.0, 2e5))
+def test_rww_under_a_large_discount_is_the_closed_form(mu):
+    """R_ww has no discount: at mu Ts = 2000 and 2e5 (11 and 18 squarings
+    of the Q and M seed) it is still (1 - e^-2)/2 to rounding."""
+    got = discretize_expm(_scalar_sys(mu))
+    assert abs(got.R_ww[0, 0] + math.expm1(-2.0) / 2.0) <= 1e-15
+
+
+def test_rww_of_a_stiff_stable_a_c_is_exact():
+    """The block is taken at t/2^s with ||A_c||_1 t/2^s <= 1, so a stable
+    A_c of any norm gives R_ww, down to -1e300 with no overflow."""
+    for a, t in ((-1e30, 1.0), (-40.0, 30.0), (-1e300, 1.0)):
+        got = rww_expm(np.array([[a]]), np.array([[1.0]]), t)
+        assert got[0, 0] == pytest.approx(-0.5 / a, rel=1e-15), (a, t)
+    # a stiff 2x2 over 3 s: e^(A_c t) is below the double range, so R_ww
+    # solves the Lyapunov equation A R + R A' + G G' = 0
+    A_c = np.array([[-300.0, 100.0], [0.0, -300.0]])
+    got = rww_expm(A_c, np.eye(2), 3.0)
+    assert max_abs(A_c @ got + got @ A_c.T + np.eye(2)) <= 1e-15
+    assert is_psd(got)
+
+
+def test_rww_checks_its_inputs():
+    """A_c square, G_c with its rows and t finite and >= 0, or an error;
+    a 1x1 G_c G_c' is not broadcast into a 2x2 block."""
+    one = np.array([[1.0]])
+    with pytest.raises(DimensionError, match=r"\(2, 2\) and \(1, 1\)"):
+        rww_expm(-np.eye(2), one, 1.0)
+    with pytest.raises(DimensionError, match=r"\(1, 2\)"):
+        rww_expm(np.array([[-1.0, 2.0]]), one, 1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite t >= 0"):
+            rww_expm(-one, one, t)
+    with pytest.raises(DomainError, match="A_c has non-finite"):
+        rww_expm(np.array([[-np.inf]]), one, 1.0)
+    assert np.array_equal(rww_expm(-np.eye(2), np.ones((2, 1)), 0.0),
+                          np.zeros((2, 2)))
 
 
 def test_rww_consistent_with_full_extraction():
@@ -145,5 +184,5 @@ def test_block_factors_are_plain_exponentials(mimo_deq):
     assert max_abs(seed.T[1, :n_x, :n_x] - expm(t * sys.V @ sys.A_c)) < 1e-13
     for j, H in enumerate(sys.input_blocks(sys.H_c)):
         assert max_abs(seed.T[j] - expm(t * H)) < 1e-13
-    # no diffusion matrix on the transfer model: no noise integral
-    assert seed.R is None
+    # no noise integral: R_ww is rww_expm's, over Ts, outside the seed
+    assert seed._fields == ("T", "omega_q", "X_q", "omega_m", "Y_m")

@@ -26,6 +26,20 @@ lqdisc validate --count 9
 lqdisc convergence --model models/mimo_delayed.json --method doubling --scheme rk4 --steps 64,128 --verify --out "$out/conv"
 lqdisc bench --model models/scalar.json --reps 5 --out "$out/bench"
 
+# R_ww depends on the plant alone: scalar.json (dx = -x + u + w, Ts = 1)
+# through three methods, one of them first order at 16 steps, must give
+# the same R_ww, (1 - e^-2)/2 to rounding
+lqdisc discretize --model models/scalar.json --method fixed --scheme explicit-euler --steps 16 --out "$out/rww-fixed"
+lqdisc discretize --model models/scalar.json --method doubling --out "$out/rww-doubling"
+lqdisc discretize --model models/scalar.json --method expm --out "$out/rww-expm"
+python - "$out"/rww-{fixed,doubling,expm}/result.json <<'EOF'
+import json, math, sys
+rww = [json.load(open(path))["R_ww"] for path in sys.argv[1:]]
+want = -math.expm1(-2.0) / 2.0
+print("R_ww of fixed, doubling, expm:", rww, "against", want)
+sys.exit(rww[1:] != rww[:-1] or not abs(rww[0][0][0] - want) <= 1e-15)
+EOF
+
 # 3000 discounted stages: result.json's stage arrays and the stages.csv
 # table take the vectorized writers; every JSON number must still be its
 # repr, and every CSV float its '%.16e'
