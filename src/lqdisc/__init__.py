@@ -4,10 +4,11 @@ Continuous-time problems with piecewise-constant (zero-order-hold) inputs
 and input time delays are converted to their exact discrete-time
 equivalents (A, B_o, Q, M, q_k, rho_k, R_ww) by one of three
 interchangeable methods. Each computes one `Interval` (the transition and
-its discounted integrals) and differs only in the seed and how it is
-composed: a Runge-Kutta step folded N times (fixed), the same step
-powered by squaring (doubling), or exact exponentials over Ts/2^s
-squared s times (expm).
+its discounted integrals) per span between input switches, chained in
+time order, and differs only in the seed and how it is composed: a
+Runge-Kutta step folded N times (fixed), the same step powered by
+squaring (doubling), or exact exponentials over h/2^s squared s times
+(expm).
 """
 
 from .matcore import (DimensionError, DomainError, NumericalError,

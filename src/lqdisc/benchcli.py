@@ -28,6 +28,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from functools import reduce
 from itertools import product
 from pathlib import Path
 
@@ -296,25 +297,31 @@ class ValidationReport:
 
 
 def _gamma_identity_gap(deq: DeqSystem, samples: int = 10) -> float:
-    """Max deviation of the stacked transition from its three-term split
-    and of its bottom block rows from [0 I], over sampled times."""
-    n_x = deq.n_x
+    """Max deviation of the three-block transition Gamma(t) from its
+    three-term split and of its bottom block rows from [0 I], over sampled
+    times, and of the product of the span transitions from Gamma(Ts)."""
+    n_x, n = deq.n_x, deq.n_xu
     bottom = np.hstack([np.zeros((deq.n_in, n_x)), np.eye(deq.n_in)])
     ts = np.linspace(deq.Ts / samples, deq.Ts, samples)
     g = np.stack([deq.gamma(t) for t in ts])
-    stacked = deq.E1 @ expm(deq.H_c * ts[:, None, None]) @ deq.E2
-    return max(max_abs(g - stacked), max_abs(g[:, n_x:, :] - bottom))
+    eye = np.eye(n)
+    E1, E2 = np.hstack([eye, eye, -eye]), np.vstack([eye, eye, eye])
+    stacked = E1 @ expm(deq.H_c * ts[:, None, None]) @ E2
+    product = reduce(lambda a, b: b @ a,
+                     expm(deq.G_p * deq.h_p[:, None, None]))
+    return max(max_abs(g - stacked), max_abs(g[:, n_x:, :] - bottom),
+               max_abs(product - g[-1]))
 
 
 def _bdot_gap(deq: DeqSystem, ode_steps: int = 2048) -> float:
-    """Agreement of direct dB/dt = A B + B_c integration with the
-    exponential-block value of the same integral, per input block."""
+    """Agreement of direct dB/dt = A_c B + B^(p) integration over each span
+    with the exponential-block value of the same integral, the span's T."""
     n_x = deq.n_x
-    blocks = expm(deq.input_blocks(deq.H_c) * deq.Ts)
-    forms = ((deq.A_c, deq.B_1c), (deq.V @ deq.A_c, deq.B_2c_bar))
+    blocks = expm(deq.G_p * deq.h_p[:, None, None])
     return max(
-        max_abs(b_alternative(A, B, deq.Ts, ode_steps) - blk[:n_x, n_x:])
-        for (A, B), blk in zip(forms, blocks))
+        max_abs(b_alternative(deq.A_c, G[:n_x, n_x:], h, ode_steps)
+                - blk[:n_x, n_x:])
+        for G, h, blk in zip(deq.G_p, deq.h_p, blocks))
 
 
 def _zero_delay_gap(plant: ContinuousStateSpace, cost: CostSpec) -> float:

@@ -1,40 +1,43 @@
 """Exact definitions of the discretization targets and a quadrature oracle.
 
-The targets over one sampling interval are
+Inside one sampling interval every input is held. An input delayed by
+(m - v) Ts feeds the slot of u_{k-m} until the switch time (1 - v) Ts and
+the slot of u_{k-m+1} after it. Between the sorted switch times the pair
+[x; u~] follows one constant generator per span, with one output map,
 
-    T(t)    = e^{H_j t} = [[A_j(t), B_j(t)], [0, I]], H_j the input blocks
-    Q(t)    = int_0^t e^{-mu s} Gamma(s)' Qbar_c Gamma(s) ds
-    M(t)    = int_0^t e^{-mu s} Gamma(s)' Mbar_c ds
-    R_ww(t) = int_0^t e^{A_c s} G_c G_c' e^{A_c' s} ds
+    G_p = [[A_c, B^(p)], [0, 0]],   z = [C_c, D^(p)] [x; u~],
 
-with Gamma(s) = E_1 e^{H_c s} E_2 = [[A(s), B_o(s)], [0, I]]. The system
-matrices come in two shapes: a single block [[A_c, B_1c], [0, 0]] over the
-lifted input when every delay is a whole number of samples (or there is
-none), and the three-block form (H_1c, H_2c, H_3c stacked diagonally with
-combination selectors E_1 = [I, I, -I], E_2 = [I; I; I]) when a delay has
-a fractional part. Its input blocks are H_1c and H_2c (H_3c has none),
-so A = A_0 = e^{A_c t} and B_o = sum_j B_j.
+each of size n_xu = n_x + (m_bar+1) n_u. A plant without a fractional
+delay has one span, the whole interval. Over a span of length h the
+targets are
 
-Every method computes the same object, an `Interval`: the transitions
-and discounted integrals over one span of time. Two spans compose by one
-law (`compose`), so the methods differ only in their seed interval (one
-Runge-Kutta step, or the exact exponentials over Ts/2^s) and in how they
-compose it: `fixed` folds the seed N times, `doubling` and `expm` power it.
-R_ww has no discount, delay or input: `core_result` gives every method the
-one `rww_expm` over Ts, exact to expm accuracy whatever the scheme.
+    T(h)    = e^{G_p h} = [[A(h), B(h)], [0, I]]
+    Q(h)    = int_0^h e^{-mu s} T(s)' Qbar_p T(s) ds
+    M(h)    = int_0^h e^{-mu s} T(s)' Mbar_p ds
 
-`oracle_quadrature` evaluates every target by matrix exponentials at
-composite-Simpson nodes, each node a two-level power of a node
-exponential (a chunk base times an inner power). One Python iteration
-covers C^2 = 4096 nodes and memory is O(C n_h^2) for any panel count. It
-is the ground truth the methods are tested against, and uses neither
-seeds nor `compose`.
+with Qbar_p = [C_c, D^(p)]' Q_c [C_c, D^(p)] and Mbar_p = -[C_c, D^(p)]' Q_c,
+and the interval's A, B_o, Q and M are the spans chained in time order.
+R_ww = int_0^Ts e^{A_c s} G_c G_c' e^{A_c' s} ds has no discount, delay or
+input: `build_deq` takes it once from `rww_expm`.
+
+Every method computes the same object, an `Interval` per span: the
+transitions and discounted integrals over a span of time. Two spans
+compose by one law (`compose`), so the methods differ only in their seed
+interval (one Runge-Kutta step, or the exact exponentials over h/2^s) and
+in how they compose it: `fixed` folds the seed N times, `doubling` and
+`expm` power it. Each runs once on the stack of spans, and `core_result`
+chains the spans.
+
+`oracle_quadrature` evaluates every target by composite Simpson on each
+span, from powers of one node exponential per span. It is the ground
+truth the methods are tested against, and uses neither seeds nor `compose`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -46,11 +49,16 @@ from .model import CostSpec, realize_plant
 
 @dataclass(frozen=True, eq=False)
 class DeqSystem:
-    """Assembled generators of the discretization ODE system.
+    """Span generators of the discretization ODE system.
 
-    With a fractional delay (V != 0) H_c is the three-block stack of H_1c,
-    H_2c and H_3c, each n_xu x n_xu. Otherwise H_c is the single block
-    [[A_c, B_1c], [0, 0]] and E_1 = E_2 = I.
+    The S spans between input switches end at the fractions `span_ends` of
+    Ts (increasing, the last 1). Span p has the generator G_p[p] =
+    [[A_c, B^(p)], [0, 0]] and the cost weights Qbar_p[p], Mbar_p[p] of its
+    output map [C_c, D^(p)].
+
+    H_c, kept for `gamma`, is G_p[0] or, with a fractional delay (V != 0),
+    the three-block form: H_1c = G_p[0], H_2c = [[V A_c, B_2c_bar], [0, 0]]
+    and H_3c = [[V A_c, 0], [0, 0]] on its diagonal.
     """
 
     A_c: Mat
@@ -61,12 +69,10 @@ class DeqSystem:
     mu: float
     Ts: float
     H_c: Mat
-    H_cq: Mat
-    H_cm: Mat
-    E1: Mat
-    E2: Mat
-    Qbar_c: Mat
-    Mbar_c: Mat
+    span_ends: np.ndarray
+    G_p: np.ndarray
+    Qbar_p: np.ndarray
+    Mbar_p: np.ndarray
     G_c: Mat | None = None
 
     @property
@@ -84,8 +90,7 @@ class DeqSystem:
 
     @property
     def n_h(self):
-        """Size of the generator H_c: 3 n_xu with a fractional delay,
-        n_xu = n_x + (m_bar+1) n_u otherwise."""
+        """Size of H_c: 3 n_xu with a fractional delay, n_xu otherwise."""
         return self.H_c.shape[0]
 
     @property
@@ -97,23 +102,24 @@ class DeqSystem:
         """True when H_c is the three-block stack of a fractional delay."""
         return self.n_h == 3 * self.n_xu
 
-    def diagonal_blocks(self, X: Mat) -> np.ndarray:
-        """The n_xu x n_xu diagonal blocks of an n_h x n_h matrix X (H_c,
-        H_cq or H_cm): (n_h / n_xu, n_xu, n_xu). For H_c, H_1c, H_2c and
-        H_3c with a fractional delay; H_c itself otherwise."""
-        n = self.n_xu
-        return np.stack([X[j * n:(j + 1) * n, j * n:(j + 1) * n]
-                         for j in range(self.n_h // n)])
+    @cached_property
+    def R_ww(self) -> Mat | None:
+        """`rww_expm` over Ts, taken once per system (None without G_c)."""
+        return None if self.G_c is None else rww_expm(self.A_c, self.G_c,
+                                                      self.Ts)
 
-    def input_blocks(self, X: Mat) -> np.ndarray:
-        """The diagonal blocks of X where H_c's carry an input, H_1c and
-        with a fractional delay H_2c: (k, n_xu, n_xu)."""
-        return self.diagonal_blocks(X)[:1 + self.delay]
+    @cached_property
+    def h_p(self) -> np.ndarray:
+        """The span lengths, in time order: (S,)."""
+        return self.Ts * np.diff(self.span_ends, prepend=0.0)
 
     def gamma(self, t: float) -> Mat:
-        """Gamma(t) = E_1 e^{H_c t} E_2, the [[A, B_o], [0, I]] transition,
-        from one stacked exponential of the diagonal blocks of H_c."""
-        E = expm(self.diagonal_blocks(self.H_c) * t)
+        """Gamma(t) = E_1 e^{H_c t} E_2 = e^{H_1c t} + e^{H_2c t} - e^{H_3c t}
+        (e^{H_c t} without a fractional delay), one stacked exponential. At
+        Ts it is the product of the span transitions, [[A, B_o], [0, I]]."""
+        n = self.n_xu
+        E = expm(np.stack([self.H_c[j:j + n, j:j + n]
+                           for j in range(0, self.n_h, n)]) * t)
         return E[0] + E[1] - E[2] if self.delay else E[0]
 
 
@@ -133,47 +139,46 @@ class CoreResult:
 
 
 class Interval(NamedTuple):
-    """Transitions and discounted integrals over one span of time h.
+    """Transitions and discounted integrals over one span of time h, for
+    a generator G = G_p; each field may carry a leading stack axis, one
+    matrix per span.
 
     Exact for the expm seed; a Runge-Kutta step's approximation for the
     fixed-step seed.
 
-    T             e^{H_j h} = [[A_j, B_j], [0, I]] for the input blocks H_j
-                  of H_c, stacked (k, n_xu, n_xu); A_0 = e^{A_c h}
-    omega_q       e^{H_cq h}, and omega_m = e^{H_cm h}
-    X_q           int_0^h omega_q(s)' S omega_q(s) ds, S = E_1' Qbar_c E_1
-    Y_m           int_0^h omega_m(s)' ds E_1' Mbar_c
-
-    In the E_2-projected form omega_q and omega_m carry a right factor E_2,
-    so X_q and Y_m are already Q and M.
+    T             e^{G h} = [[A, B], [0, I]]
+    omega_q       e^{(G - mu/2 I) h}, and omega_m = e^{(G - mu I) h}
+    X_q           int_0^h omega_q(s)' Qbar_p omega_q(s) ds
+    Y_m           int_0^h omega_m(s)' ds Mbar_p
     """
 
     T: np.ndarray
-    omega_q: Mat
-    X_q: Mat
-    omega_m: Mat
-    Y_m: Mat
+    omega_q: np.ndarray
+    X_q: np.ndarray
+    omega_m: np.ndarray
+    Y_m: np.ndarray
 
 
 def compose(a: Interval, b: Interval) -> Interval:
-    """The span `a` followed by the span `b`.
+    """The span `a` followed by the span `b`, per matrix of a stack.
 
     T = b.T a.T carries the input integrals of `a` forward through the
     transitions of `b`, so spans with different inputs compose. The
     discounted integrals over `b` are carried back through the transitions
-    of `a`. `a` may be E_2-projected, `b` may not.
+    of `a`.
     """
     return Interval(
         T=b.T @ a.T,
         omega_q=b.omega_q @ a.omega_q,
-        X_q=a.X_q + a.omega_q.T @ b.X_q @ a.omega_q,
+        X_q=a.X_q + a.omega_q.swapaxes(-1, -2) @ b.X_q @ a.omega_q,
         omega_m=b.omega_m @ a.omega_m,
-        Y_m=a.Y_m + a.omega_m.T @ b.Y_m)
+        Y_m=a.Y_m + a.omega_m.swapaxes(-1, -2) @ b.Y_m)
 
 
 def power(seed: Interval, n: int) -> Interval:
     """`seed` composed with itself n >= 1 times by binary powering:
-    floor(log2 n) squarings and one more compose per further set bit."""
+    floor(log2 n) squarings and one more compose per further set bit.
+    A stack of spans is powered span by span."""
     if n < 1:
         raise DomainError(f"power needs n >= 1, got {n}")
     out = None
@@ -186,24 +191,19 @@ def power(seed: Interval, n: int) -> Interval:
         seed = compose(seed, seed)
 
 
-def projected_identity(sys: DeqSystem) -> Interval:
-    """The zero-length span of `sys` in E_2-projected form. Folding from it
-    carries omega E_2 (n_h x n_xu) instead of omega; composing it before a
-    full interval projects that interval."""
-    n = sys.n_xu
-    return Interval(
-        T=np.broadcast_to(np.eye(n), (1 + sys.delay, n, n)),
-        omega_q=sys.E2, X_q=np.zeros((n, n)),
-        omega_m=sys.E2, Y_m=np.zeros((n, sys.n_z)))
+def chain(spans: Interval) -> Interval:
+    """The stacked spans composed in time order: one interval."""
+    return reduce(compose, (Interval(*span) for span in zip(*spans)))
 
 
 def _upper(a, b, d) -> Mat:
-    """[[a, b], [0, d]] from n x n blocks; d fixes n."""
-    n = d.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = a
-    M[:n, n:] = b
-    M[n:, n:] = d
+    """[[a, b], [0, d]] from n x n blocks or stacks of them; d fixes n."""
+    n = d.shape[-1]
+    M = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b), d.shape)[:-2]
+                 + (2 * n, 2 * n))
+    M[..., :n, :n] = a
+    M[..., :n, n:] = b
+    M[..., n:, n:] = d
     return M
 
 
@@ -211,11 +211,14 @@ def rww_expm(A_c: Mat, G_c: Mat, t: float) -> Mat:
     """R_ww(t) = int_0^t e^{A_c s} G_c G_c' e^{A_c' s} ds by a Van Loan
     block exponential (1978), scaled and squared.
 
-    C = exp(h [[-A_c, G_c G_c'], [0, A_c']]), h = t/2^s with s the least
-    such that ||A_c||_1 h <= 1, gives E = C_22' = e^{A_c h} and R_ww(h) =
-    E C_12; then s times R <- R + E R E', E <- E E. So the block never
-    holds the e^{t ||A_c||} of its -A_c corner: a stable A_c of any norm
-    gives R_ww, and an R_ww that overflows raises NumericalError.
+    C = exp(h [[-A_c, W], [0, A_c']]), h = t/2^s with s the least such
+    that ||A_c||_1 h <= 1, gives E = C_22' = e^{A_c h} and R_ww(h) = E C_12
+    for W = G_c G_c'; then s times R <- R + E R E', E <- E E. So the block
+    never holds the e^{t ||A_c||} of its -A_c corner: a stable A_c of any
+    norm gives R_ww, and an R_ww that overflows raises NumericalError.
+    R_ww is linear in W, so an h W with an entry of 1 or more is scaled by
+    2^-e to a largest entry in [1/2, 1), and R back by 2^e: `expm` sees no
+    wide-range block.
     """
     A_c, G_c = _require_finite(asmat(A_c), "A_c"), asmat(G_c)
     n = A_c.shape[0]
@@ -230,12 +233,15 @@ def rww_expm(A_c: Mat, G_c: Mat, t: float) -> Mat:
     s = math.ceil(x) if x > 0 else 0
     h = math.ldexp(t, -s)
     with np.errstate(over="ignore", invalid="ignore"):
-        c3 = expm(_upper(-h * A_c, h * (G_c @ G_c.T), h * A_c.T))
+        W = h * (G_c @ G_c.T)
+        e = max(math.frexp(np.abs(W).max(initial=0.0))[1], 0)
+        c3 = expm(_upper(-h * A_c, np.ldexp(W, -e), h * A_c.T))
         E = c3[n:, n:].T
         R = E @ c3[:n, n:]
         for _ in range(s):
             R = R + E @ R @ E.T
             E = E @ E
+        R = np.ldexp(R, e)
     if not np.isfinite(R).all():
         raise NumericalError(
             f"R_ww over t = {t:.6g} overflows: e^(A_c t) leaves the double "
@@ -243,27 +249,28 @@ def rww_expm(A_c: Mat, G_c: Mat, t: float) -> Mat:
     return symmetrize(R)
 
 
-def core_result(sys: DeqSystem, iv: Interval, method: str,
+def core_result(sys: DeqSystem, spans: Interval, method: str,
                 **provenance) -> CoreResult:
-    """Read (A, B_o, Q, M) off an E_2-projected interval of `sys`; R_ww is
-    `rww_expm` over Ts (None without G_c)."""
-    n_x = sys.n_x
+    """Read (A, B_o, Q, M) off the spans of `sys`, chained in time order;
+    R_ww is the system's."""
+    iv, n_x = chain(spans), sys.n_x
     return CoreResult(
-        A=iv.T[0, :n_x, :n_x].copy(), B_o=iv.T[:, :n_x, n_x:].sum(axis=0),
-        Q=symmetrize(iv.X_q), M=iv.Y_m,
-        R_ww=None if sys.G_c is None else rww_expm(sys.A_c, sys.G_c, sys.Ts),
+        A=iv.T[:n_x, :n_x].copy(), B_o=iv.T[:n_x, n_x:].copy(),
+        Q=symmetrize(iv.X_q), M=iv.Y_m, R_ww=sys.R_ww,
         method=method, **provenance)
 
 
 def build_deq(plant, cost: CostSpec) -> DeqSystem:
-    """Assemble the ODE-system generators for a plant and cost.
+    """Assemble the span generators for a plant and cost.
 
     `plant` is any plant `realize_plant` takes: a DelayRealization passes
-    through, anything else is realized at cost.Ts. A realization whose
-    delays are all whole samples (V = 0, none at all included) yields the
-    single block [[A_c, B_1c], [0, 0]] over the lifted input, n_h = n_xu:
-    the shift states are all such a delay adds. One with a fractional part
-    yields the three-block delayed structure, n_h = 3 n_xu.
+    through, anything else is realized at cost.Ts. The switch times are
+    (1 - v) Ts for every fractional part v of the realization: V's diagonal
+    (state rows) and the v grid (feedthrough). From a span on past its
+    switch time, row r of B^(p) is B_2c's instead of B_1c's, and the gain
+    D_ij moves from the slot of u_{k-m_ij} to the next one. Delays of whole
+    samples (V = 0, none at all included) give one span, the generator
+    [[A_c, B_1c], [0, 0]] over the lifted input.
     """
     if cost.mu < 0:
         raise DomainError(f"discount must be >= 0, got {cost.mu}")
@@ -271,8 +278,7 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
     if plant.Ts != cost.Ts:
         raise DomainError(f"delays were realized at Ts={plant.Ts}, but the "
                           f"cost has Ts={cost.Ts}")
-    A_c, B_1c, C_c, D_o = plant.A_c, plant.B_1c, plant.C_c, plant.D_o
-    V, B_2c_bar, G_c = plant.V, plant.B_2c_bar, plant.G_c
+    A_c, B_1c, C_c, V, v = plant.A_c, plant.B_1c, plant.C_c, plant.V, plant.v
 
     n_x, n_in = B_1c.shape
     n_xu = n_x + n_in
@@ -280,39 +286,36 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
         raise DimensionError(
             f"plant has {C_c.shape[0]} outputs but Q_c is {cost.n_z}x{cost.n_z}")
 
-    def generator(A, B):
-        """[[A, B], [0, 0]]: the state block over held inputs."""
-        H = np.zeros((n_xu, n_xu))
-        H[:n_x, :n_x] = A
-        H[:n_x, n_x:] = B
-        return H
+    v_x = np.diag(V)
+    parts = np.concatenate([v_x, v.ravel()])
+    switches = np.array(sorted(set((1.0 - parts[parts > 0]).tolist())))
+    starts = np.concatenate([[0.0], switches])   # span starts, fractions of Ts
+    S = len(starts)
+    late_x = (v_x > 0) & (starts[:, None] >= 1.0 - v_x)            # (S, n_x)
+    G_p = np.zeros((S, n_xu, n_xu))
+    G_p[:, :n_x, :n_x] = A_c
+    G_p[:, :n_x, n_x:] = np.where(late_x[:, :, None], plant.B_2c, B_1c)
+    CD = np.zeros((S, cost.n_z, n_xu))
+    CD[:, :, :n_x] = C_c
+    CD[:, :, n_x:] = plant.D_o
+    p, i, j = np.nonzero((v > 0) & (starts[:, None, None] >= 1.0 - v))
+    col = n_x + (plant.m_bar - plant.m[i, j]) * plant.n_u + j
+    CD[p, i, col + plant.n_u] = CD[p, i, col]
+    CD[p, i, col] = 0.0
+    Mbar_p = -CD.swapaxes(1, 2) @ cost.Q_c
+    Qbar_p = symmetrize(-Mbar_p @ CD)  # = CD' Q_c CD
 
-    H_c = generator(A_c, B_1c)
-    if V.any():
-        VA = V @ A_c
-        blocks = (H_c, generator(VA, B_2c_bar), generator(VA, 0.0))
-        H_c = np.zeros((3 * n_xu, 3 * n_xu))
-        for j, H in enumerate(blocks):
-            d = slice(j * n_xu, (j + 1) * n_xu)
-            H_c[d, d] = H
-        eye = np.eye(n_xu)
-        E1 = np.hstack([eye, eye, -eye])
-        E2 = np.vstack([eye, eye, eye])
-    else:
-        E1 = np.eye(n_xu)
-        E2 = np.eye(n_xu)
-    n_h = H_c.shape[0]
-    H_cq = H_c - (cost.mu / 2.0) * np.eye(n_h)
-    H_cm = H_c - cost.mu * np.eye(n_h)
-
-    CD = np.hstack([C_c, D_o])
-    Mbar_c = -CD.T @ cost.Q_c
-    Qbar_c = symmetrize(-Mbar_c @ CD)  # = CD' Q_c CD
-
-    return DeqSystem(A_c=A_c, B_1c=B_1c, B_2c_bar=B_2c_bar, V=V,
+    H_c = G_p[0]
+    if V.any():         # H_1c, H_2c and H_3c on the diagonal
+        H_c = np.zeros((3, n_xu, 3, n_xu))
+        H_c[0, :, 0] = G_p[0]
+        H_c[1, :n_x, 1, :n_x] = H_c[2, :n_x, 2, :n_x] = V @ A_c
+        H_c[1, :n_x, 1, n_x:] = plant.B_2c_bar
+        H_c = H_c.reshape(3 * n_xu, 3 * n_xu)
+    return DeqSystem(A_c=A_c, B_1c=B_1c, B_2c_bar=plant.B_2c_bar, V=V,
                      C_c=C_c, mu=cost.mu, Ts=cost.Ts, H_c=H_c,
-                     H_cq=H_cq, H_cm=H_cm, E1=E1, E2=E2, Qbar_c=Qbar_c,
-                     Mbar_c=Mbar_c, G_c=G_c)
+                     span_ends=np.append(switches, 1.0), G_p=G_p,
+                     Qbar_p=Qbar_p, Mbar_p=Mbar_p, G_c=plant.G_c)
 
 
 # Nodes (or steps) per chunk of the validation references and of the
@@ -320,27 +323,30 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
 _CHUNK = 64
 
 
-def _powers(D: Mat) -> tuple[np.ndarray, Mat]:
-    """For P = I + D: the stack P^i - I, i < C = _CHUNK, and P^C - I.
+def _powers(D: Mat, count: int = _CHUNK) -> tuple[np.ndarray, Mat | None]:
+    """For P = I + D: the stack P^i - I, i < count <= C = _CHUNK, and
+    P^C - I (None when count < C).
 
     Built by log2(C) stacked products, each doubling the stack with
     P^{i+n} - I = D_i + D_n + D_i D_n. When P is near I, products of P
     itself add a rounding error the size of an ulp of 1 per power, which
     the differences D_i avoid.
     """
-    stack = np.zeros((_CHUNK,) + D.shape)
+    stack = np.zeros((count,) + D.shape)
     n, step = 1, D
-    while n < _CHUNK:
-        new = np.matmul(stack[:n], step, out=stack[n:2 * n])
-        new += stack[:n]
+    while n < count:
+        k = min(n, count - n)
+        new = np.matmul(stack[:k], step, out=stack[n:n + k])
+        new += stack[:k]
         new += step
         step = step + step + step @ step
         n *= 2
-    return stack, step
+    return stack, step if count == _CHUNK else None
 
 
-def _simpson_weights(k: np.ndarray, panels: int, h: float) -> np.ndarray:
-    """Composite-Simpson weights at the node indices k, zero past `panels`."""
+def _simpson_weights(k: np.ndarray, panels: int, h) -> np.ndarray:
+    """Composite-Simpson weights at the node indices k, zero past `panels`,
+    for a node spacing h (or a stack of them, broadcast against k)."""
     w = np.where(k % 2, 4.0, 2.0)
     w[(k == 0) | (k == panels)] = 1.0
     w[k > panels] = 0.0
@@ -348,88 +354,76 @@ def _simpson_weights(k: np.ndarray, panels: int, h: float) -> np.ndarray:
 
 
 def oracle_quadrature(sys: DeqSystem, panels: int = 4096) -> CoreResult:
-    """Evaluate every target at Ts by composite Simpson over expm nodes.
+    """Evaluate every target at Ts by composite Simpson on every span.
 
-    The node exponentials e^{X s_k}, s_k = k Ts/panels, are powers of the
-    three node steps P = e^{A_c h}, e^{V A_c h} and e^{H_c h} (the only
-    three `expm` calls), taken on two levels: node k = C c + i (C = 64)
-    is (I + E_c)(I + D_i), with D_i = P^i - I and E_c = (P^C)^c - I for
-    i, c < C, both stacks from `_powers`. One Python iteration covers a
-    block of up to C chunks, C^2 = 4096 nodes, whose chunk bases are one
-    stacked product of the I + E_c with the block base (P^{C^2})^b.
-    Inside a block the Simpson weights are contracted over one index
-    first and the matrices after (Gamma as (E_1 chunk base) (P^i E_2)),
-    so memory is O(C n_h^2) for any panel count. Every node is a plain
+    Span p has `panels` panels of h = h_p/panels. Its node exponentials
+    e^{G_p k h} are powers of P = e^{G_p h} (one stacked `expm`) on two
+    levels: node k = C c + i (C = 64) is (I + E_c)(I + D_i), D_i = P^i - I
+    and E_c = (P^C)^c - I from `_powers`, built only for the chunks c the
+    panels reach. One Python iteration covers a block of C^2 = 4096 nodes
+    of every span; inside it the weights are contracted over one index
+    first, so memory is O(C S n_xu^2) for any panel count. The spans'
+    integrals are summed through Phi_p, the product of the earlier spans'
+    transitions: Q adds Phi_p' Q_p Phi_p, M adds Phi_p' M_p, R_ww adds
+    A_p R_p A_p' (A_p the top-left block of Phi_p). Every node is a plain
     power of a node exponential and every integral a plain weighted sum:
-    the result shares no seed, no `compose` and no Runge-Kutta
-    coefficient with the methods it checks.
+    no seed, no `compose` and no Runge-Kutta coefficient of the methods.
 
     Error decays as O(panels^-4). R_ww is None when the system has no
     diffusion matrix G_c.
     """
     if panels < 2 or panels % 2:
         raise DomainError(f"panels must be even and >= 2, got {panels}")
-    h = sys.Ts / panels
     C = _CHUNK
-
-    n_x, n_h = sys.n_x, sys.n_h
-    powA, stepA = _powers(expm(sys.A_c * h) - np.eye(n_x))
-    powV, stepV = _powers(expm(sys.V @ sys.A_c * h) - np.eye(n_x))
-    # Only the E_1 and E_2 projections of the n_h x n_h stacks are kept,
-    # so the loop's two (L_c' Qbar_c L_c and its weighted sum over c) are
-    # the only ones alive while it runs.
-    dH, stepH = _powers(expm(sys.H_c * h) - np.eye(n_h))
-    powHE2 = dH @ sys.E2                 # e^{H_c h i} E_2, i < C
-    powHE2 += sys.E2
-    del dH
-    chunkA, blockA = _powers(stepA)      # (P^C)^c - I, c < C; P^{C^2} - I
-    chunkV, blockV = _powers(stepV)
-    chunkH, blockH = _powers(stepH)
-    E1chunkH = sys.E1 @ chunkH           # E_1 e^{H_c h C c}, c < C
-    E1chunkH += sys.E1
-    del chunkH
-    for stack in (powA, powV, chunkA, chunkV):
-        stack += np.eye(n_x)             # e^{A_c h i}, e^{A_c h C c}, ...
+    n_x, n = sys.n_x, sys.n_xu
+    eye = np.eye(n)
+    h = (sys.h_p / panels)[:, None, None]
+    t0 = sys.Ts * np.append(0.0, sys.span_ends[:-1])[:, None, None]
+    powP, stepP = _powers(expm(sys.G_p * h) - eye)
+    powP += eye                          # e^{G_p h i}, i < C: (C, S, n, n)
+    nodes = panels + 1
+    chunkP, blockP = _powers(stepP, min(C, -(-nodes // C)))
+    chunkP += eye                        # e^{G_p h C c}
+    powA = powP[..., :n_x, :n_x]
     GAG = None                           # e^{A_c h i} G_c G_c' e^{A_c' h i}
     if sys.G_c is not None:
-        GAG = powA @ (sys.G_c @ sys.G_c.T) @ powA.transpose(0, 2, 1)
+        GAG = powA @ (sys.G_c @ sys.G_c.T) @ powA.swapaxes(-1, -2)
 
-    XA = np.eye(n_x)                     # block bases e^{A_c h C^2 b}, ...
-    XV = np.eye(n_x)
-    XH = np.eye(n_h)
-    SA = np.zeros((n_x, n_x))            # int e^{A_c s} ds
-    SV = np.zeros((n_x, n_x))
-    SQ = np.zeros((sys.n_xu, sys.n_xu))
-    SG = np.zeros((sys.n_xu, sys.n_xu))  # int e^{-mu s} Gamma(s) ds
-    SR = np.zeros((n_x, n_x)) if GAG is not None else None
-
-    for start in range(0, panels + 1, C * C):
-        nc = min(C, -(-(panels + 1 - start) // C))   # chunks in the block
+    X = eye                              # block bases e^{G_p h C^2 b}
+    SQ = np.zeros_like(sys.G_p)          # int e^{-mu t} T' Qbar_p T ds
+    SG = np.zeros_like(sys.G_p)          # int e^{-mu t} T ds
+    SR = None if GAG is None else np.zeros_like(GAG[0])
+    for start in range(0, nodes, C * C):
+        nc = min(C, -(-(nodes - start) // C))    # chunks in the block
         k = start + np.arange(nc * C).reshape(nc, C)  # node C c + i
-        W = _simpson_weights(k, panels, h)
-        WD = W * np.exp(-sys.mu * h * k)
-        BA = XA @ chunkA[:nc]            # chunk bases e^{A_c s_{Cc}}, ...
-        BV = XV @ chunkV[:nc]
-        L = E1chunkH[:nc] @ XH           # Gamma(s_{Cc+i}) = L_c powHE2_i
-        SA += (BA @ np.einsum("ci,ijk->cjk", W, powA)).sum(0)
-        SV += (BV @ np.einsum("ci,ijk->cjk", W, powV)).sum(0)
-        SG += (L @ np.einsum("ci,ijk->cjk", WD, powHE2)).sum(0)
-        SQ += (powHE2.transpose(0, 2, 1) @ np.einsum(
-            "ci,cjk->ijk", WD, L.transpose(0, 2, 1) @ sys.Qbar_c @ L)
-            @ powHE2).sum(0)
+        W = _simpson_weights(k, panels, h)       # (S, nc, C)
+        WD = W * np.exp(-sys.mu * (t0 + h * k))
+        L = chunkP[:nc] @ X              # chunk bases e^{G_p s_{Cc}}
+        SG += (L @ np.einsum("pci,ipjk->cpjk", WD, powP)).sum(0)
+        SQ += (powP.swapaxes(-1, -2) @ np.einsum(
+            "pci,cpjk->ipjk", WD, L.swapaxes(-1, -2) @ sys.Qbar_p @ L)
+            @ powP).sum(0)
         if GAG is not None:
-            SR += (BA @ np.einsum("ci,ijk->cjk", W, GAG)
-                   @ BA.transpose(0, 2, 1)).sum(0)
+            BA = L[..., :n_x, :n_x]
+            SR += (BA @ np.einsum("pci,ipjk->cpjk", W, GAG)
+                   @ BA.swapaxes(-1, -2)).sum(0)
         if start + C * C <= panels:
-            XA = XA + XA @ blockA
-            XV = XV + XV @ blockV
-            XH = XH + XH @ blockH
+            X = X + X @ blockP
 
     c, i = divmod(panels - start, C)     # the last node, in the last block
-    return CoreResult(A=BA[c] @ powA[i],
-                      B_o=SA @ sys.B_1c + SV @ sys.B_2c_bar,
-                      Q=symmetrize(SQ), M=SG.T @ sys.Mbar_c,
-                      R_ww=symmetrize(SR) if SR is not None else None,
+    ends = L[c] @ powP[i]                # span transitions e^{G_p h_p}
+    Phi = eye
+    Q, M = np.zeros((n, n)), np.zeros((n, sys.n_z))
+    R = None if SR is None else np.zeros((n_x, n_x))
+    for p in range(len(ends)):
+        Q += Phi.T @ SQ[p] @ Phi
+        M += Phi.T @ SG[p].T @ sys.Mbar_p[p]
+        if R is not None:
+            R += Phi[:n_x, :n_x] @ SR[p] @ Phi[:n_x, :n_x].T
+        Phi = ends[p] @ Phi
+    return CoreResult(A=Phi[:n_x, :n_x], B_o=Phi[:n_x, n_x:],
+                      Q=symmetrize(Q), M=M,
+                      R_ww=None if R is None else symmetrize(R),
                       method="oracle", steps=panels)
 
 

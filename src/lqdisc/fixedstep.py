@@ -3,13 +3,14 @@
 Because every right-hand side in the system is linear with a constant
 generator, the Runge-Kutta stage combinations collapse into constant
 matrices (Lambda, Omega...) that are computed once per (tableau, step
-size). The stage kernels take a stack of same-size generators, so one
-stacked propagation steps every n_xu x n_xu block of the system at once.
-The coefficients form the one-step seed `Interval`, which `integrate`
-folds N times, one chunk of 64 steps per iteration: the seed's powers
-P^i - I (i < 64) are built once, and each chunk's steps and their
-increments to the integrals are a few batched products on that stack. No
-expm and no linear solves inside the propagation loop.
+size). The stage kernels take a stack of same-size generators, each with
+its own step, so one stacked propagation steps every span generator G_p
+and its discounted shifts at once, N steps of h_p/N on span p. The
+coefficients form the one-step seed `Interval` of every span, which
+`integrate` folds N times, one chunk of 64 steps per iteration: the
+seed's powers P^i - I (i < 64) are built once, and each chunk's steps and
+their increments to the integrals are a few batched products on that
+stack. No expm and no linear solves inside the propagation loop.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .matcore import (DimensionError, DomainError, Mat, SingularMatrixError,
                       solve, symmetrize)
 from .exactdefs import (_CHUNK, CoreResult, DeqSystem, Interval, _powers,
-                        core_result, projected_identity)
+                        core_result)
 
 _TABLEAU_TOL = 1e-12
 
@@ -178,17 +179,21 @@ def named_tableau(name: str) -> ButcherTableau:
 
 
 def _stage_error(exc: SingularMatrixError, what: str, tableau: ButcherTableau,
-                 dt: float) -> SingularMatrixError:
+                 dt, G: Mat) -> SingularMatrixError:
+    if np.ndim(dt):     # a step per generator: the singular one's
+        dt = np.broadcast_to(dt, G.shape[:-2] + (1, 1))[
+            exc.stack_index or ()][0, 0]
     return SingularMatrixError(
         f"singular {what} for scheme {tableau.name!r} at dt={dt:.6g}: {exc}",
         pivot_index=exc.pivot_index, stack_index=exc.stack_index)
 
 
-def stage_coefficients(tableau: ButcherTableau, G: Mat, dt: float) -> Mat:
+def stage_coefficients(tableau: ButcherTableau, G: Mat, dt) -> Mat:
     """Constant stage coefficients Lambda_i with Lambda_i = I + dt sum_j
     a_ij G Lambda_j, solved once per (tableau, generator, step size), for
     each generator of a stack G (..., n, n): a stack (s, ..., n, n) over
-    the s stages.
+    the s stages. dt is one step, or a stack (..., 1, 1) of steps that
+    broadcasts against G.
 
     Each stage sums its nonzero dt a_ij G Lambda_j in order of j, each a
     product per matrix of the stack, so an explicit tableau gives every
@@ -207,7 +212,7 @@ def stage_coefficients(tableau: ButcherTableau, G: Mat, dt: float) -> Mat:
         try:
             X = solve(big, np.tile(eye, (s, 1)))
         except SingularMatrixError as exc:
-            raise _stage_error(exc, "stage system", tableau, dt) from None
+            raise _stage_error(exc, "stage system", tableau, dt, G) from None
         return np.moveaxis(X.reshape(G.shape[:-2] + (s, n, n)), -3, 0)
     out = np.empty((s,) + G.shape)
     g_lam: dict[int, Mat] = {}          # G Lambda_j, formed at its first use
@@ -226,13 +231,13 @@ def stage_coefficients(tableau: ButcherTableau, G: Mat, dt: float) -> Mat:
                     inverses[d] = solve(eye - (dt * d) * G, eye)
                 except SingularMatrixError as exc:
                     raise _stage_error(exc, f"stage {i}", tableau,
-                                       dt) from None
+                                       dt, G) from None
             rhs = inverses[d] @ rhs
         out[i] = rhs
     return out
 
 
-def propagation(tableau: ButcherTableau, G: Mat, dt: float):
+def propagation(tableau: ButcherTableau, G: Mat, dt):
     """(Lambda, stages) for a generator stack G (..., n, n), stages as from
     `stage_coefficients`: Lambda = I + dt G sum_i b_i Lambda_i advances the
     state by dt."""
@@ -244,56 +249,40 @@ def propagation(tableau: ButcherTableau, G: Mat, dt: float):
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """The one-step seed interval at dt = Ts / n_steps; immutable."""
+    """The one-step seed interval of every span, dt = h_p / n_steps."""
 
     scheme: str
     n_steps: int
     seed: Interval
 
 
-def _quadrature(tableau: ButcherTableau, dt: float, terms: Mat) -> Mat:
+def _quadrature(tableau: ButcherTableau, dt, terms: Mat) -> Mat:
     """dt sum_i b_i terms_i over a stack of per-stage terms: the tableau's
     own quadrature."""
     return dt * sum(bi * x for bi, x in zip(tableau.b, terms))
 
 
-def _block_diag(blocks: Mat) -> Mat:
-    """The block-diagonal matrices (..., d n, d n) of blocks (..., d, n, n)."""
-    d, n = blocks.shape[-3], blocks.shape[-1]
-    out = np.zeros(blocks.shape[:-3] + (d * n, d * n))
-    for j in range(d):
-        out[..., j * n:(j + 1) * n, j * n:(j + 1) * n] = blocks[..., j, :, :]
-    return out
-
-
 def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
                        n_steps: int) -> CoefficientSet:
-    """Precompute the one-step interval for N = n_steps substeps.
+    """Precompute the one-step interval of every span for N = n_steps
+    substeps, dt_p = h_p / N on span p.
 
-    One stacked propagation steps every n_xu x n_xu generator at once: the
-    input blocks of H_c, then the diagonal blocks of H_cq and of H_cm (both
-    block diagonal, each block an H_jc shifted by mu/2 or mu). omega_q,
-    omega_m and their stages are those blocks put back on the diagonal; the
-    integrals are the tableau's own quadrature dt sum_i b_i over the
+    One stacked propagation steps the span generators G_p, then G_p shifted
+    by mu/2 and by mu, each span at its own dt_p: T, omega_q and omega_m.
+    The integrals are the tableau's own quadrature dt sum_i b_i over the
     stages."""
     n_steps = operator.index(n_steps)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    dt = sys.Ts / n_steps
-    inputs = sys.input_blocks(sys.H_c)
-    k, d = len(inputs), sys.n_h // sys.n_xu
-    lam, stages = propagation(tableau, np.concatenate([
-        inputs, sys.diagonal_blocks(sys.H_cq),
-        sys.diagonal_blocks(sys.H_cm)]), dt)
-    q, m = slice(k, k + d), slice(k + d, None)
-    L_q, L_m = _block_diag(stages[:, q]), _block_diag(stages[:, m])
-    S = sys.E1.T @ sys.Qbar_c @ sys.E1
-    ME = sys.E1.T @ sys.Mbar_c
-    X_q = _quadrature(tableau, dt, L_q.swapaxes(1, 2) @ S @ L_q)
-    Y_m = _quadrature(tableau, dt, L_m.swapaxes(1, 2) @ ME)
-    seed = Interval(T=lam[:k], omega_q=_block_diag(lam[q]),
-                    X_q=symmetrize(X_q), omega_m=_block_diag(lam[m]),
-                    Y_m=Y_m)
+    dt = sys.h_p[:, None, None] / n_steps
+    eye = np.eye(sys.n_xu)
+    lam, stages = propagation(tableau, np.stack([
+        sys.G_p, sys.G_p - (sys.mu / 2.0) * eye, sys.G_p - sys.mu * eye]), dt)
+    L_q, L_m = stages[:, 1], stages[:, 2]
+    X_q = _quadrature(tableau, dt, L_q.swapaxes(-1, -2) @ sys.Qbar_p @ L_q)
+    Y_m = _quadrature(tableau, dt, L_m.swapaxes(-1, -2) @ sys.Mbar_p)
+    seed = Interval(T=lam[0], omega_q=lam[1], X_q=symmetrize(X_q),
+                    omega_m=lam[2], Y_m=Y_m)
     return CoefficientSet(scheme=tableau.name, n_steps=n_steps, seed=seed)
 
 
@@ -308,24 +297,26 @@ def _chunk_powers(P: np.ndarray, sizes) -> tuple[np.ndarray, dict]:
 
 
 def integrate(coeffs: CoefficientSet, sys: DeqSystem) -> CoreResult:
-    """Fold the seed N times from the E_2-projected identity, one chunk of
+    """Fold the seed of every span N times from the identity, one chunk of
     m <= C = 64 steps per iteration, from D_i = P^i - I (i < C) and P^C - I
-    built once per seed transition P (omega_q, omega_m and the stack T). A
+    built once per seed transition P (the stacks T, omega_q and omega_m). A
     chunk's transitions (I + D_i) base and their increments to X_q are
     batched products over the stack of omega_q: one small product per
-    step, which BLAS keeps on the calling thread. Y_m takes the power sum,
-    and each base (T with its input integrals) advances by P^m.
+    step and span, which BLAS keeps on the calling thread. Y_m takes the
+    power sum, and each base (T with its input integrals) advances by P^m.
     """
     seed, n = coeffs.seed, coeffs.n_steps
     sizes = [_CHUNK] * (n // _CHUNK) + [n % _CHUNK] * (n % _CHUNK > 0)
     pow_q, tq = _chunk_powers(seed.omega_q, sizes)
     tt = _chunk_powers(seed.T, sizes)[1]
     tm = _chunk_powers(seed.omega_m, sizes)[1]
-    T, W_q, X_q, W_m, Y_m = projected_identity(sys)
+    T = W_q = W_m = np.broadcast_to(np.eye(sys.n_xu), seed.T.shape)
+    X_q, Y_m = np.zeros_like(seed.X_q), np.zeros_like(seed.Y_m)
     for m in sizes:
-        Wk = W_q + pow_q[:m] @ W_q                   # omega_q^{k+i} E_2
-        X_q = X_q + (Wk.swapaxes(1, 2) @ seed.X_q @ Wk).sum(axis=0)
-        Y_m = Y_m + W_m.T @ (tm[m][1].T @ seed.Y_m)
+        Wk = W_q + pow_q[:m] @ W_q                   # omega_q^{k+i}
+        X_q = X_q + (Wk.swapaxes(-1, -2) @ seed.X_q @ Wk).sum(axis=0)
+        Y_m = Y_m + W_m.swapaxes(-1, -2) @ (
+            tm[m][1].swapaxes(-1, -2) @ seed.Y_m)
         T = T + tt[m][0] @ T
         W_q = W_q + tq[m][0] @ W_q
         W_m = W_m + tm[m][0] @ W_m

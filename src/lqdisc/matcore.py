@@ -352,8 +352,9 @@ def max_abs(X: Mat) -> float:
 
 
 def symmetrize(X: Mat) -> Mat:
-    X = _require_square(X, "symmetrize argument")
-    return 0.5 * (X + X.T)
+    """(X + X')/2, per matrix of a stack (..., n, n)."""
+    X = _square_stack(X, "symmetrize argument")
+    return 0.5 * (X + X.swapaxes(-1, -2))
 
 
 def is_symmetric(X: Mat, tol: float = 1e-12) -> bool:

@@ -2,7 +2,8 @@
 
 The fixed-step recurrences are geometric in the constant coefficients, so
 the one-step seed interval composed with itself reaches N steps in
-floor(log2 N) squarings, plus one compose per further set bit of N.
+floor(log2 N) squarings, plus one compose per further set bit of N; the
+seeds of all spans are powered as one stack, N steps on every span.
 Composing an interval with itself updates each integral with the factors
 of the half it doubles, before the transitions are squared:
 
@@ -15,8 +16,7 @@ from __future__ import annotations
 import operator
 
 from .matcore import DomainError
-from .exactdefs import (CoreResult, DeqSystem, compose, core_result, power,
-                        projected_identity)
+from .exactdefs import CoreResult, DeqSystem, core_result, power
 from .fixedstep import ButcherTableau, CoefficientSet, build_coefficients
 
 
@@ -36,6 +36,5 @@ def discretize_step_doubling(sys: DeqSystem, tableau: ButcherTableau,
         raise DomainError(
             f"coefficient set was built for N={n}, which takes "
             f"{n.bit_length() - 1} doublings, not {j}")
-    iv = power(coeffs.seed, n)
-    return core_result(sys, compose(projected_identity(sys), iv),
-                       "doubling", scheme=coeffs.scheme, steps=n, doublings=j)
+    return core_result(sys, power(coeffs.seed, n), "doubling",
+                       scheme=coeffs.scheme, steps=n, doublings=j)

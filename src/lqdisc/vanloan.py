@@ -1,24 +1,23 @@
 """Exact discretization via block matrix exponentials (Van Loan, 1978).
 
 Each integral of the seed interval over h is the off-diagonal block of one
-matrix exponential:
+matrix exponential, for every span generator G_p at once (one stacked
+`expm` per kind), with G_q = G_p - (mu/2) I and G_m = G_p - mu I:
 
-    Phi_1 = exp(h [[-H_cq', S ], [0, H_cq ]]),  S = E_1' Qbar_c E_1
+    Phi_1 = exp(h [[-G_q', Qbar_p], [0, G_q]])
         =>  Omega_q = Phi_1_22,  X_q = Phi_1_22' Phi_1_12
-    Phi_2 = exp(h [[0, I], [0, H_cm']])
-        =>  Omega_m = Phi_2_22',  Y_m = Phi_2_12 E_1' Mbar_c
-    Phi_3 = exp(h H_j), one stack over the input blocks H_j of H_c
-        =>  T, the transitions [[A_j, B_j], [0, I]]
+    Phi_2 = exp(h [[0, I], [0, G_m']])
+        =>  Omega_m = Phi_2_22',  Y_m = Phi_2_12 Mbar_p
+    Phi_3 = exp(h G_p)
+        =>  T, the transition [[A, B], [0, I]]
 
-R_ww is no part of the seed: `rww_expm` scales and squares its own block.
+R_ww is no part of the seed: `build_deq` takes it from `rww_expm`.
 
-The -H_cq' block grows like e^{||h H_cq||}, so a long or strongly
-discounted interval overflows Phi_1. The seed is therefore taken at
-h = Ts/2^s, with s chosen from the 1-norms of Ts H_cq and Ts H_cm, and
-squared s times with `compose`: the scaling and squaring that
-`matcore.expm` applies to its Taylor approximant (Paterson-Stockmeyer,
-degree and squarings from the alpha_p power-norm bound of Al-Mohy &
-Higham, 2011), here over the whole interval.
+The -G_q' block grows like e^{||h G_q||}, so a long or strongly
+discounted span overflows Phi_1. The seed of span p is therefore taken
+at h_p/2^s, one s for all spans (the largest that the 1-norms of h_p G_q
+and h_p G_m need), and squared s times with `compose`: the scaling and
+squaring of `matcore.expm` (Al-Mohy & Higham, 2011), over each span.
 """
 
 from __future__ import annotations
@@ -29,41 +28,48 @@ import numpy as np
 
 from .matcore import expm
 # rww_expm is re-exported: lqdisc.vanloan.rww_expm is public
-from .exactdefs import (CoreResult, DeqSystem, Interval, _upper, compose,
-                        core_result, power, projected_identity, rww_expm)
+from .exactdefs import (CoreResult, DeqSystem, Interval, _upper, core_result,
+                        power, rww_expm)
 
-# Largest 1-norm of h H_cq and h H_cm taken by the seed exponentials.
+# Largest 1-norm of h G_q and h G_m taken by the seed exponentials.
 SEED_NORM = 1.0
 
 
 def squarings(sys: DeqSystem) -> int:
-    """Smallest s >= 0 with the 1-norms of (Ts/2^s) H_cq, H_cm <= SEED_NORM."""
-    norm = sys.Ts * max(np.linalg.norm(sys.H_cq, 1), np.linalg.norm(sys.H_cm, 1))
+    """Smallest s >= 0 with the 1-norms of (h_p/2^s) G_q and G_m <= SEED_NORM
+    on every span."""
+    eye = np.eye(sys.n_xu)
+    norm = max((sys.h_p * np.abs(sys.G_p - shift * eye).sum(axis=-2).max(
+        axis=-1)).max() for shift in (sys.mu / 2.0, sys.mu))
     if not norm > SEED_NORM:
         return 0
     return math.ceil(math.log2(norm / SEED_NORM))
 
 
-def exact_seed(sys: DeqSystem, h: float) -> Interval:
-    """The interval over h from three exponentials."""
-    n_h = sys.n_h
-    S = sys.E1.T @ sys.Qbar_c @ sys.E1
-    phi1 = expm(h * _upper(-sys.H_cq.T, S, sys.H_cq))
-    phi2 = expm(h * _upper(0.0, np.eye(n_h), sys.H_cm.T))
-    omega_q = phi1[n_h:, n_h:]
+def exact_seed(sys: DeqSystem, h) -> Interval:
+    """The stack of span intervals over h (one length for every span, or
+    one per span) from three stacked exponentials."""
+    h = np.reshape(h, (-1, 1, 1))
+    n = sys.n_xu
+    eye = np.eye(n)
+    G_q = sys.G_p - (sys.mu / 2.0) * eye
+    G_m = sys.G_p - sys.mu * eye
+    phi1 = expm(h * _upper(-G_q.swapaxes(-1, -2), sys.Qbar_p, G_q))
+    phi2 = expm(h * _upper(0.0, eye, G_m.swapaxes(-1, -2)))
+    omega_q = phi1[..., n:, n:]
     return Interval(
-        T=expm(h * sys.input_blocks(sys.H_c)),
-        omega_q=omega_q, X_q=omega_q.T @ phi1[:n_h, n_h:],
-        omega_m=phi2[n_h:, n_h:].T,
-        Y_m=phi2[:n_h, n_h:] @ (sys.E1.T @ sys.Mbar_c))
+        T=expm(h * sys.G_p),
+        omega_q=omega_q, X_q=omega_q.swapaxes(-1, -2) @ phi1[..., :n, n:],
+        omega_m=phi2[..., n:, n:].swapaxes(-1, -2),
+        Y_m=phi2[..., :n, n:] @ sys.Mbar_p)
 
 
 def discretize_expm(sys: DeqSystem) -> CoreResult:
     """Exact (to expm accuracy) discretization over one interval Ts.
 
-    The seed over Ts/2^s is squared s times; `doublings` records s.
+    The seed of every span over h_p/2^s is squared s times, and the spans
+    are chained; `doublings` records s.
     """
     s = squarings(sys)
-    iv = power(exact_seed(sys, sys.Ts / 2 ** s), 2 ** s)
-    return core_result(sys, compose(projected_identity(sys), iv), "expm",
-                       doublings=s)
+    return core_result(sys, power(exact_seed(sys, sys.h_p / 2 ** s), 2 ** s),
+                       "expm", doublings=s)

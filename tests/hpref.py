@@ -154,49 +154,64 @@ def _horner(terms: list, s) -> np.ndarray:
     return out
 
 
+def _spans(plant, Ts: float):
+    """The plant in the reference's coordinates, split at its switch times.
+
+    Returns (n_x, m_bar, G, switches, spans): G is the diffusion matrix
+    (None without one) and each span is (t0, h, terms, CD), its start, its
+    length, the Taylor terms of its generator (top n_x rows) and its
+    output map [C, D^(p)]. Call inside `mp.workdps`.
+    """
+    A_c, C, G, inputs, feed = _plant_blocks(plant)
+    n_x, n_z = A_c.shape[0], C.shape[0]
+    n_u = plant.n_u
+    delays = [_split(t, Ts) for *_, t in inputs + feed]
+    if (isinstance(plant, ContinuousStateSpace)
+            and len({v for _, v in delays}) > 1):
+        raise NotImplementedError(
+            "inputs with different fractional delays: the package "
+            "realizes one plant replica per input, not formed here")
+    m_bar = max(m for m, _ in delays)
+    n_xu = n_x + (m_bar + 1) * n_u
+    Ts = mp.mpf(Ts)
+    switches = sorted({(1 - v) * Ts for _, v in delays if v > 0})
+    edges = [mp.mpf(0)] + switches + [Ts]
+
+    def slot(j, tau, s):
+        """The lifted-input slot that input j, delayed by tau, feeds at
+        time s of the interval."""
+        m, v = _split(tau, Ts)
+        return (m_bar - m + (1 if v > 0 and s > (1 - v) * Ts else 0)
+                ) * n_u + j
+
+    spans = []
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        mid, h = (t0 + t1) / 2, t1 - t0
+        Gen = _zeros(n_xu, n_xu)
+        Gen[:n_x, :n_x] = A_c
+        CD = _zeros(n_z, n_xu)
+        CD[:, :n_x] = C
+        for b, j, tau in inputs:
+            Gen[:n_x, n_x + slot(j, tau, mid)] += b
+        for i, j, gain, tau in feed:
+            CD[i, n_x + slot(j, tau, mid)] += gain
+        spans.append((t0, h, _taylor(Gen, n_x, h), CD))
+    return n_x, m_bar, G, tuple(switches), spans
+
+
 def reference(plant, cost, integrals: bool = True) -> Reference:
     """A, B_o and, with `integrals`, Q, M and R_ww of one interval."""
     with mp.workdps(DPS):
-        Ts, mu = mp.mpf(cost.Ts), mp.mpf(cost.mu)
+        mu = mp.mpf(cost.mu)
         Qc = _mp(cost.Q_c)
-        A_c, C, G, inputs, feed = _plant_blocks(plant)
-        n_x, n_z = A_c.shape[0], C.shape[0]
-        n_u = plant.n_u
-        delays = [_split(t, cost.Ts) for *_, t in inputs + feed]
-        if (isinstance(plant, ContinuousStateSpace)
-                and len({v for _, v in delays}) > 1):
-            raise NotImplementedError(
-                "inputs with different fractional delays: the package "
-                "realizes one plant replica per input, not formed here")
-        m_bar = max(m for m, _ in delays)
-        n_in = (m_bar + 1) * n_u
-        n_xu = n_x + n_in
-        switches = sorted({(1 - v) * Ts for _, v in delays if v > 0})
-        edges = [mp.mpf(0)] + switches + [Ts]
+        n_x, _, G, switches, spans = _spans(plant, cost.Ts)
+        n_z, n_xu = spans[0][3].shape
         X, W = mp.gauss_quadrature(NODES, "legendre")
         GG = None if G is None else G @ G.T
-
-        def slot(j, tau, s):
-            """The lifted-input slot that input j, delayed by tau, feeds at
-            time s of the interval."""
-            m, v = _split(tau, cost.Ts)
-            return (m_bar - m + (1 if v > 0 and s > (1 - v) * Ts else 0)
-                    ) * n_u + j
-
         Phi = _eye(n_xu)                      # [[A(s), B_o(s)], [0, I]]
         Q, M = _zeros(n_xu, n_xu), _zeros(n_xu, n_z)
         R = None if GG is None else _zeros(n_x, n_x)
-        for t0, t1 in zip(edges[:-1], edges[1:]):
-            mid, h = (t0 + t1) / 2, t1 - t0
-            Gen = _zeros(n_xu, n_xu)
-            Gen[:n_x, :n_x] = A_c
-            CD = _zeros(n_z, n_xu)
-            CD[:, :n_x] = C
-            for b, j, tau in inputs:
-                Gen[:n_x, n_x + slot(j, tau, mid)] += b
-            for i, j, gain, tau in feed:
-                CD[i, n_x + slot(j, tau, mid)] += gain
-            terms = _taylor(Gen, n_x, h)
+        for t0, h, terms, CD in spans:
             if integrals:
                 for x, w in zip(X, W):
                     s = (x + 1) * h / 2
@@ -213,7 +228,45 @@ def reference(plant, cost, integrals: bool = True) -> Reference:
                          Q=Q if integrals else None,
                          M=M if integrals else None,
                          R_ww=R if integrals else None,
-                         switch_times=tuple(switches))
+                         switch_times=switches)
+
+
+def horizon_cost(plant, cost, x0, inputs) -> mp.mpf:
+    """The continuous discounted cost of a whole horizon,
+
+        1/2 int_0^{N Ts} e^{-mu t} (z - zbar_k)' Q_c (z - zbar_k) dt,
+
+    over the cost's N stages, zbar_k = cost.zbar_at(k) on stage k. The
+    plant starts at x0 (in the reference's coordinates) and the rows of
+    `inputs` are the held inputs u_{-m_bar}, ..., u_{N-1}. Each stage is
+    split at its switch times, where the state equation and the output
+    z = C x + D u both move to the next held input; each span is summed
+    with NODES Gauss-Legendre nodes.
+    """
+    with mp.workdps(DPS):
+        mu, Ts = mp.mpf(cost.mu), mp.mpf(cost.Ts)
+        Qc = _mp(cost.Q_c)
+        n_x, m_bar, _, _, spans = _spans(plant, cost.Ts)
+        u = _mp(inputs)
+        if u.shape != (m_bar + cost.N, plant.n_u):
+            raise ValueError(f"need {m_bar + cost.N} rows of {plant.n_u} "
+                             f"inputs, got {u.shape}")
+        x = _mp(x0).reshape(-1)
+        X, W = mp.gauss_quadrature(NODES, "legendre")
+        total = mp.mpf(0)
+        for k in range(cost.N):
+            zbar = _mp(cost.zbar_at(k)).reshape(-1)
+            held = u[k:k + m_bar + 1].reshape(-1)   # u_{k-m_bar} .. u_k
+            for t0, h, terms, CD in spans:
+                y = np.concatenate([x, held])
+                ty = [T @ y for T in terms]         # x(t0 + s) = sum ty_i s^i
+                for xg, w in zip(X, W):
+                    s = (xg + 1) * h / 2
+                    e = CD @ np.concatenate([_horner(ty, s), held]) - zbar
+                    total += (w * h / 4 * mp.exp(-mu * (k * Ts + t0 + s))
+                              * (e @ Qc @ e))
+                x = _horner(ty, h)
+        return total
 
 
 def to_float(x: np.ndarray | None) -> np.ndarray | None:

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqdisc import benchcli, build_deq, load_model, realize_plant
+from lqdisc import (benchcli, build_deq, exactdefs, load_model, realize_plant,
+                    rww_expm)
 from lqdisc.matcore import DimensionError, DomainError
 from lqdisc.model import realize_delays
 from lqdisc.benchcli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
@@ -412,6 +413,20 @@ def test_validate_small_run(capsys):
         "transition split      X  (limit 1e-12)",
         "input-integral forms  X  (limit 1e-10)",
     ]
+
+
+def test_validation_takes_r_ww_once_per_system(monkeypatch):
+    """R_ww depends on the plant alone: build_deq takes it once, and the
+    three methods read it off the system."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rww_expm(*args)
+
+    monkeypatch.setattr(exactdefs, "rww_expm", counted)
+    report = run_validation(seed=1, count=9, steps=64)
+    assert len(calls) == 9 == report.count     # every sweep plant has G_c
 
 
 def test_validate_start_reruns_one_system_alone(capsys):

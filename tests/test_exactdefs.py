@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from lqdisc import (SCHEME_NAMES, discretize_core, exactdefs, fixedstep,
                     realize_plant, rww_expm, stepdouble, vanloan)
 from lqdisc.benchcli import random_system
-from lqdisc.matcore import DomainError, expm, is_psd, max_abs, symmetrize
+from lqdisc.matcore import DomainError, Mat, expm, is_psd, max_abs, symmetrize
 from lqdisc.model import (ContinuousStateSpace, CostSpec, DelayedTransferModel,
                           TransferChannel, realize_delays)
 from lqdisc.exactdefs import (DeqSystem, b_alternative, build_deq,
@@ -68,12 +68,24 @@ def test_oracle_scalar_discounted_closed_forms():
     assert got.R_ww[0, 0] == pytest.approx(-math.expm1(-2.0) / 2.0, abs=1e-13)
 
 
+def _selectors(n):
+    """E_1 = [I, I, -I] and E_2 = [I; I; I] of the three-block form."""
+    eye = np.eye(n)
+    return np.hstack([eye, eye, -eye]), np.vstack([eye, eye, eye])
+
+
 def test_gamma_identity_and_structure(mimo_deq):
-    """The three-exponential sum reproduces E1 e^{H_c t} E2 exactly."""
+    """The three-exponential sum reproduces E1 e^{H_c t} E2 exactly, and at
+    Ts the product of the span transitions."""
     sys = mimo_deq
     n_x, n_in = sys.n_x, sys.n_in
+    E1, E2 = _selectors(sys.n_xu)
+    product = np.eye(sys.n_xu)
+    for G, h in zip(sys.G_p, sys.h_p):
+        product = expm(G * h) @ product
+    assert max_abs(sys.gamma(sys.Ts) - product) < 1e-12
     for t in np.linspace(0.05, sys.Ts, 10):
-        direct = sys.E1 @ expm(sys.H_c * t) @ sys.E2
+        direct = E1 @ expm(sys.H_c * t) @ E2
         gam = sys.gamma(t)
         assert max_abs(gam - direct) < 1e-12
         # bottom rows stay [0 I]: held inputs are constant over the step
@@ -82,14 +94,20 @@ def test_gamma_identity_and_structure(mimo_deq):
 
 
 def test_discount_shift_factors(mimo_deq):
-    """H_cq and H_cm shift the transition by e^{-mu t/2} and e^{-mu t}."""
+    """G_p - mu/2 I and G_p - mu I shift every span's transition by
+    e^{-mu t/2} and e^{-mu t}, and so do the exact seed's omega_q and
+    omega_m."""
     sys = mimo_deq
+    eye = np.eye(sys.n_xu)
     for t in (0.25, 0.7, 1.0):
-        gam = sys.gamma(t)
-        gamma_q = sys.E1 @ expm(sys.H_cq * t) @ sys.E2
-        gamma_m = sys.E1 @ expm(sys.H_cm * t) @ sys.E2
+        gam = expm(sys.G_p * t)
+        gamma_q = expm((sys.G_p - sys.mu / 2.0 * eye) * t)
+        gamma_m = expm((sys.G_p - sys.mu * eye) * t)
         assert max_abs(gamma_q - math.exp(-sys.mu * t / 2.0) * gam) < 1e-12
         assert max_abs(gamma_m - math.exp(-sys.mu * t) * gam) < 1e-12
+        seed = vanloan.exact_seed(sys, t)
+        assert max_abs(seed.omega_q - gamma_q) < 1e-12
+        assert max_abs(seed.omega_m - gamma_m) < 1e-12
 
 
 def test_build_deq_rejects_a_realization_at_another_ts():
@@ -163,12 +181,21 @@ def test_oracle_rejects_odd_panels(mimo_deq):
         oracle_quadrature(mimo_deq, panels=0)
 
 
+def _first(sys: DeqSystem, t: float) -> DeqSystem:
+    """`sys` over [0, t] only: the spans that start before t, the last one
+    cut at t."""
+    starts = sys.Ts * np.append(0.0, sys.span_ends[:-1])
+    k = int(np.count_nonzero(starts < t))
+    ends = np.append(sys.Ts * sys.span_ends[:k - 1], t) / t
+    return dataclasses.replace(sys, Ts=t, span_ends=ends, G_p=sys.G_p[:k],
+                               Qbar_p=sys.Qbar_p[:k], Mbar_p=sys.Mbar_p[:k])
+
+
 def test_oracle_weight_grows_monotonically(mimo_deq):
     """Q(t2) - Q(t1) is PSD for t2 > t1: the integrand is PSD."""
     prev = np.zeros((mimo_deq.n_xu, mimo_deq.n_xu))
-    for t in (0.25, 0.5, 1.0):
-        cur = oracle_quadrature(dataclasses.replace(mimo_deq, Ts=t),
-                                panels=512).Q
+    for t in (0.25, 0.5, 0.6, 0.75, 1.0):
+        cur = oracle_quadrature(_first(mimo_deq, t), panels=512).Q
         assert is_psd(cur - prev)
         prev = cur
 
@@ -189,16 +216,21 @@ def test_deq_dimensions(mimo_deq, scalar_deq):
     assert mimo_deq.n_in == 6
     assert mimo_deq.n_xu == 12
     assert mimo_deq.n_h == 36
+    # delays 0.1, 1.6 and 0.9 Ts switch at 0.1, 0.6 and 0.9 Ts; 2 Ts does not
+    assert max_abs(mimo_deq.span_ends - [0.1, 0.6, 0.9, 1.0]) <= 1e-15
+    assert mimo_deq.G_p.shape == (4, 12, 12)
+    assert mimo_deq.Qbar_p.shape == (4, 12, 12)
+    assert mimo_deq.Mbar_p.shape == (4, 12, 2)
     assert not scalar_deq.delay
     assert scalar_deq.n_h == scalar_deq.n_xu == 2
-    # plain plants use identity selectors
-    assert np.array_equal(scalar_deq.E1, np.eye(2))
-    assert np.array_equal(scalar_deq.E2, np.eye(2))
+    # plain plants have one span, the single block
+    assert np.array_equal(scalar_deq.span_ends, [1.0])
+    assert np.array_equal(scalar_deq.G_p, scalar_deq.H_c[None])
 
 
-def _three_block(sys: DeqSystem) -> DeqSystem:
-    """`sys` with the three-block generator of a fractional delay, built
-    from its realization whatever its V."""
+def _three_block(sys: DeqSystem) -> Mat:
+    """The three-block generator of a fractional delay, built from the
+    realization of `sys` whatever its V."""
     zx = np.zeros((sys.n_in, sys.n_x))
     zu = np.zeros((sys.n_in, sys.n_in))
     VA = sys.V @ sys.A_c
@@ -206,30 +238,28 @@ def _three_block(sys: DeqSystem) -> DeqSystem:
     H_2c = np.block([[VA, sys.B_2c_bar], [zx, zu]])
     H_3c = np.block([[VA, np.zeros_like(sys.B_1c)], [zx, zu]])
     zh = np.zeros_like(H_1c)
-    H_c = np.block([[H_1c, zh, zh], [zh, H_2c, zh], [zh, zh, H_3c]])
-    eye = np.eye(sys.n_xu)
-    return dataclasses.replace(
-        sys, H_c=H_c,
-        H_cq=H_c - (sys.mu / 2.0) * np.eye(3 * sys.n_xu),
-        H_cm=H_c - sys.mu * np.eye(3 * sys.n_xu),
-        E1=np.hstack([eye, eye, -eye]), E2=np.vstack([eye, eye, eye]))
+    return np.block([[H_1c, zh, zh], [zh, H_2c, zh], [zh, zh, H_3c]])
 
 
-def test_generators_equal_their_block_assembly(mimo_deq, scalar_deq):
-    """The slice-assigned generators carry the bits of np.block's."""
+def test_generators_equal_their_block_assembly(mimo_deq, scalar_deq,
+                                               mimo_realization):
+    """The slice-assigned generators carry the bits of np.block's: H_c,
+    and each span's [[A_c, B^(p)], [0, 0]], whose rows take B_2c from the
+    switch time (1 - v) Ts of their block on."""
     for sys in (scalar_deq, mimo_deq):
         zx = np.zeros((sys.n_in, sys.n_x))
         zu = np.zeros((sys.n_in, sys.n_in))
         H_1c = np.block([[sys.A_c, sys.B_1c], [zx, zu]])
-        want = {"H_c": H_1c, "block 0": H_1c}
-        blocks = sys.diagonal_blocks(sys.H_c)
-        got = {"H_c": sys.H_c, "block 0": blocks[0]}
+        want = {"H_c": _three_block(sys) if sys.delay else H_1c,
+                "span 0": H_1c}
+        got = {"H_c": sys.H_c, "span 0": sys.G_p[0]}
         if sys.delay:
-            full = _three_block(sys)
-            want["H_c"] = full.H_c
-            for k in (1, 2):
-                want[f"block {k}"] = full.diagonal_blocks(full.H_c)[k]
-                got[f"block {k}"] = blocks[k]
+            v = np.diag(sys.V)[:, None]
+            for p, start in enumerate(np.append(0.0, sys.span_ends[:-1])):
+                B = np.where((v > 0) & (start >= 1.0 - v),
+                             mimo_realization.B_2c, sys.B_1c)
+                want[f"span {p}"] = np.block([[sys.A_c, B], [zx, zu]])
+                got[f"span {p}"] = sys.G_p[p]
         for name, ref in want.items():
             assert got[name].shape == ref.shape, name
             assert got[name].tobytes() == ref.tobytes(), name
@@ -265,26 +295,29 @@ def _whole_sample_plants():
 
 @pytest.mark.parametrize("plant,cost", _whole_sample_plants())
 def test_whole_sample_delays_take_the_single_block(plant, cost):
-    """A delay of whole samples only adds shift states: the generator is
-    [[A_c, B_1c], [0, 0]] over the lifted input, and every method gives
-    what the three-block generator gives, where V = 0 cancels two blocks."""
-    sys = build_deq(realize_delays(plant, cost.Ts), cost)
+    """A delay of whole samples only adds shift states: one span, whose
+    generator is [[A_c, B_1c], [0, 0]] over the lifted input and whose
+    output map is [C_c, D_o]. Every method's transition is what the
+    three-block generator gives, where V = 0 cancels two blocks."""
+    real = realize_delays(plant, cost.Ts)
+    sys = build_deq(real, cost)
     assert not sys.V.any()
     assert not sys.delay
     assert sys.n_h == sys.n_xu
-    full = _three_block(sys)
+    assert np.array_equal(sys.span_ends, [1.0])
+    assert np.array_equal(sys.G_p[0], sys.H_c)
+    CD = np.hstack([real.C_c, real.D_o])
+    assert np.array_equal(sys.Mbar_p[0], -CD.T @ cost.Q_c)
+    n_x = sys.n_x
+    E1, E2 = _selectors(sys.n_xu)
+    full = E1 @ expm(_three_block(sys) * cost.Ts) @ E2
     tb = fixedstep.named_tableau("rk4")
-    for method in (
-            lambda s: fixedstep.discretize_fixed(s, tb, 256),
-            lambda s: stepdouble.discretize_step_doubling(s, tb, 8),
-            vanloan.discretize_expm):
-        got, want = method(sys), method(full)
-        for q in ("A", "B_o", "Q", "M", "R_ww"):
-            if getattr(want, q) is None:
-                assert getattr(got, q) is None
-                continue
-            scale = max_abs(getattr(want, q))
-            assert max_abs(getattr(got, q) - getattr(want, q)) <= 1e-13 * scale, q
+    for got, tol in ((fixedstep.discretize_fixed(sys, tb, 256), 1e-10),
+                     (stepdouble.discretize_step_doubling(sys, tb, 8), 1e-10),
+                     (vanloan.discretize_expm(sys), 1e-13)):
+        for q, want in (("A", full[:n_x, :n_x]), ("B_o", full[:n_x, n_x:])):
+            scale = max_abs(want)
+            assert max_abs(getattr(got, q) - want) <= tol * scale, q
 
 
 def _random_deq(seed, n_x, n_u, kind, mu, diffusion):
@@ -307,23 +340,27 @@ def _random_deq(seed, n_x, n_u, kind, mu, diffusion):
 
 
 def _node_by_node_simpson(sys, panels):
-    """Composite Simpson with every node exponential taken on its own."""
-    h = sys.Ts / panels
-    R = None if sys.G_c is None else np.zeros((sys.n_x, sys.n_x))
-    B = np.zeros_like(sys.B_1c)
+    """Composite Simpson on every span with every node exponential taken
+    on its own, each node's transition the span's times those of the
+    spans before."""
+    n_x = sys.n_x
+    R = None if sys.G_c is None else np.zeros((n_x, n_x))
     Q = np.zeros((sys.n_xu, sys.n_xu))
     M = np.zeros((sys.n_xu, sys.n_z))
-    for k in range(panels + 1):
-        s = k * h
-        w = (h / 3.0) * (1.0 if k in (0, panels) else 4.0 if k % 2 else 2.0)
-        XA = expm(sys.A_c * s)
-        B += w * (XA @ sys.B_1c + expm(sys.V @ sys.A_c * s) @ sys.B_2c_bar)
-        G = sys.E1 @ expm(sys.H_c * s) @ sys.E2
-        Q += w * math.exp(-sys.mu * s) * G.T @ sys.Qbar_c @ G
-        M += w * math.exp(-sys.mu * s) * G.T @ sys.Mbar_c
-        if R is not None:
-            R += w * XA @ sys.G_c @ sys.G_c.T @ XA.T
-    return dict(A=XA, B_o=B, Q=symmetrize(Q), M=M,
+    Phi, t0 = np.eye(sys.n_xu), 0.0
+    for G, Qbar, Mbar, h_p in zip(sys.G_p, sys.Qbar_p, sys.Mbar_p, sys.h_p):
+        h = h_p / panels
+        for k in range(panels + 1):
+            s = k * h
+            w = (h / 3.0) * (1 if k in (0, panels) else 4 if k % 2 else 2)
+            T = expm(G * s) @ Phi
+            Q += w * math.exp(-sys.mu * (t0 + s)) * T.T @ Qbar @ T
+            M += w * math.exp(-sys.mu * (t0 + s)) * T.T @ Mbar
+            if R is not None:
+                XA = T[:n_x, :n_x]
+                R += w * XA @ sys.G_c @ sys.G_c.T @ XA.T
+        Phi, t0 = T, t0 + h_p
+    return dict(A=Phi[:n_x, :n_x], B_o=Phi[:n_x, n_x:], Q=symmetrize(Q), M=M,
                 R_ww=None if R is None else symmetrize(R))
 
 
@@ -362,9 +399,9 @@ def test_chunked_oracle_matches_node_by_node_simpson(seed, n_x, n_u, kind, mu,
 
 
 def test_oracle_memory_does_not_grow_with_panels(mimo_deq):
-    """The oracle holds stacks of C = 64 matrices, never one per node or
-    per chunk: at 65536 panels on mimo_delayed (n_h = 36) it peaks below
-    12 MB."""
+    """The oracle holds stacks of C = 64 matrices per span, never one per
+    node or per chunk: at 65536 panels on mimo_delayed (four spans of
+    n_xu = 12) it peaks below 12 MB."""
     tracemalloc.start()
     try:
         oracle_quadrature(mimo_deq, panels=65536)
@@ -399,8 +436,9 @@ def test_b_alternative_equals_stepwise_rk4(N):
 
 def test_references_stay_independent_of_the_methods(monkeypatch, mimo_deq,
                                                     scalar_deq):
-    """The oracle and b_alternative reach none of the methods' code: three
-    node exponentials for the oracle, no exponential for b_alternative."""
+    """The oracle and b_alternative reach none of the methods' code: one
+    stacked node exponential for the oracle, no exponential for
+    b_alternative."""
     def forbidden(*args, **kwargs):
         raise AssertionError("reference reached a discretization method")
 
@@ -419,7 +457,7 @@ def test_references_stay_independent_of_the_methods(monkeypatch, mimo_deq,
     for sys in (mimo_deq, scalar_deq):
         calls.clear()
         oracle_quadrature(sys, panels=256)
-        assert len(calls) == 3
+        assert calls == [sys.G_p.shape]
         calls.clear()
         b_alternative(sys.A_c, sys.B_1c, sys.Ts, 2048)
         assert calls == []
@@ -445,6 +483,26 @@ def test_powers_match_repeated_products(size):
             max(max_abs(Pi), 1.0), i
         Pi = Pi @ P
     assert not stack[0].any()
+    # a shorter stack is the same stack, cut: P^C - I is not formed
+    short, none = exactdefs._powers(D, 17)
+    assert np.array_equal(short, stack[:17]) and none is None
+
+
+def test_oracle_builds_only_the_chunk_bases_it_needs(monkeypatch, mimo_deq):
+    """1024 panels are 1025 nodes, 17 chunks of 64: the oracle builds 17
+    chunk bases, not 64; 4096 panels need all 64 and the block step."""
+    counts = []
+    powers = exactdefs._powers
+
+    def counted(D, count=exactdefs._CHUNK):
+        counts.append(count)
+        return powers(D, count)
+
+    monkeypatch.setattr(exactdefs, "_powers", counted)
+    for panels, want in ((1024, [64, 17]), (4096, [64, 64])):
+        counts.clear()
+        oracle_quadrature(mimo_deq, panels=panels)
+        assert counts == want, panels
 
 
 def _noisy_systems():

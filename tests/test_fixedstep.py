@@ -13,8 +13,7 @@ from lqdisc.matcore import (DimensionError, DomainError, SingularMatrixError,
 from lqdisc.model import ContinuousStateSpace, CostSpec, load_model
 from lqdisc import fixedstep
 from lqdisc.benchcli import random_system
-from lqdisc.exactdefs import (build_deq, compose, core_result,
-                              projected_identity)
+from lqdisc.exactdefs import Interval, build_deq, compose, core_result
 from lqdisc.fixedstep import (SCHEME_NAMES, TABLEAUS, ButcherTableau,
                               build_coefficients, discretize_fixed, integrate,
                               named_tableau, propagation, stage_coefficients)
@@ -356,30 +355,42 @@ def test_singular_member_of_a_stack_is_named_by_stage_and_index():
         stage_coefficients(t, G[:2], 1.0)
 
 
+def test_singular_member_with_its_own_step_is_named_by_its_step():
+    """With a step per generator, as on spans, the error gives the step of
+    the singular one: I - dt 0.6 G is singular at dt = 1/0.6 for G = I."""
+    t = ButcherTableau.from_dict(TWO_DIAGONALS)
+    dt = np.array([1.0, 1.0 / 0.6])[:, None, None]
+    with pytest.raises(SingularMatrixError, match="stage 1 for scheme "
+                       "'two-diagonal-dirk' at dt=1.66667: .*stack index 1"):
+        stage_coefficients(t, np.stack([np.eye(2), np.eye(2)]), dt)
+
+
 def _seed_per_generator(sys, tableau, n):
-    """The one-step seed from one propagation per generator at full size:
-    each input block, then H_cq and H_cm whole, with the quadratures taken
-    stage by stage."""
-    dt = sys.Ts / n
-    steps = [propagation(tableau, H, dt) for H in sys.input_blocks(sys.H_c)]
-    omega_q, stages_q = propagation(tableau, sys.H_cq, dt)
-    omega_m, stages_m = propagation(tableau, sys.H_cm, dt)
-    S = sys.E1.T @ sys.Qbar_c @ sys.E1
-    ME = sys.E1.T @ sys.Mbar_c
-    b = tableau.b
-    X_q = dt * sum(bi * (x.T @ S @ x) for bi, x in zip(b, stages_q))
-    Y_m = dt * sum(bi * (x.T @ ME) for bi, x in zip(b, stages_m))
-    return dict(T=np.stack([lam for lam, _ in steps]), omega_q=omega_q,
-                X_q=X_q, omega_m=omega_m, Y_m=Y_m)
+    """The one-step seed from one propagation per generator: on each span,
+    G_p, G_p - mu/2 I and G_p - mu I, each at dt = h_p / n, with the
+    quadratures taken stage by stage."""
+    out = {name: [] for name in Interval._fields}
+    eye = np.eye(sys.n_xu)
+    for G, Qbar, Mbar, h in zip(sys.G_p, sys.Qbar_p, sys.Mbar_p, sys.h_p):
+        dt = h / n
+        T, _ = propagation(tableau, G, dt)
+        omega_q, stages_q = propagation(tableau, G - sys.mu / 2.0 * eye, dt)
+        omega_m, stages_m = propagation(tableau, G - sys.mu * eye, dt)
+        b = tableau.b
+        X_q = dt * sum(bi * (x.T @ Qbar @ x) for bi, x in zip(b, stages_q))
+        Y_m = dt * sum(bi * (x.T @ Mbar) for bi, x in zip(b, stages_m))
+        for name, x in zip(Interval._fields, (T, omega_q, X_q, omega_m, Y_m)):
+            out[name].append(x)
+    return {name: np.stack(x) for name, x in out.items()}
 
 
 @pytest.mark.parametrize(
     "plant", ["plain", "plain-diffusion", "delayed", "delayed-diffusion"])
 def test_stacked_seed_matches_one_propagation_per_generator(scalar_deq,
                                                             mimo_deq, plant):
-    """The n_xu-sized blocks of H_cq and H_cm, stepped in one stack and put
-    back on the diagonal, give the seed of the full-size generators. A
-    diffusion G_c leaves the seed as it is: R_ww is no part of it."""
+    """The span generators and their discounted shifts, stepped in one
+    stack, give the seed of one propagation per generator. A diffusion G_c
+    leaves the seed as it is: R_ww is no part of it."""
     sys = _plant_variants(scalar_deq, mimo_deq)[plant]
     for tableau in _tableau_cases():
         got = build_coefficients(sys, tableau, 64).seed._asdict()
@@ -393,8 +404,8 @@ def test_stacked_seed_matches_one_propagation_per_generator(scalar_deq,
 
 def test_one_stacked_solve_per_diagonal_value_for_a_whole_build(monkeypatch,
                                                                 mimo_deq):
-    """On the delayed model esdirk4 solves once for all eight generators:
-    two input blocks, and three blocks each of H_cq and H_cm."""
+    """On the delayed model esdirk4 solves once for all twelve generators:
+    on each of the four spans, G_p and its shifts by mu/2 and mu."""
     calls = []
 
     def counting_solve(A, B):
@@ -403,7 +414,7 @@ def test_one_stacked_solve_per_diagonal_value_for_a_whole_build(monkeypatch,
 
     monkeypatch.setattr("lqdisc.fixedstep.solve", counting_solve)
     build_coefficients(mimo_deq, named_tableau("esdirk4"), 1024)
-    assert calls == [(8, mimo_deq.n_xu, mimo_deq.n_xu)]
+    assert calls == [(3, 4, mimo_deq.n_xu, mimo_deq.n_xu)]
     calls.clear()
     build_coefficients(mimo_deq, ButcherTableau.from_dict(TWO_DIAGONALS), 16)
     assert len(calls) == 2
@@ -413,13 +424,15 @@ def test_one_stacked_solve_per_diagonal_value_for_a_whole_build(monkeypatch,
 
 
 def _folded_step_by_step(coeffs, sys):
-    """The fold as one compose per step, from the E_2-projected identity,
-    with each input integral B_j of T taken as its defining step sum
-    sum_k A_j^k B_j,seed, from the seed's blocks [[A_j, B_j,seed], [0, I]]:
+    """The fold as one compose per step, from the identity on every span,
+    with each span's input integral B_p of T taken as its defining step sum
+    sum_k A_p^k B_p,seed, from the seed's blocks [[A_p, B_p,seed], [0, I]]:
     the input integrals of the earlier steps carried forward, added in the
     order of the steps."""
     seed, n_x = coeffs.seed, sys.n_x
-    iv = projected_identity(sys)
+    eye = np.broadcast_to(np.eye(sys.n_xu), seed.T.shape)
+    iv = Interval(eye, eye, np.zeros_like(seed.X_q), eye,
+                  np.zeros_like(seed.Y_m))
     B = np.zeros((len(seed.T), n_x, sys.n_in))
     for _ in range(coeffs.n_steps):
         B = B + iv.T[:, :n_x, :n_x] @ seed.T[:, :n_x, n_x:]
@@ -489,20 +502,20 @@ def _invariant_systems():
 
 @pytest.mark.parametrize("plant,cost", _invariant_systems())
 def test_seed_blocks_step_the_state_and_hold_the_input(plant, cost):
-    """The one-step seed steps each input block [[A, B], [0, 0]] of H_c
+    """The one-step seed steps each span generator [[A_c, B^(p)], [0, 0]]
     whole. Its bottom block rows are zero, so every stage keeps the rows
-    [0, I] exactly, and the top-left block is the step of A alone."""
+    [0, I] exactly, and the top-left block is the step of A_c alone, at
+    the span's own dt = h_p / n."""
     sys = build_deq(plant, cost)
     n_x = sys.n_x
     bottom = np.hstack([np.zeros((sys.n_in, n_x)), np.eye(sys.n_in)])
-    generators = [sys.A_c] + [sys.V @ sys.A_c] * bool(sys.V.any())
     for tableau in _tableau_cases():
         for n in (1, 4, 1024):
             T = build_coefficients(sys, tableau, n).seed.T
-            assert T.shape == (len(generators), sys.n_xu, sys.n_xu)
-            for j, G in enumerate(generators):
-                case = (tableau.name, n, j)
-                assert np.array_equal(T[j, n_x:], bottom), case
-                want, _ = propagation(tableau, G, sys.Ts / n)
-                assert (max_abs(T[j, :n_x, :n_x] - want)
+            assert T.shape == sys.G_p.shape
+            for p, h in enumerate(sys.h_p):
+                case = (tableau.name, n, p)
+                assert np.array_equal(T[p, n_x:], bottom), case
+                want, _ = propagation(tableau, sys.A_c, h / n)
+                assert (max_abs(T[p, :n_x, :n_x] - want)
                         <= 1e-15 * max_abs(want)), case

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lqdisc.matcore import DomainError, max_abs
-from lqdisc.exactdefs import compose, core_result, power, projected_identity
+from lqdisc.exactdefs import compose, core_result, power
 from lqdisc.fixedstep import build_coefficients, integrate, named_tableau
 from lqdisc.stepdouble import discretize_step_doubling
 from lqdisc.vanloan import rww_expm
@@ -34,9 +34,10 @@ def test_doubling_matches_fixed_scalar(scalar_deq, j):
 
 
 def test_doubled_factors_are_geometric_sums(mimo_deq):
-    """Three squarings of the seed equal its closed-form 8-step sums."""
-    seed = build_coefficients(mimo_deq, RK4, 8).seed
-    got = power(seed, 8)
+    """Three squarings of the seed equal its closed-form 8-step sums, on
+    every span."""
+    seeds = build_coefficients(mimo_deq, RK4, 8).seed
+    spans = power(seeds, 8)
 
     def power_sum(X, term):
         acc = 0.0
@@ -46,28 +47,31 @@ def test_doubled_factors_are_geometric_sums(mimo_deq):
             P = X @ P
         return acc
 
-    for name in ("omega_q", "omega_m"):
-        want = np.linalg.matrix_power(getattr(seed, name), 8)
-        assert max_abs(getattr(got, name) - want) < 1e-13, name
     n_x = mimo_deq.n_x
-    assert got.T.shape[0] == 2
-    for T, T_seed in zip(got.T, seed.T):     # the A and the A_v block
-        A, B = T_seed[:n_x, :n_x], T_seed[:n_x, n_x:]
-        assert max_abs(T[:n_x, :n_x] - np.linalg.matrix_power(A, 8)) < 1e-13
-        assert max_abs(T[:n_x, n_x:] - power_sum(A, lambda P: P @ B)) < 1e-13
-    assert max_abs(got.Y_m - power_sum(
-        seed.omega_m, lambda P: P.T @ seed.Y_m)) < 1e-13
-    assert max_abs(got.X_q - power_sum(
-        seed.omega_q, lambda P: P.T @ seed.X_q @ P)) < 1e-13
+    assert spans.T.shape[0] == 4
+    for p in range(4):
+        seed = seeds._make(x[p] for x in seeds)
+        got = spans._make(x[p] for x in spans)
+        for name in ("omega_q", "omega_m"):
+            want = np.linalg.matrix_power(getattr(seed, name), 8)
+            assert max_abs(getattr(got, name) - want) < 1e-13, name
+        A, B = seed.T[:n_x, :n_x], seed.T[:n_x, n_x:]
+        A_8, B_8 = got.T[:n_x, :n_x], got.T[:n_x, n_x:]
+        assert max_abs(A_8 - np.linalg.matrix_power(A, 8)) < 1e-13
+        assert max_abs(B_8 - power_sum(A, lambda P: P @ B)) < 1e-13
+        assert max_abs(got.Y_m - power_sum(
+            seed.omega_m, lambda P: P.T @ seed.Y_m)) < 1e-13
+        assert max_abs(got.X_q - power_sum(
+            seed.omega_q, lambda P: P.T @ seed.X_q @ P)) < 1e-13
 
 
 def test_double_updates_sums_before_squares(scalar_deq):
     """One squaring: sums see the power-1 factors, transitions square."""
     seed = build_coefficients(scalar_deq, RK4, 2).seed
     got = compose(seed, seed)
-    assert seed.T.shape[0] == got.T.shape[0] == 1   # plain plant: one block
-    (lam, b), (A, B) = ((iv.T[0, :1, :1], iv.T[0, :1, 1:])
-                        for iv in (seed, got))
+    assert seed.T.shape[0] == got.T.shape[0] == 1   # plain plant: one span
+    seed, got = (iv._make(x[0] for x in iv) for iv in (seed, got))
+    (lam, b), (A, B) = ((iv.T[:1, :1], iv.T[:1, 1:]) for iv in (seed, got))
     om_q, om_m = seed.omega_q, seed.omega_m
     assert max_abs(got.Y_m - (seed.Y_m + om_m.T @ seed.Y_m)) < 1e-15
     assert max_abs(got.X_q - (seed.X_q + om_q.T @ seed.X_q @ om_q)) < 1e-15
@@ -111,14 +115,13 @@ def test_doubling_provenance(mimo_deq):
 
 
 def test_extract_reuses_state(mimo_deq):
-    """Squaring the seed twice by hand and projecting it gives the result
-    of discretize_step_doubling bit for bit."""
+    """Squaring the seed stack twice by hand and chaining its spans gives
+    the result of discretize_step_doubling bit for bit."""
     coeffs = build_coefficients(mimo_deq, RK4, 4)
     iv = compose(coeffs.seed, coeffs.seed)
     iv = compose(iv, iv)
     direct = discretize_step_doubling(mimo_deq, RK4, 2, coeffs=coeffs)
-    manual = core_result(mimo_deq, compose(projected_identity(mimo_deq), iv),
-                         "doubling")
+    manual = core_result(mimo_deq, iv, "doubling")
     for name in ("A", "B_o", "Q", "M"):
         assert np.array_equal(getattr(manual, name), getattr(direct, name))
 

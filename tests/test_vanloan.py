@@ -133,6 +133,19 @@ def test_rww_of_a_stiff_stable_a_c_is_exact():
     assert is_psd(got)
 
 
+@pytest.mark.parametrize("a,g,t,want", [
+    (-1.0, 1e100, 1.0, 1e200),      # G_c G_c' 1e200 beside A_c = -1
+    (-1e-300, 1.0, 1e300, 1e300),   # h G_c G_c' 1e300 beside h A_c = -1
+])
+def test_rww_with_a_coupling_far_from_a_c_is_exact(a, g, t, want):
+    """R_ww is linear in G_c G_c', which the block carries scaled by a
+    power of two to the range of h A_c, so no entry is flushed:
+    (1 - e^-2)/2 times `want`."""
+    got = rww_expm(np.array([[a]]), np.array([[g]]), t)
+    assert got[0, 0] == pytest.approx(-math.expm1(-2.0) / 2.0 * want,
+                                      rel=1e-15)
+
+
 def test_rww_checks_its_inputs():
     """A_c square, G_c with its rows and t finite and >= 0, or an error;
     a 1x1 G_c G_c' is not broadcast into a 2x2 block."""
@@ -176,13 +189,13 @@ def test_block_factors_are_plain_exponentials(mimo_deq):
     sys, t = mimo_deq, 0.25 * mimo_deq.Ts
     seed = exact_seed(sys, t)
     n_x = sys.n_x
-    assert max_abs(seed.omega_q - expm(t * sys.H_cq)) < 1e-13
-    assert max_abs(seed.omega_m - expm(t * sys.H_cm)) < 1e-13
-    # T holds the transitions of the two input blocks H_1c and H_2c
-    assert seed.T.shape == (2, sys.n_xu, sys.n_xu)
-    assert max_abs(seed.T[0, :n_x, :n_x] - expm(t * sys.A_c)) < 1e-13
-    assert max_abs(seed.T[1, :n_x, :n_x] - expm(t * sys.V @ sys.A_c)) < 1e-13
-    for j, H in enumerate(sys.input_blocks(sys.H_c)):
-        assert max_abs(seed.T[j] - expm(t * H)) < 1e-13
+    eye = np.eye(sys.n_xu)
+    # one seed per span: T holds the transition of its generator G_p
+    assert seed.T.shape == sys.G_p.shape == (4, sys.n_xu, sys.n_xu)
+    for p, G in enumerate(sys.G_p):
+        for omega, shift in ((seed.omega_q, sys.mu / 2), (seed.omega_m, sys.mu)):
+            assert max_abs(omega[p] - expm(t * (G - shift * eye))) < 1e-13
+        assert max_abs(seed.T[p] - expm(t * G)) < 1e-13
+        assert max_abs(seed.T[p, :n_x, :n_x] - expm(t * sys.A_c)) < 1e-13
     # no noise integral: R_ww is rww_expm's, over Ts, outside the seed
     assert seed._fields == ("T", "omega_q", "X_q", "omega_m", "Y_m")

@@ -40,6 +40,29 @@ print("R_ww of fixed, doubling, expm:", rww, "against", want)
 sys.exit(rww[1:] != rww[:-1] or not abs(rww[0][0][0] - want) <= 1e-15)
 EOF
 
+# a fractional delay moves the held input at its switch time in the cost
+# too: z = 2 u(t - 0.3) with Ts = 1 and mu = 0.2 reads u_{k-1} until 0.3
+# and u_k after it, so every method must give
+# Q = diag(4 (1 - e^-0.06), 4 (e^-0.06 - e^-0.2)) / 0.2
+python - "$out/gain.json" <<'EOF'
+import json, sys
+channel = {"i": 1, "j": 1, "num": [2.0], "den": [1.0], "tau": 0.3}
+json.dump({"model": {"transfer": {"channels": [channel]}},
+           "cost": {"Qc": [[1.0]], "mu": 0.2, "Ts": 1.0, "N": 1, "zbar": [[0.0]]}},
+          open(sys.argv[1], "w"))
+EOF
+for M in fixed doubling expm; do
+    lqdisc discretize --model "$out/gain.json" --method "$M" --out "$out/gain-$M"
+done
+python - "$out"/gain-{fixed,doubling,expm}/result.json <<'EOF'
+import json, sys
+import numpy as np
+want = np.diag([1.1647093283150256, 2.460675610125338])
+Qs = [np.array(json.load(open(path))["Q"]) for path in sys.argv[1:]]
+print("Q of fixed, doubling, expm:", [Q.tolist() for Q in Qs], "against", want.tolist())
+sys.exit(not all(Q.shape == want.shape and np.abs(Q - want).max() <= 1e-12 for Q in Qs))
+EOF
+
 # 3000 discounted stages: result.json's stage arrays and the stages.csv
 # table take the vectorized writers; every JSON number must still be its
 # repr, and every CSV float its '%.16e'
