@@ -303,7 +303,7 @@ def _gamma_identity_gap(deq: DeqSystem, samples: int = 10) -> float:
     n_x, n = deq.n_x, deq.n_xu
     bottom = np.hstack([np.zeros((deq.n_in, n_x)), np.eye(deq.n_in)])
     ts = np.linspace(deq.Ts / samples, deq.Ts, samples)
-    g = np.stack([deq.gamma(t) for t in ts])
+    g = deq.gamma(ts)
     eye = np.eye(n)
     E1, E2 = np.hstack([eye, eye, -eye]), np.vstack([eye, eye, eye])
     stacked = E1 @ expm(deq.H_c * ts[:, None, None]) @ E2

@@ -113,14 +113,22 @@ class DeqSystem:
         """The span lengths, in time order: (S,)."""
         return self.Ts * np.diff(self.span_ends, prepend=0.0)
 
-    def gamma(self, t: float) -> Mat:
+    def gamma(self, t) -> np.ndarray:
         """Gamma(t) = E_1 e^{H_c t} E_2 = e^{H_1c t} + e^{H_2c t} - e^{H_3c t}
-        (e^{H_c t} without a fractional delay), one stacked exponential. At
-        Ts it is the product of the span transitions, [[A, B_o], [0, I]]."""
+        (e^{H_c t} without a fractional delay). At Ts it is the product of
+        the span transitions, [[A, B_o], [0, I]].
+
+        t is a time or an array of times; the result has one n_xu matrix
+        per time, in t's shape. Every block at every time is one stacked
+        exponential, which `expm` scales per matrix: the bits of separate
+        calls at each time."""
         n = self.n_xu
-        E = expm(np.stack([self.H_c[j:j + n, j:j + n]
-                           for j in range(0, self.n_h, n)]) * t)
-        return E[0] + E[1] - E[2] if self.delay else E[0]
+        blocks = np.stack([self.H_c[j:j + n, j:j + n]
+                           for j in range(0, self.n_h, n)])
+        E = expm(blocks * np.asarray(t, dtype=float)[..., None, None, None])
+        if not self.delay:
+            return E[..., 0, :, :]
+        return E[..., 0, :, :] + E[..., 1, :, :] - E[..., 2, :, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,29 +353,55 @@ def _powers(D: Mat, count: int = _CHUNK) -> tuple[np.ndarray, Mat | None]:
 
 
 def _simpson_weights(k: np.ndarray, panels: int, h) -> np.ndarray:
-    """Composite-Simpson weights at the node indices k, zero past `panels`,
-    for a node spacing h (or a stack of them, broadcast against k)."""
+    """Composite-Simpson weights at the node indices k < panels, zero from
+    `panels` on (the last node, of weight h/3, is the caller's), for a node
+    spacing h (or a stack of them, broadcast against k)."""
     w = np.where(k % 2, 4.0, 2.0)
-    w[(k == 0) | (k == panels)] = 1.0
-    w[k > panels] = 0.0
+    w[k == 0] = 1.0
+    w[k >= panels] = 0.0
     return w * (h / 3.0)
+
+
+# Largest m k n of one product in `_slab_matmul`. Up to 2^18 OpenBLAS runs
+# a GEMM on the calling thread (SMP_THRESHOLD_MIN 65536 times
+# GEMM_MULTITHREAD_THRESHOLD 4); above it wakes its threads, and the small
+# products that follow run slower.
+_SLAB = 2 ** 18
+
+
+def _slab_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks (..., m, k) and (..., k, n), one slab of rows of a
+    at a time, so that every product has m k n <= _SLAB (or one row)."""
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
+    rows = max(1, _SLAB // (k * n))
+    for r in range(0, m, rows):
+        np.matmul(a[..., r:r + rows, :], b, out=out[..., r:r + rows, :])
+    return out
 
 
 def oracle_quadrature(sys: DeqSystem, panels: int = 4096) -> CoreResult:
     """Evaluate every target at Ts by composite Simpson on every span.
 
     Span p has `panels` panels of h = h_p/panels. Its node exponentials
-    e^{G_p k h} are powers of P = e^{G_p h} (one stacked `expm`) on two
-    levels: node k = C c + i (C = 64) is (I + E_c)(I + D_i), D_i = P^i - I
-    and E_c = (P^C)^c - I from `_powers`, built only for the chunks c the
-    panels reach. One Python iteration covers a block of C^2 = 4096 nodes
-    of every span; inside it the weights are contracted over one index
-    first, so memory is O(C S n_xu^2) for any panel count. The spans'
-    integrals are summed through Phi_p, the product of the earlier spans'
-    transitions: Q adds Phi_p' Q_p Phi_p, M adds Phi_p' M_p, R_ww adds
-    A_p R_p A_p' (A_p the top-left block of Phi_p). Every node is a plain
-    power of a node exponential and every integral a plain weighted sum:
-    no seed, no `compose` and no Runge-Kutta coefficient of the methods.
+    e^{G_p k h} are powers of P = e^{G_p h} (one stacked `expm`): node
+    k = C^2 b + C c + i (C = 64) is L_c P^i, with L_c = X_b (P^C)^c for
+    the block base X_b = (P^{C^2})^b. P^i - I and (P^C)^c - I come from
+    `_powers`, the latter only for the chunks c the panels reach. One
+    Python iteration covers a block of C^2 = 4096 nodes of every span:
+    one batched matmul contracts the weights (S, C, nc) with the stacked
+    L_c and L_c' Qbar_p L_c (S, nc, 2 n_xu^2), in slabs of rows small
+    enough that OpenBLAS stays on the calling thread (`_slab_matmul`).
+    The sums over i, sum_i U_i P^i and sum_i P^i' V_i P^i, are taken once
+    after the last block, so memory is O(C S n_xu^2) for any panel count.
+    The loop stops at node panels - 1: the last node, of weight h/3, is
+    the span transition e^{G_p h_p}, which the chaining of the spans
+    needs anyway. The spans' integrals are summed through Phi_p, the
+    product of the earlier spans' transitions: Q adds Phi_p' Q_p Phi_p,
+    M adds Phi_p' M_p, R_ww adds A_p R_p A_p' (A_p the top-left block of
+    Phi_p). Every node is a plain power of a node exponential and every
+    integral a plain weighted sum: no seed, no `compose` and no
+    Runge-Kutta coefficient of the methods.
 
     Error decays as O(panels^-4). R_ww is None when the system has no
     diffusion matrix G_c.
@@ -375,47 +409,55 @@ def oracle_quadrature(sys: DeqSystem, panels: int = 4096) -> CoreResult:
     if panels < 2 or panels % 2:
         raise DomainError(f"panels must be even and >= 2, got {panels}")
     C = _CHUNK
-    n_x, n = sys.n_x, sys.n_xu
+    n_x, n, S = sys.n_x, sys.n_xu, len(sys.h_p)
     eye = np.eye(n)
     h = (sys.h_p / panels)[:, None, None]
     t0 = sys.Ts * np.append(0.0, sys.span_ends[:-1])[:, None, None]
     powP, stepP = _powers(expm(sys.G_p * h) - eye)
-    powP += eye                          # e^{G_p h i}, i < C: (C, S, n, n)
-    nodes = panels + 1
-    chunkP, blockP = _powers(stepP, min(C, -(-nodes // C)))
-    chunkP += eye                        # e^{G_p h C c}
-    powA = powP[..., :n_x, :n_x]
-    GAG = None                           # e^{A_c h i} G_c G_c' e^{A_c' h i}
-    if sys.G_c is not None:
-        GAG = powA @ (sys.G_c @ sys.G_c.T) @ powA.swapaxes(-1, -2)
+    powP = np.ascontiguousarray(powP.swapaxes(0, 1))
+    powP += eye                          # e^{G_p h i}, i < C: (S, C, n, n)
+    chunkP, blockP = _powers(stepP, min(C, panels // C + 1))
+    chunkP = chunkP.swapaxes(0, 1) + eye  # e^{G_p h C c}
+    GG = None if sys.G_c is None else sys.G_c @ sys.G_c.T
+    SR = np.zeros((S, n_x, n_x))         # int e^{A_c s} G_c G_c' e^{A_c' s}
+    if GG is not None:                   # e^{A_c h i} G_c G_c' e^{A_c' h i}
+        powA = powP[..., :n_x, :n_x]
+        GAG = (powA @ GG @ powA.swapaxes(-1, -2)).reshape(S, C, n_x * n_x)
 
     X = eye                              # block bases e^{G_p h C^2 b}
-    SQ = np.zeros_like(sys.G_p)          # int e^{-mu t} T' Qbar_p T ds
-    SG = np.zeros_like(sys.G_p)          # int e^{-mu t} T ds
-    SR = None if GAG is None else np.zeros_like(GAG[0])
-    for start in range(0, nodes, C * C):
-        nc = min(C, -(-(nodes - start) // C))    # chunks in the block
+    UV = np.zeros((S, C, 2, n, n))       # sum_c w_ci [L_c, L_c' Qbar_p L_c]
+    for start in range(0, panels, C * C):
+        nc = min(C, -(-(panels - start) // C))   # chunks in the block
         k = start + np.arange(nc * C).reshape(nc, C)  # node C c + i
         W = _simpson_weights(k, panels, h)       # (S, nc, C)
         WD = W * np.exp(-sys.mu * (t0 + h * k))
-        L = chunkP[:nc] @ X              # chunk bases e^{G_p s_{Cc}}
-        SG += (L @ np.einsum("pci,ipjk->cpjk", WD, powP)).sum(0)
-        SQ += (powP.swapaxes(-1, -2) @ np.einsum(
-            "pci,cpjk->ipjk", WD, L.swapaxes(-1, -2) @ sys.Qbar_p @ L)
-            @ powP).sum(0)
-        if GAG is not None:
+        LQL = np.empty((S, nc, 2, n, n))
+        L = np.matmul(chunkP[:, :nc], X[..., None, :, :],
+                      out=LQL[:, :, 0])  # chunk bases e^{G_p s_{Cc}}
+        np.matmul(L.swapaxes(-1, -2) @ sys.Qbar_p[:, None], L,
+                  out=LQL[:, :, 1])
+        UV += _slab_matmul(WD.swapaxes(1, 2), LQL.reshape(S, nc, -1)
+                           ).reshape(UV.shape)
+        if GG is not None:
             BA = L[..., :n_x, :n_x]
-            SR += (BA @ np.einsum("pci,ipjk->cpjk", W, GAG)
-                   @ BA.swapaxes(-1, -2)).sum(0)
+            SR += (BA @ _slab_matmul(W, GAG).reshape(S, nc, n_x, n_x)
+                   @ BA.swapaxes(-1, -2)).sum(1)
         if start + C * C <= panels:
             X = X + X @ blockP
 
-    c, i = divmod(panels - start, C)     # the last node, in the last block
-    ends = L[c] @ powP[i]                # span transitions e^{G_p h_p}
+    c, i = divmod(panels % (C * C), C)   # the last node, past X
+    ends = chunkP[:, c] @ X @ powP[:, i]   # span transitions e^{G_p h_p}
+    last = h / 3.0 * np.exp(-sys.mu * (t0 + sys.h_p[:, None, None]))
+    SG = (UV[:, :, 0] @ powP).sum(1) + last * ends  # int e^{-mu t} T ds
+    SQ = (powP.swapaxes(-1, -2) @ UV[:, :, 1] @ powP).sum(1) \
+        + last * (ends.swapaxes(-1, -2) @ sys.Qbar_p @ ends)
+    if GG is not None:
+        A_end = ends[:, :n_x, :n_x]
+        SR += h / 3.0 * (A_end @ GG @ A_end.swapaxes(-1, -2))
     Phi = eye
     Q, M = np.zeros((n, n)), np.zeros((n, sys.n_z))
-    R = None if SR is None else np.zeros((n_x, n_x))
-    for p in range(len(ends)):
+    R = None if GG is None else np.zeros((n_x, n_x))
+    for p in range(S):
         Q += Phi.T @ SQ[p] @ Phi
         M += Phi.T @ SG[p].T @ sys.Mbar_p[p]
         if R is not None:
@@ -427,16 +469,38 @@ def oracle_quadrature(sys: DeqSystem, panels: int = 4096) -> CoreResult:
                       method="oracle", steps=panels)
 
 
+def _power_sum(D: Mat, N: int) -> tuple[Mat, Mat]:
+    """For P = I + D and N >= 0: sum_{k<N} (P^k - I) and P^N - I.
+
+    Step k = C j + i (C = _CHUNK) has P^k - I = E_j + D_i + E_j D_i, with
+    D_i = P^i - I (i < C) from one `_powers` and E_j = P^{Cj} - I. So the
+    q = N div C whole chunks sum to C sum E_j + q sum D_i + (sum E_j)
+    (sum D_i), where sum_{j<q} E_j is this same sum for P^C over q steps:
+    two levels up to C^2 = 4096 steps, one more per further factor of C.
+    The last N mod C steps start from E_q.
+    """
+    q, m = divmod(N, _CHUNK)
+    powD, stepD = _powers(D, min(_CHUNK, N + 1))
+    head = powD[:m].sum(0)               # sum_{i<m} D_i
+    if not q:
+        return head, powD[m]
+    SE, E = _power_sum(stepD, q)
+    SD = powD.sum(0)
+    return (_CHUNK * SE + q * SD + SE @ SD + m * E + head + E @ head,
+            E + powD[m] + E @ powD[m])
+
+
 def b_alternative(A_c: Mat, B_c: Mat, Ts: float, N: int) -> Mat:
     """Integrate dB/dt = A_c B + B_c, B(0) = 0, with N classic-RK4 steps.
 
     On this linear ODE one RK4 step of size h is exactly B <- T B + c with
     T = sum_{k<=4} (h A_c)^k / k! and c = h sum_{k<=3} (h A_c)^k / (k+1)! B_c,
-    so B_N = sum_{k<N} T^k c = N c + sum_{k<N} (T^k - I) c. The sum is
-    taken a chunk of 64 steps at a time from the differences T^i - I,
-    i < 64, which stay accurate where T itself is I plus a rounding error.
-    It uses no matrix exponential and none of the discretization code, so
-    it stays independent of the methods it checks.
+    so B_N = sum_{k<N} T^k c = N c + sum_{k<N} (T^k - I) c. `_power_sum`
+    takes that sum in closed form on two levels of 64-step chunks (three
+    above 4096 steps) from the differences T^i - I, which stay accurate
+    where T itself is I plus a rounding error. It uses no matrix
+    exponential and none of the discretization code, so it stays
+    independent of the methods it checks.
 
     The other form of the same integral (dB/dt = e^{A_c t} B_c) is what the
     fixed-step method uses; keeping both routes lets tests cross-check them.
@@ -451,12 +515,4 @@ def b_alternative(A_c: Mat, B_c: Mat, Ts: float, N: int) -> Mat:
     eye = np.eye(A_c.shape[0])
     D = Z + Z2 @ (eye / 2 + Z / 6 + Z2 / 24)             # T - I
     c = h * ((eye + Z / 2 + Z2 @ (eye / 6 + Z / 24)) @ B_c)
-    powD, stepD = _powers(D)
-    partial = np.cumsum(powD, axis=0)    # sum_{i<m} (T^i - I) at [m - 1]
-    S = np.zeros_like(D)                 # sum_{i<k} (T^i - I)
-    base = np.zeros_like(D)              # T^k - I at the chunk start k
-    for k in range(0, N, _CHUNK):
-        m = min(_CHUNK, N - k)
-        S += m * base + partial[m - 1] + base @ partial[m - 1]
-        base = base + stepD + base @ stepD
-    return N * c + S @ c
+    return N * c + _power_sum(D, N)[0] @ c

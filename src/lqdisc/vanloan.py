@@ -14,10 +14,11 @@ matrix exponential, for every span generator G_p at once (one stacked
 R_ww is no part of the seed: `build_deq` takes it from `rww_expm`.
 
 The -G_q' block grows like e^{||h G_q||}, so a long or strongly
-discounted span overflows Phi_1. The seed of span p is therefore taken
-at h_p/2^s, one s for all spans (the largest that the 1-norms of h_p G_q
-and h_p G_m need), and squared s times with `compose`: the scaling and
-squaring of `matcore.expm` (Al-Mohy & Higham, 2011), over each span.
+discounted span overflows Phi_1. The discounted fields of span p are
+therefore taken at h_p/2^s, one s for all spans (the largest that the
+1-norms of h_p G_q and h_p G_m need), and squared s times with `compose`:
+the scaling and squaring of `matcore.expm` (Al-Mohy & Higham, 2011), over
+each span. T needs no such step: Phi_3 is taken over the whole span.
 """
 
 from __future__ import annotations
@@ -46,30 +47,37 @@ def squarings(sys: DeqSystem) -> int:
     return math.ceil(math.log2(norm / SEED_NORM))
 
 
-def exact_seed(sys: DeqSystem, h) -> Interval:
+def exact_seed(sys: DeqSystem, h, s: int = 0) -> Interval:
     """The stack of span intervals over h (one length for every span, or
-    one per span) from three stacked exponentials."""
+    one per span) from three stacked exponentials.
+
+    T is e^{G_p h}, one exponential over the whole of h. The discounted
+    fields are taken over h/2^s and squared s times with `power`, their
+    seed's T being I: so T takes no rounding from the squarings.
+    """
     h = np.reshape(h, (-1, 1, 1))
     n = sys.n_xu
     eye = np.eye(n)
     G_q = sys.G_p - (sys.mu / 2.0) * eye
     G_m = sys.G_p - sys.mu * eye
-    phi1 = expm(h * _upper(-G_q.swapaxes(-1, -2), sys.Qbar_p, G_q))
-    phi2 = expm(h * _upper(0.0, eye, G_m.swapaxes(-1, -2)))
+    phi1 = expm(h / 2 ** s * _upper(-G_q.swapaxes(-1, -2), sys.Qbar_p, G_q))
+    phi2 = expm(h / 2 ** s * _upper(0.0, eye, G_m.swapaxes(-1, -2)))
     omega_q = phi1[..., n:, n:]
-    return Interval(
-        T=expm(h * sys.G_p),
+    seed = Interval(
+        T=np.broadcast_to(eye, omega_q.shape),
         omega_q=omega_q, X_q=omega_q.swapaxes(-1, -2) @ phi1[..., :n, n:],
         omega_m=phi2[..., n:, n:].swapaxes(-1, -2),
         Y_m=phi2[..., :n, n:] @ sys.Mbar_p)
+    return power(seed, 2 ** s)._replace(T=expm(h * sys.G_p))
 
 
 def discretize_expm(sys: DeqSystem) -> CoreResult:
     """Exact (to expm accuracy) discretization over one interval Ts.
 
-    The seed of every span over h_p/2^s is squared s times, and the spans
-    are chained; `doublings` records s.
+    Every span's interval over h_p, its discounted fields from h_p/2^s
+    squared s times and its T from one exponential over h_p, so A and B_o
+    take no rounding from the squarings at any discount. The spans are
+    chained; `doublings` records s.
     """
     s = squarings(sys)
-    return core_result(sys, power(exact_seed(sys, sys.h_p / 2 ** s), 2 ** s),
-                       "expm", doublings=s)
+    return core_result(sys, exact_seed(sys, sys.h_p, s), "expm", doublings=s)

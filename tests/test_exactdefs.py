@@ -93,6 +93,19 @@ def test_gamma_identity_and_structure(mimo_deq):
         assert max_abs(gam[n_x:, n_x:] - np.eye(n_in)) < 1e-13
 
 
+@pytest.mark.parametrize("model", ["mimo_deq", "scalar_deq"])
+def test_gamma_on_an_array_of_times_is_the_per_time_calls(model, request):
+    """One stacked exponential over every time gives, matrix by matrix,
+    the bits of one call per time, in the shape of the times."""
+    sys = request.getfixturevalue(model)
+    ts = np.linspace(0.05, sys.Ts, 10).reshape(2, 5)
+    got = sys.gamma(ts)
+    assert got.shape == (2, 5, sys.n_xu, sys.n_xu)
+    for idx in np.ndindex(ts.shape):
+        assert np.array_equal(got[idx], sys.gamma(ts[idx]))
+    assert sys.gamma(sys.Ts).shape == (sys.n_xu, sys.n_xu)
+
+
 def test_discount_shift_factors(mimo_deq):
     """G_p - mu/2 I and G_p - mu I shift every span's transition by
     e^{-mu t/2} and e^{-mu t}, and so do the exact seed's omega_q and
@@ -386,6 +399,9 @@ def _node_by_node_simpson(sys, panels):
          panels=4096)
 @example(seed=7, n_x=1, n_u=1, kind="integer", mu=0.0, diffusion=False,
          panels=4222)
+# ... and two whole blocks, whose last node sits on the third block base
+@example(seed=8, n_x=1, n_u=1, kind="fractional", mu=0.2, diffusion=True,
+         panels=8192)
 def test_chunked_oracle_matches_node_by_node_simpson(seed, n_x, n_u, kind, mu,
                                                      diffusion, panels):
     sys = _random_deq(seed, n_x, n_u, kind, mu, diffusion)
@@ -423,7 +439,9 @@ def _rk4_loop(A_c, B_c, Ts, N):
     return B
 
 
-@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 2048])
+# one chunk of 64 steps, two levels up to 4096 steps, three beyond
+@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 2048, 4095, 4096, 4097,
+                               8257])
 def test_b_alternative_equals_stepwise_rk4(N):
     rng = np.random.default_rng(N)
     for n_x in (1, 3, 6):
@@ -486,6 +504,31 @@ def test_powers_match_repeated_products(size):
     # a shorter stack is the same stack, cut: P^C - I is not formed
     short, none = exactdefs._powers(D, 17)
     assert np.array_equal(short, stack[:17]) and none is None
+
+
+@pytest.mark.parametrize("m,k,n", [(64, 64, 288), (64, 64, 4),
+                                   (5, 3, 7), (3, 300, 1000)])
+def test_slab_matmul_keeps_every_product_on_one_thread(monkeypatch, m, k, n):
+    """Every product `_slab_matmul` issues has m k n <= 2^18 (or a single
+    row, where one row is larger), and the slabs give the plain product."""
+    rng = np.random.default_rng(m + k + n)
+    a = rng.normal(size=(3, k, m)).swapaxes(1, 2)   # a transposed operand
+    b = rng.normal(size=(3, k, n))
+    sizes = []
+    matmul = np.matmul
+
+    def counted(x, y, **kwargs):
+        sizes.append((x.shape[-2], x.shape[-1], y.shape[-1]))
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    got = exactdefs._slab_matmul(a, b)
+    monkeypatch.undo()
+    assert sum(rows for rows, _, _ in sizes) == m
+    for rows, kk, nn in sizes:
+        assert (kk, nn) == (k, n)
+        assert rows * kk * nn <= 2 ** 18 or rows == 1
+    assert np.allclose(got, a @ b, rtol=1e-14, atol=1e-13)
 
 
 def test_oracle_builds_only_the_chunk_bases_it_needs(monkeypatch, mimo_deq):

@@ -7,8 +7,6 @@ R_ww are checked to 1e-14 relative, Q and M to 1e-13, fractional delays
 included; rk4 fixed and doubling at N = 1024 to criterion 1's limits.
 `hpref.horizon_cost` checks the whole discrete problem, stage costs and
 augmented recursion included, against the continuous cost of a horizon.
-One known gap is kept visible as a strict xfail: expm's A at a large
-discount.
 """
 
 import functools
@@ -184,16 +182,16 @@ def test_fractional_delay_cost_is_exact():
     assert _rel(got.M, ref.M) <= 1e-13
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "expm takes A from the seed squared s times, which loses about 2^s "
-    "ulps: 8.3e-14 relative at mu = 2000 (s = 11), 9.7e-12 at mu = 2e5 "
-    "(s = 18); B_o is off by 3.5e-14 and 4.1e-12"))
 @pytest.mark.parametrize("mu", [2000.0, 2e5])
 def test_expm_transition_at_large_discount(mu):
+    """T is one exponential over the whole span, not the seed squared s
+    times (s = 11 and 18 here), so A and B_o keep full accuracy."""
     plant, cost = load_model(MODELS / "scalar.json")
     cost = CostSpec(Q_c=cost.Q_c, mu=mu, Ts=cost.Ts, N=1, zbar=cost.zbar)
     ref = hpref.reference(plant, cost, integrals=False)
-    assert _rel(discretize_expm(build_deq(plant, cost)).A, ref.A) <= 1e-14
+    got = discretize_expm(build_deq(plant, cost))
+    assert _rel(got.A, ref.A) <= 1e-14
+    assert _rel(got.B_o, ref.B_o) <= 1e-14
 
 
 # plants of the horizon check: both bundled models, the pure-gain channel,
