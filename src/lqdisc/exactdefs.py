@@ -470,7 +470,9 @@ def oracle_quadrature(sys: DeqSystem, panels: int = 4096) -> CoreResult:
 
 
 def _power_sum(D: Mat, N: int) -> tuple[Mat, Mat]:
-    """For P = I + D and N >= 0: sum_{k<N} (P^k - I) and P^N - I.
+    """For P = I + D and N >= 0: sum_{k<N} (P^k - I) and P^N - I, per
+    matrix of D when D is a stack. `b_alternative` takes its RK4 step sum
+    from it, and the `fixed` fold its transitions and the power sum of M.
 
     Step k = C j + i (C = _CHUNK) has P^k - I = E_j + D_i + E_j D_i, with
     D_i = P^i - I (i < C) from one `_powers` and E_j = P^{Cj} - I. So the
@@ -499,8 +501,10 @@ def b_alternative(A_c: Mat, B_c: Mat, Ts: float, N: int) -> Mat:
     takes that sum in closed form on two levels of 64-step chunks (three
     above 4096 steps) from the differences T^i - I, which stay accurate
     where T itself is I plus a rounding error. It uses no matrix
-    exponential and none of the discretization code, so it stays
-    independent of the methods it checks.
+    exponential, and of the discretization code it shares only the power
+    helpers `_powers` and `_power_sum` (as the oracle shares `_powers`):
+    its T and c are its own RK4 formulas, so it stays independent of the
+    methods it checks.
 
     The other form of the same integral (dB/dt = e^{A_c t} B_c) is what the
     fixed-step method uses; keeping both routes lets tests cross-check them.

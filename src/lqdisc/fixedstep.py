@@ -7,38 +7,51 @@ size). The stage kernels take a stack of same-size generators, each with
 its own step, so one stacked propagation steps every span generator G_p
 and its discounted shifts at once, N steps of h_p/N on span p. The
 coefficients form the one-step seed `Interval` of every span, which
-`integrate` folds N times, one chunk of 64 steps per iteration: the
-seed's powers P^i - I (i < 64) are built once, and each chunk's steps and
-their increments to the integrals are a few batched products on that
-stack. No expm and no linear solves inside the propagation loop.
+`integrate` folds N times. The transitions and M are geometric sums of
+the seed and come in closed form from its power differences P^i - I; Q
+is formed step by step, 64 steps per iteration, each step's increment a
+block of one Gram product of the seed's signed factor, so the fold stays
+O(N). No expm and no linear solves inside the propagation loop. A step
+outside the scheme's stability region, where the exact flow decays, is
+refused with NumericalError.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .matcore import (DimensionError, DomainError, Mat, SingularMatrixError,
-                      solve, symmetrize)
-from .exactdefs import (_CHUNK, CoreResult, DeqSystem, Interval, _powers,
-                        core_result)
+from .matcore import (DimensionError, DomainError, Mat, NumericalError,
+                      SingularMatrixError, solve, symmetrize)
+from .exactdefs import (_CHUNK, _SLAB, CoreResult, DeqSystem, Interval,
+                        _power_sum, _powers, core_result)
 
 _TABLEAU_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class ButcherTableau:
-    """Runge-Kutta coefficients (a, b, c) plus a structural kind tag."""
+    """Runge-Kutta coefficients (a, b, c) plus a structural kind tag.
+
+    `stability` holds the coefficients (num, den) of the stability function
+    R(z) = 1 + z b' (I - z a)^-1 1 = 1 + num(z) / den(z): den (z^0 .. z^s)
+    is det(I - z a), from the eigenvalues of a (its diagonal when a is
+    lower-triangular), and num (z^1 .. z^s) is the polynomial w den, from
+    w's Taylor coefficients b' a^(k-1) 1, k <= s. Near |R| = 1 on Re z < 0
+    this is as accurate as a solve with I - z a, or more: at |z| near 1e8
+    a solve puts implicit-trapezoidal's |R| 1e-7 off. They are formed with
+    the tableau, once, not by each build."""
 
     name: str
     a: Mat
     b: Mat
     c: Mat
     kind: str
+    stability: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -68,6 +81,11 @@ class ButcherTableau:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+        den = np.poly(a if self.kind == "implicit" else np.diag(a))
+        taylor = [b @ np.linalg.matrix_power(a, k) @ np.ones(s)
+                  for k in range(s)]
+        object.__setattr__(self, "stability",
+                           (np.convolve(taylor, den)[:s], den))
 
     @property
     def stages(self) -> int:
@@ -262,6 +280,33 @@ def _quadrature(tableau: ButcherTableau, dt, terms: Mat) -> Mat:
     return dt * sum(bi * x for bi, x in zip(tableau.b, terms))
 
 
+def _check_stability(tableau: ButcherTableau, sys: DeqSystem, dt) -> None:
+    """Raise NumericalError where |R(z)| >= 1 while Re z < 0, for
+    z = dt_p (lambda - shift) over the steps dt_p of the spans, the
+    eigenvalues lambda of every G_p (those of A_c, and 0) and the shifts
+    0, mu/2 and mu: there the exact flow decays and the step does not.
+    R(z) = 1 + w is the tableau's stability function, w = num(z) / den(z)
+    from its polynomial coefficients (`ButcherTableau`'s `stability`). w is
+    formed directly, so a tiny w takes no rounding from 1 + w: |1 + w| >=
+    1 is |w|^2 >= -2 Re w, tested as |w| min(|w|, 2) >= -2 Re w, since a
+    |w| above 2 is outside anyway and is not squared."""
+    lam = np.append(np.linalg.eigvals(sys.A_c), 0.0)
+    shifts = np.array([0.0, sys.mu / 2.0, sys.mu])
+    z = dt[:, None, None] * (lam[:, None] - shifts)
+    num, den = tableau.stability
+    V = np.cumprod(np.repeat(z[..., None], tableau.stages, -1), -1)  # z^k
+    w = (V @ num) / (1.0 + V @ den[1:])
+    a = np.abs(w)
+    outside = (z.real < 0) & (a * np.minimum(a, 2.0) >= -2.0 * w.real)
+    if outside.any():
+        p, j, i = np.argwhere(outside)[0]
+        raise NumericalError(
+            f"step outside the stability region of scheme {tableau.name!r} "
+            f"at dt={dt[p]:.6g}: eigenvalue {lam[j]:.6g} with shift "
+            f"{shifts[i]:.6g} gives z={z[p, j, i]:.6g} with |R(z)| = "
+            f"{abs(1.0 + w[p, j, i]):.6g} >= 1")
+
+
 def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
                        n_steps: int) -> CoefficientSet:
     """Precompute the one-step interval of every span for N = n_steps
@@ -270,7 +315,10 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
     One stacked propagation steps the span generators G_p, then G_p shifted
     by mu/2 and by mu, each span at its own dt_p: T, omega_q and omega_m.
     The integrals are the tableau's own quadrature dt sum_i b_i over the
-    stages."""
+    stages.
+
+    Raises NumericalError when a step leaves the scheme's stability region
+    where the exact flow decays (`_check_stability`)."""
     n_steps = operator.index(n_steps)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
@@ -278,6 +326,7 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
     eye = np.eye(sys.n_xu)
     lam, stages = propagation(tableau, np.stack([
         sys.G_p, sys.G_p - (sys.mu / 2.0) * eye, sys.G_p - sys.mu * eye]), dt)
+    _check_stability(tableau, sys, dt[:, 0, 0])
     L_q, L_m = stages[:, 1], stages[:, 2]
     X_q = _quadrature(tableau, dt, L_q.swapaxes(-1, -2) @ sys.Qbar_p @ L_q)
     Y_m = _quadrature(tableau, dt, L_m.swapaxes(-1, -2) @ sys.Mbar_p)
@@ -286,41 +335,45 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
     return CoefficientSet(scheme=tableau.name, n_steps=n_steps, seed=seed)
 
 
-def _chunk_powers(P: np.ndarray, sizes) -> tuple[np.ndarray, dict]:
-    """The stack D_i = P^i - I (i < C) and, per chunk size m in `sizes`,
-    the advance P^m - I and the power sum m I + sum_{i<m} D_i; per matrix
-    of P when P is a stack."""
-    eye = np.eye(P.shape[-1])
-    stack, step = _powers(P - eye)
-    return stack, {m: ((stack[m] if m < len(stack) else step).copy(),
-                       m * eye + stack[:m].sum(axis=0)) for m in set(sizes)}
-
-
 def integrate(coeffs: CoefficientSet, sys: DeqSystem) -> CoreResult:
-    """Fold the seed of every span N times from the identity, one chunk of
-    m <= C = 64 steps per iteration, from D_i = P^i - I (i < C) and P^C - I
-    built once per seed transition P (the stacks T, omega_q and omega_m). A
-    chunk's transitions (I + D_i) base and their increments to X_q are
-    batched products over the stack of omega_q: one small product per
-    step and span, which BLAS keeps on the calling thread. Y_m takes the
-    power sum, and each base (T with its input integrals) advances by P^m.
+    """Fold the seed of every span N times from the identity.
+
+    T, omega_m and Y_m are geometric in the seed transitions P: closed
+    forms from `_power_sum` on the stack [T - I, omega_m - I], with Y_m =
+    (N I + sum_{k<N} (P_m^k - I))' Y_m,seed. X_q = sum_{k<N} P_q^k' X_q,seed
+    P_q^k is formed step by step, m <= C = 64 steps per iteration. `eigh`
+    factors the seed once, X_q,seed = F' diag(s) F with s the signs of its
+    eigenvalues (rounding and negative weights can make it indefinite, so
+    Cholesky may fail), and the blocks (F P_q^i)' (i < C) are stacked once
+    from the `_powers` of P_q. A chunk from the base W = P_q^k adds
+    Z' diag(s) Z, Z' = W' [(F P_q^i)' ...]: one factor block per step, so
+    the fold stays O(N). Both products are split into blocks of whole
+    steps of at most _SLAB = 2^18 multiply-adds each, the size OpenBLAS
+    runs on the calling thread: one block per chunk up to n_xu = 16, one
+    step per block from n_xu = 41. A non-finite entry of the seed's X_q
+    is NaN in X_q (`eigh` factors the seed with it zeroed).
     """
     seed, n = coeffs.seed, coeffs.n_steps
-    sizes = [_CHUNK] * (n // _CHUNK) + [n % _CHUNK] * (n % _CHUNK > 0)
-    pow_q, tq = _chunk_powers(seed.omega_q, sizes)
-    tt = _chunk_powers(seed.T, sizes)[1]
-    tm = _chunk_powers(seed.omega_m, sizes)[1]
-    T = W_q = W_m = np.broadcast_to(np.eye(sys.n_xu), seed.T.shape)
-    X_q, Y_m = np.zeros_like(seed.X_q), np.zeros_like(seed.Y_m)
-    for m in sizes:
-        Wk = W_q + pow_q[:m] @ W_q                   # omega_q^{k+i}
-        X_q = X_q + (Wk.swapaxes(-1, -2) @ seed.X_q @ Wk).sum(axis=0)
-        Y_m = Y_m + W_m.swapaxes(-1, -2) @ (
-            tm[m][1].swapaxes(-1, -2) @ seed.Y_m)
-        T = T + tt[m][0] @ T
-        W_q = W_q + tq[m][0] @ W_q
-        W_m = W_m + tm[m][0] @ W_m
-    return core_result(sys, Interval(T, W_q, X_q, W_m, Y_m), "fixed",
+    eye = np.eye(sys.n_xu)
+    sums, ends = _power_sum(np.stack([seed.T, seed.omega_m]) - eye, n)
+    finite = np.isfinite(seed.X_q)      # eigh may fail on inf or NaN
+    lam, vec = np.linalg.eigh(np.where(finite, seed.X_q, 0.0))
+    Ft = vec * np.sqrt(np.abs(lam))[..., None, :]        # F'
+    pow_q, step_q = _powers(seed.omega_q - eye, min(_CHUNK, n + 1))
+    cols = np.concatenate(Ft + pow_q[:n].swapaxes(-1, -2) @ Ft, axis=-1)
+    signs = np.tile(np.sign(lam), _CHUNK)[..., None, :]
+    width = max(1, _SLAB // sys.n_xu ** 3) * sys.n_xu   # columns per product
+    W_q = np.broadcast_to(eye, seed.omega_q.shape)
+    X_q = np.where(finite, 0.0, np.nan)
+    for k in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - k) * sys.n_xu
+        for j in range(0, m, width):
+            Zt = W_q.swapaxes(-1, -2) @ cols[..., j:min(j + width, m)]
+            X_q += (Zt * signs[..., :Zt.shape[-1]]) @ Zt.swapaxes(-1, -2)
+        W_q = W_q + (step_q if n - k >= _CHUNK else pow_q[n - k]) @ W_q
+    Y_m = (n * eye + sums[1]).swapaxes(-1, -2) @ seed.Y_m
+    return core_result(sys, Interval(eye + ends[0], W_q, X_q, eye + ends[1],
+                                     Y_m), "fixed",
                        scheme=coeffs.scheme, steps=coeffs.n_steps)
 
 

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqdisc import (benchcli, build_deq, exactdefs, load_model, realize_plant,
-                    rww_expm)
+from lqdisc import (benchcli, build_coefficients, build_deq, exactdefs,
+                    fixedstep, load_model, realize_plant, rww_expm)
 from lqdisc.matcore import DimensionError, DomainError
 from lqdisc.model import realize_delays
 from lqdisc.benchcli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
@@ -251,27 +251,84 @@ def test_singular_stage_is_numerical_error(tmp_path, capsys):
     assert "implicit-euler" in capsys.readouterr().err
 
 
-def test_non_finite_result_is_numerical_error(tmp_path, capsys):
-    # explicit Euler at dt*mu ~ 98 overflows: the core holds NaN
+def _first_order_model(tmp_path, mu: float) -> Path:
+    """dx = -x + u, z = x, Ts = 1, at discount mu, as a model file."""
     doc = {
         "model": {"state_space": {"A_c": [[-1.0]], "B_c": [[1.0]],
                                   "C_c": [[1.0]], "D_c": [[0.0]]}},
-        "cost": {"Qc": [[1.0]], "mu": 1e5, "Ts": 1.0, "N": 1,
+        "cost": {"Qc": [[1.0]], "mu": mu, "Ts": 1.0, "N": 1,
                  "zbar": [[0.0]]},
     }
-    path = tmp_path / "overflow.json"
+    path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    # the overflow inside the core prints no RuntimeWarning, one line only
+    return path
+
+
+@pytest.mark.parametrize("mu,scheme,steps,rc", [
+    (2000.0, "explicit-euler", 256, EXIT_NUMERICAL),
+    (2000.0, "rk4", 256, EXIT_NUMERICAL),
+    (2000.0, "rk4", 1024, EXIT_OK),
+    (1e5, "explicit-euler", 1024, EXIT_NUMERICAL),
+])
+def test_step_outside_the_stability_region_is_numerical_error(
+        tmp_path, capsys, mu, scheme, steps, rc):
+    # dt mu/2 = 3.9 at 256 steps is outside the real stability interval of
+    # explicit Euler (2) and rk4 (2.79); 0.98 at 1024 steps is inside rk4's
+    path = _first_order_model(tmp_path, mu)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rc = main(["discretize", "--model", str(path), "--method", "fixed",
-                   "--scheme", "explicit-euler", "--steps", "1024",
-                   "--out", str(tmp_path / "out")])
-    assert rc == EXIT_NUMERICAL
+        got = main(["discretize", "--model", str(path), "--method", "fixed",
+                    "--scheme", scheme, "--steps", str(steps),
+                    "--out", str(tmp_path / "out")])
+    assert got == rc
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.endswith("\n")
-    assert "'fixed'" in err and "in Q" in err
+    if rc == EXIT_OK:
+        Q = json.loads((tmp_path / "out" / "result.json").read_text())["Q"]
+        assert np.isfinite(Q).all()
+        return
+    assert len(err.splitlines()) == 1
+    for part in ("stability region", f"{scheme!r}", f"dt={1 / steps:.6g}",
+                 "eigenvalue -1 "):
+        assert part in err
     assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_result_is_numerical_error(tmp_path, capsys, monkeypatch):
+    # a seed with an inf, or a NaN, entry in X_q: the fold leaves that
+    # entry NaN in X_q, without factoring it, so Q is non-finite
+    bad = []
+
+    def bad_seed(*args):
+        coeffs = build_coefficients(*args)
+        X_q = coeffs.seed.X_q.copy()
+        X_q[0, 0, 0] = bad[-1]
+        return dataclasses.replace(coeffs, seed=coeffs.seed._replace(X_q=X_q))
+
+    # some LAPACK builds return NaN for such input, others report that
+    # eigh did not converge; the fold must not depend on which
+    eigh = np.linalg.eigh
+
+    def strict_eigh(a):
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(fixedstep, "build_coefficients", bad_seed)
+    monkeypatch.setattr(np.linalg, "eigh", strict_eigh)
+    path = _first_order_model(tmp_path, 0.2)
+    for value in (math.inf, math.nan):
+        bad.append(value)
+        # the non-finite Q inside the core prints no RuntimeWarning, one line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["discretize", "--model", str(path), "--method",
+                       "fixed", "--scheme", "esdirk4", "--steps", "1024",
+                       "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NUMERICAL, value
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert "'fixed'" in err and "in Q" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_output_count_mismatch_is_schema_error(tmp_path, capsys,

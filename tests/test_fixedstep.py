@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqdisc.matcore import (DimensionError, DomainError, SingularMatrixError,
-                            max_abs, solve)
+from lqdisc.matcore import (DimensionError, DomainError, NumericalError,
+                            SingularMatrixError, max_abs, solve)
 from lqdisc.model import ContinuousStateSpace, CostSpec, load_model
 from lqdisc import fixedstep
 from lqdisc.benchcli import random_system
@@ -454,7 +454,8 @@ def _plant_variants(scalar_deq, mimo_deq):
     }
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "esdirk4", "implicit-euler"])
+@pytest.mark.parametrize("scheme",
+                         ["rk4", "esdirk4", "esdirk34", "implicit-euler"])
 @pytest.mark.parametrize(
     "plant", ["plain", "plain-diffusion", "delayed", "delayed-diffusion"])
 def test_chunked_fold_matches_step_by_step_fold(monkeypatch, scalar_deq,
@@ -488,6 +489,27 @@ def test_chunked_fold_matches_step_by_step_fold(monkeypatch, scalar_deq,
                 assert max_abs(x - y) <= 1e-14 * max_abs(y), (n, name)
 
 
+@pytest.mark.parametrize("steps_per_product", [1, 3, 64])
+def test_fold_products_of_whole_steps_match_one_product_per_chunk(
+        monkeypatch, mimo_deq, steps_per_product):
+    """Above n_xu = 16 the chunk's two products are split into blocks of
+    whole steps, each at most _SLAB multiply-adds; a smaller _SLAB splits
+    mimo_delayed's chunks the same way, also where a block is cut short
+    by the chunk's end (3 steps per block, chunks of 64, 1, 2 and 63
+    steps), and moves the fold only by rounding."""
+    tableau = named_tableau("esdirk4")
+    for n in (1, 66, 127, 1024):
+        coeffs = build_coefficients(mimo_deq, tableau, n)
+        want = integrate(coeffs, mimo_deq)
+        with monkeypatch.context() as m:
+            m.setattr(fixedstep, "_SLAB",
+                      steps_per_product * mimo_deq.n_xu ** 3)
+            got = integrate(coeffs, mimo_deq)
+        for name in ("A", "B_o", "Q", "M"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert max_abs(x - y) <= 1e-14 * max_abs(y), (n, name)
+
+
 def _invariant_systems():
     """mimo_delayed and the first 27 systems of the seed-0 sweep."""
     plant, cost = load_model(Path(__file__).resolve().parents[1]
@@ -500,18 +522,47 @@ def _invariant_systems():
     return out
 
 
+def _step_grows(tableau, sys, n):
+    """Whether the step of some span does not decay where the exact flow
+    does: for each eigenvalue lambda of G_p (those of A_c, and 0) and each
+    shift 0, mu/2, mu, with z = dt_p (lambda - shift), Re z < 0 and the
+    step of the 2 x 2 real form [[Re, -Im], [Im, Re]] of lambda - shift
+    has determinant |R(z)|^2 >= 1."""
+    eigs = np.append(np.linalg.eigvals(sys.A_c), 0.0)
+    for h in sys.h_p:
+        for shift in (0.0, sys.mu / 2.0, sys.mu):
+            for g in eigs - shift:
+                if g.real * h < 0:
+                    G = np.array([[g.real, -g.imag], [g.imag, g.real]])
+                    R, _ = propagation(tableau, G, h / n)
+                    if abs(np.linalg.det(R)) >= 1.0:
+                        return True
+    return False
+
+
 @pytest.mark.parametrize("plant,cost", _invariant_systems())
 def test_seed_blocks_step_the_state_and_hold_the_input(plant, cost):
     """The one-step seed steps each span generator [[A_c, B^(p)], [0, 0]]
     whole. Its bottom block rows are zero, so every stage keeps the rows
     [0, I] exactly, and the top-left block is the step of A_c alone, at
-    the span's own dt = h_p / n."""
+    the span's own dt = h_p / n. A step that grows where the exact flow
+    decays, and only such a step, is refused with NumericalError."""
     sys = build_deq(plant, cost)
     n_x = sys.n_x
     bottom = np.hstack([np.zeros((sys.n_in, n_x)), np.eye(sys.n_in)])
     for tableau in _tableau_cases():
         for n in (1, 4, 1024):
-            T = build_coefficients(sys, tableau, n).seed.T
+            outside = _step_grows(tableau, sys, n)
+            try:
+                T = build_coefficients(sys, tableau, n).seed.T
+            except NumericalError as exc:
+                assert outside and "stability region" in str(exc), \
+                    (tableau.name, n)
+                # the seed the guard refused, as the build steps it
+                T = propagation(tableau, sys.G_p,
+                                sys.h_p[:, None, None] / n)[0]
+            else:
+                assert not outside, (tableau.name, n)
             assert T.shape == sys.G_p.shape
             for p, h in enumerate(sys.h_p):
                 case = (tableau.name, n, p)

@@ -40,6 +40,20 @@ print("R_ww of fixed, doubling, expm:", rww, "against", want)
 sys.exit(rww[1:] != rww[:-1] or not abs(rww[0][0][0] - want) <= 1e-15)
 EOF
 
+# a step outside the scheme's stability region is refused with exit 3:
+# dx = -x + u at mu = 2000 and 256 steps puts dt mu/2 = 3.9 past explicit
+# Euler's real stability interval, where the exact flow decays
+cat > "$out/mu2000.json" <<'EOF'
+{"model": {"state_space": {"A_c": [[-1.0]], "B_c": [[1.0]], "C_c": [[1.0]], "D_c": [[0.0]]}},
+ "cost": {"Qc": [[1.0]], "mu": 2000.0, "Ts": 1.0, "N": 1, "zbar": [[0.0]]}}
+EOF
+rc=0
+lqdisc discretize --model "$out/mu2000.json" --method fixed --scheme explicit-euler --steps 256 --out "$out/unstable" || rc=$?
+echo "explicit-euler at 256 steps, mu = 2000: exit $rc (want 3)"
+if [ "$rc" -ne 3 ] || [ -e "$out/unstable" ]; then
+    exit 1
+fi
+
 # a fractional delay moves the held input at its switch time in the cost
 # too: z = 2 u(t - 0.3) with Ts = 1 and mu = 0.2 reads u_{k-1} until 0.3
 # and u_k after it, so every method must give
