@@ -36,7 +36,8 @@ import numpy as np
 
 from .matcore import (DimensionError, DomainError, NumericalError, expm,
                       is_psd, max_abs)
-from .model import ContinuousStateSpace, CostSpec, ModelError, load_model, realize_delays
+from .model import (ContinuousStateSpace, CostSpec, DelayRealization,
+                    ModelError, load_model, realize_delays)
 from .exactdefs import (CoreResult, DeqSystem, b_alternative, build_deq,
                         oracle_quadrature)
 from .fixedstep import (SCHEME_NAMES, ButcherTableau, build_coefficients,
@@ -296,21 +297,54 @@ class ValidationReport:
         return out
 
 
-def _gamma_identity_gap(deq: DeqSystem, samples: int = 10) -> float:
-    """Max deviation of the three-block transition Gamma(t) from its
-    three-term split and of its bottom block rows from [0 I], over sampled
-    times, and of the product of the span transitions from Gamma(Ts)."""
-    n_x, n = deq.n_x, deq.n_xu
-    bottom = np.hstack([np.zeros((deq.n_in, n_x)), np.eye(deq.n_in)])
+def _gamma_identity_gap(real: DelayRealization, deq: DeqSystem,
+                        samples: int = 10) -> tuple[float, float, float]:
+    """Criterion 6 on the paper's three-block generator, which no method
+    forms: built here from the realization, over the slots of `deq`.
+
+    The state is one copy of A_c per distinct fractional part v_b of the
+    input columns, fed by the columns with that part: B_1c puts each b in
+    the slot of u_{k-m}, B_2c in the next one (the same slot when v = 0),
+    and V = diag(v_b I). H_c has H_1c = [[A, B_1c], [0, 0]], H_2c =
+    [[V A, V (B_2c - B_1c)], [0, 0]] and H_3c = [[V A, 0], [0, 0]] on its
+    diagonal. The three gaps are the largest deviations of Gamma(t) =
+    e^{H_1c t} + e^{H_2c t} - e^{H_3c t} from E_1 e^{H_c t} E_2 and of its
+    bottom rows from [0 I], at sampled times, and of Gamma(Ts), mapped to
+    the physical state (x starts in the first copy and sums them), from
+    the product of the span transitions."""
+    n_x, n_in = deq.n_x, deq.n_xu - deq.n_x
+    parts, copy = np.unique(real.col_v, return_inverse=True)
+    N = len(parts) * n_x
+    n = N + n_in
+    slot = (real.m_bar - real.col_m) * real.n_u + real.col_input
+    rows = (copy.reshape(-1, 1) * n_x + np.arange(n_x)).T   # (n_x, cols)
+    B_1, B_2 = np.zeros((N, n_in)), np.zeros((N, n_in))
+    np.add.at(B_1, (rows, np.searchsorted(deq.slots, slot)), real.B_c)
+    np.add.at(B_2, (rows, np.searchsorted(
+        deq.slots, slot + (real.col_v > 0) * real.n_u)), real.B_c)
+    A = np.kron(np.eye(len(parts)), real.A_c)
+    V = np.repeat(parts, n_x)[:, None]
+    H_c = np.zeros((3, n, 3, n))
+    H_c[0, :N, 0, :N], H_c[0, :N, 0, N:] = A, B_1
+    H_c[1, :N, 1, :N] = H_c[2, :N, 2, :N] = V * A
+    H_c[1, :N, 1, N:] = V * (B_2 - B_1)
+    k = np.arange(3)
+
     ts = np.linspace(deq.Ts / samples, deq.Ts, samples)
-    g = deq.gamma(ts)
+    E = expm(H_c[k, :, k] * ts[:, None, None, None])
+    g = E[:, 0] + E[:, 1] - E[:, 2]
     eye = np.eye(n)
     E1, E2 = np.hstack([eye, eye, -eye]), np.vstack([eye, eye, eye])
-    stacked = E1 @ expm(deq.H_c * ts[:, None, None]) @ E2
+    stacked = E1 @ expm(H_c.reshape(3 * n, 3 * n) * ts[:, None, None]) @ E2
+    bottom = np.hstack([np.zeros((n_in, N)), np.eye(n_in)])
+    to_x = np.zeros((deq.n_xu, n))
+    to_x[:n_x, :N] = np.tile(np.eye(n_x), len(parts))
+    to_x[n_x:, N:] = np.eye(n_in)
+    from_x = np.append(np.arange(n_x), np.arange(N, n))  # copy 1, inputs
     product = reduce(lambda a, b: b @ a,
                      expm(deq.G_p * deq.h_p[:, None, None]))
-    return max(max_abs(g - stacked), max_abs(g[:, n_x:, :] - bottom),
-               max_abs(product - g[-1]))
+    return (max_abs(g - stacked), max_abs(g[:, N:] - bottom),
+            max_abs(to_x @ g[-1][:, from_x] - product))
 
 
 def _bdot_gap(deq: DeqSystem, ode_steps: int = 2048) -> float:
@@ -357,7 +391,8 @@ def run_validation(seed: int = 0, count: int = 50, steps: int = 1024,
     checks = []
     for i in range(start, start + count):
         plant, cost, kind = random_system(rng, i)
-        deq = build_deq(realize_plant(plant, cost.Ts), cost)
+        real = realize_plant(plant, cost.Ts)
+        deq = build_deq(real, cost)
         coeffs = build_coefficients(deq, tb, steps)
         fixed, doubled = (_run_steps(deq, m, tb, coeffs)
                           for m in ("fixed", "doubling"))
@@ -376,7 +411,8 @@ def run_validation(seed: int = 0, count: int = 50, steps: int = 1024,
             index=i, kind=kind, mu=cost.mu,
             pairwise=pairwise, vs_oracle=vs_oracle, psd_ok=psd_ok,
             zero_delay_gap=_zero_delay_gap(plant, cost),
-            gamma_gap=_gamma_identity_gap(deq) if deq.delay else 0.0,
+            gamma_gap=(max(_gamma_identity_gap(real, deq))
+                       if real.col_v.any() else 0.0),
             bdot_gap=_bdot_gap(deq)))
     return ValidationReport(seed=seed, count=count, steps=steps,
                             checks=tuple(checks),

@@ -1,15 +1,16 @@
 """Exact definitions of the discretization targets and a quadrature oracle.
 
-Inside one sampling interval every input is held. An input delayed by
-(m - v) Ts feeds the slot of u_{k-m} until the switch time (1 - v) Ts and
-the slot of u_{k-m+1} after it. Between the sorted switch times the pair
-[x; u~] follows one constant generator per span, with one output map,
+Inside one sampling interval every input is held. An input column or
+feedthrough entry delayed by (m - v) Ts feeds the slot of u_{k-m} until
+the switch time (1 - v) Ts and the slot of u_{k-m+1} after it. Between
+the sorted switch times the pair [x; u~] follows one constant generator
+per span, with one output map,
 
     G_p = [[A_c, B^(p)], [0, 0]],   z = [C_c, D^(p)] [x; u~],
 
-each of size n_xu = n_x + (m_bar+1) n_u. A plant without a fractional
-delay has one span, the whole interval. Over a span of length h the
-targets are
+over the state and the slots of u~ that some span uses (n_xu in all,
+whatever m_bar). Without a fractional delay the one span is the whole
+interval. Over a span of length h the targets are
 
     T(h)    = e^{G_p h} = [[A(h), B(h)], [0, I]]
     Q(h)    = int_0^h e^{-mu s} T(s)' Qbar_p T(s) ds
@@ -26,7 +27,7 @@ compose by one law (`compose`), so the methods differ only in their seed
 interval (one Runge-Kutta step, or the exact exponentials over h/2^s) and
 in how they compose it: `fixed` folds the seed N times, `doubling` and
 `expm` power it. Each runs once on the stack of spans, and `core_result`
-chains the spans.
+chains the spans and scatters them into the lifted input.
 
 `oracle_quadrature` evaluates every target by composite Simpson on each
 span, from powers of one node exponential per span. It is the ground
@@ -54,25 +55,26 @@ class DeqSystem:
     The S spans between input switches end at the fractions `span_ends` of
     Ts (increasing, the last 1). Span p has the generator G_p[p] =
     [[A_c, B^(p)], [0, 0]] and the cost weights Qbar_p[p], Mbar_p[p] of its
-    output map [C_c, D^(p)].
+    output map [C_c, D^(p)], over the state and the `slots` (sorted
+    0-based indices) of the n_in = (m_bar+1) n_u lifted input slots that
+    some span uses.
 
-    H_c, kept for `gamma`, is G_p[0] or, with a fractional delay (V != 0),
-    the three-block form: H_1c = G_p[0], H_2c = [[V A_c, B_2c_bar], [0, 0]]
-    and H_3c = [[V A_c, 0], [0, 0]] on its diagonal.
+    Four members describe the lifted three-block form of the paper that
+    no method forms any more: n_in, n_h, B_1c and B_2c_bar. They are kept
+    because the benchmark's size record reads them, and its files change
+    only together with the benchmark's definition.
     """
 
     A_c: Mat
-    B_1c: Mat
-    B_2c_bar: Mat
-    V: Mat
     C_c: Mat
     mu: float
     Ts: float
-    H_c: Mat
     span_ends: np.ndarray
     G_p: np.ndarray
     Qbar_p: np.ndarray
     Mbar_p: np.ndarray
+    slots: np.ndarray
+    n_in: int
     G_c: Mat | None = None
 
     @property
@@ -80,27 +82,39 @@ class DeqSystem:
         return self.A_c.shape[0]
 
     @property
-    def n_in(self):
-        """Input columns of B_1c: the (m_bar+1) n_u lifted input slots."""
-        return self.B_1c.shape[1]
-
-    @property
     def n_xu(self):
-        return self.n_x + self.n_in
+        return self.G_p.shape[-1]
 
     @property
     def n_h(self):
-        """Size of H_c: 3 n_xu with a fractional delay, n_xu otherwise."""
-        return self.H_c.shape[0]
+        """Size of the lifted three-block generator: 3 (n_x + n_in) when
+        an input column has a fractional delay (B_2c_bar != 0), n_x + n_in
+        otherwise."""
+        return (3 if self.B_2c_bar.any() else 1) * (self.n_x + self.n_in)
 
     @property
     def n_z(self):
         return self.C_c.shape[0]
 
     @property
-    def delay(self) -> bool:
-        """True when H_c is the three-block stack of a fractional delay."""
-        return self.n_h == 3 * self.n_xu
+    def B_1c(self) -> Mat:
+        """The input columns over all n_in slots before any switch: span
+        0's B^(0)."""
+        return self.lifted(self.G_p[0, :self.n_x, self.n_x:])
+
+    @property
+    def B_2c_bar(self) -> Mat:
+        """V (B_2c - B_1c) over all n_in slots: what each span adds to
+        B^(p) at its start (1 - v) Ts, times v."""
+        v = 1.0 - self.span_ends[:-1, None, None]
+        dB = np.diff(self.G_p[:, :self.n_x, self.n_x:], axis=0)
+        return self.lifted((v * dB).sum(0))
+
+    def lifted(self, B: Mat) -> Mat:
+        """Input columns over the used slots, scattered into all n_in."""
+        out = np.zeros((B.shape[0], self.n_in))
+        out[:, self.slots] = B
+        return out
 
     @cached_property
     def R_ww(self) -> Mat | None:
@@ -112,23 +126,6 @@ class DeqSystem:
     def h_p(self) -> np.ndarray:
         """The span lengths, in time order: (S,)."""
         return self.Ts * np.diff(self.span_ends, prepend=0.0)
-
-    def gamma(self, t) -> np.ndarray:
-        """Gamma(t) = E_1 e^{H_c t} E_2 = e^{H_1c t} + e^{H_2c t} - e^{H_3c t}
-        (e^{H_c t} without a fractional delay). At Ts it is the product of
-        the span transitions, [[A, B_o], [0, I]].
-
-        t is a time or an array of times; the result has one n_xu matrix
-        per time, in t's shape. Every block at every time is one stacked
-        exponential, which `expm` scales per matrix: the bits of separate
-        calls at each time."""
-        n = self.n_xu
-        blocks = np.stack([self.H_c[j:j + n, j:j + n]
-                           for j in range(0, self.n_h, n)])
-        E = expm(blocks * np.asarray(t, dtype=float)[..., None, None, None])
-        if not self.delay:
-            return E[..., 0, :, :]
-        return E[..., 0, :, :] + E[..., 1, :, :] - E[..., 2, :, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,15 +254,29 @@ def rww_expm(A_c: Mat, G_c: Mat, t: float) -> Mat:
     return symmetrize(R)
 
 
+def _result(sys: DeqSystem, T: Mat, Q: Mat, M: Mat, R_ww: Mat | None,
+            method: str, **provenance) -> CoreResult:
+    """The CoreResult of the interval transition T = [[A, B], [0, I]] and
+    its integrals Q, M over [x; the used slots], scattered into the
+    lifted [x; u~]: the entries of the dropped slots are exact zeros."""
+    n_x, Q = sys.n_x, symmetrize(Q)
+    B = T[:n_x, n_x:].copy()
+    if len(sys.slots) < sys.n_in:
+        rows = np.append(np.arange(n_x), n_x + sys.slots)
+        n = n_x + sys.n_in
+        Q_l, M_l = np.zeros((n, n)), np.zeros((n, M.shape[1]))
+        Q_l[np.ix_(rows, rows)], M_l[rows] = Q, M
+        B, Q, M = sys.lifted(B), Q_l, M_l
+    return CoreResult(A=T[:n_x, :n_x].copy(), B_o=B, Q=Q, M=M, R_ww=R_ww,
+                      method=method, **provenance)
+
+
 def core_result(sys: DeqSystem, spans: Interval, method: str,
                 **provenance) -> CoreResult:
-    """Read (A, B_o, Q, M) off the spans of `sys`, chained in time order;
-    R_ww is the system's."""
-    iv, n_x = chain(spans), sys.n_x
-    return CoreResult(
-        A=iv.T[:n_x, :n_x].copy(), B_o=iv.T[:n_x, n_x:].copy(),
-        Q=symmetrize(iv.X_q), M=iv.Y_m, R_ww=sys.R_ww,
-        method=method, **provenance)
+    """Read (A, B_o, Q, M) off the spans of `sys`, chained in time order,
+    over the lifted input; R_ww is the system's."""
+    iv = chain(spans)
+    return _result(sys, iv.T, iv.X_q, iv.Y_m, sys.R_ww, method, **provenance)
 
 
 def build_deq(plant, cost: CostSpec) -> DeqSystem:
@@ -273,12 +284,12 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
 
     `plant` is any plant `realize_plant` takes: a DelayRealization passes
     through, anything else is realized at cost.Ts. The switch times are
-    (1 - v) Ts for every fractional part v of the realization: V's diagonal
-    (state rows) and the v grid (feedthrough). From a span on past its
-    switch time, row r of B^(p) is B_2c's instead of B_1c's, and the gain
-    D_ij moves from the slot of u_{k-m_ij} to the next one. Delays of whole
-    samples (V = 0, none at all included) give one span, the generator
-    [[A_c, B_1c], [0, 0]] over the lifted input.
+    (1 - v) Ts for every fractional part v of an input column or a
+    feedthrough entry. Each column's b sits in the slot of u_{k-m} on the
+    spans before its switch time and in the next slot from it on, and
+    each gain D_ij likewise. Only the slots some span uses are kept, so
+    delays of whole samples (none at all included) give one span over
+    the state and one slot per input path.
     """
     if cost.mu < 0:
         raise DomainError(f"discount must be >= 0, got {cost.mu}")
@@ -286,44 +297,40 @@ def build_deq(plant, cost: CostSpec) -> DeqSystem:
     if plant.Ts != cost.Ts:
         raise DomainError(f"delays were realized at Ts={plant.Ts}, but the "
                           f"cost has Ts={cost.Ts}")
-    A_c, B_1c, C_c, V, v = plant.A_c, plant.B_1c, plant.C_c, plant.V, plant.v
-
-    n_x, n_in = B_1c.shape
-    n_xu = n_x + n_in
-    if C_c.shape[0] != cost.n_z:
+    if plant.n_z != cost.n_z:
         raise DimensionError(
-            f"plant has {C_c.shape[0]} outputs but Q_c is {cost.n_z}x{cost.n_z}")
+            f"plant has {plant.n_z} outputs but Q_c is {cost.n_z}x{cost.n_z}")
+    n_x, n_z, n_u, m_bar = plant.n_x, plant.n_z, plant.n_u, plant.m_bar
+    n_col, n_in = plant.B_c.shape[1], (m_bar + 1) * n_u
+    # every path: the columns, then the feedthrough entries row by row
+    j = np.append(plant.col_input, np.arange(n_z * n_u) % n_u)
+    m = np.append(plant.col_m, plant.m)
+    v = np.append(plant.col_v, plant.v)
+    switches = np.array(sorted(set((1.0 - v[v > 0]).tolist())))
+    starts = np.append(0.0, switches)           # fractions of Ts
+    slot = (m_bar - m + (starts[:, None] >= 1.0 - v)) * n_u + j  # (S, paths)
+    used = np.zeros(n_in, dtype=bool)
+    used[slot] = True
+    slots = np.flatnonzero(used)
+    pos = (np.cumsum(used) - 1)[slot]           # the slot's place in slots
+    S, n_xu = len(starts), n_x + len(slots)
+    spans = np.arange(S)[:, None]
 
-    v_x = np.diag(V)
-    parts = np.concatenate([v_x, v.ravel()])
-    switches = np.array(sorted(set((1.0 - parts[parts > 0]).tolist())))
-    starts = np.concatenate([[0.0], switches])   # span starts, fractions of Ts
-    S = len(starts)
-    late_x = (v_x > 0) & (starts[:, None] >= 1.0 - v_x)            # (S, n_x)
     G_p = np.zeros((S, n_xu, n_xu))
-    G_p[:, :n_x, :n_x] = A_c
-    G_p[:, :n_x, n_x:] = np.where(late_x[:, :, None], plant.B_2c, B_1c)
-    CD = np.zeros((S, cost.n_z, n_xu))
-    CD[:, :, :n_x] = C_c
-    CD[:, :, n_x:] = plant.D_o
-    p, i, j = np.nonzero((v > 0) & (starts[:, None, None] >= 1.0 - v))
-    col = n_x + (plant.m_bar - plant.m[i, j]) * plant.n_u + j
-    CD[p, i, col + plant.n_u] = CD[p, i, col]
-    CD[p, i, col] = 0.0
+    G_p[:, :n_x, :n_x] = plant.A_c
+    pick = np.zeros((S, n_col, len(slots)))     # column c -> its slot
+    pick[spans, np.arange(n_col), pos[:, :n_col]] = 1.0
+    G_p[:, :n_x, n_x:] = plant.B_c @ pick
+    CD = np.zeros((S, n_z, n_xu))
+    CD[:, :, :n_x] = plant.C_c
+    CD[spans[:, None], np.arange(n_z)[:, None],
+       n_x + pos[:, n_col:].reshape(S, n_z, n_u)] = plant.D_c
     Mbar_p = -CD.swapaxes(1, 2) @ cost.Q_c
     Qbar_p = symmetrize(-Mbar_p @ CD)  # = CD' Q_c CD
-
-    H_c = G_p[0]
-    if V.any():         # H_1c, H_2c and H_3c on the diagonal
-        H_c = np.zeros((3, n_xu, 3, n_xu))
-        H_c[0, :, 0] = G_p[0]
-        H_c[1, :n_x, 1, :n_x] = H_c[2, :n_x, 2, :n_x] = V @ A_c
-        H_c[1, :n_x, 1, n_x:] = plant.B_2c_bar
-        H_c = H_c.reshape(3 * n_xu, 3 * n_xu)
-    return DeqSystem(A_c=A_c, B_1c=B_1c, B_2c_bar=plant.B_2c_bar, V=V,
-                     C_c=C_c, mu=cost.mu, Ts=cost.Ts, H_c=H_c,
+    return DeqSystem(A_c=plant.A_c, C_c=plant.C_c, mu=cost.mu, Ts=cost.Ts,
                      span_ends=np.append(switches, 1.0), G_p=G_p,
-                     Qbar_p=Qbar_p, Mbar_p=Mbar_p, G_c=plant.G_c)
+                     Qbar_p=Qbar_p, Mbar_p=Mbar_p, slots=slots,
+                     n_in=n_in, G_c=plant.G_c)
 
 
 # Nodes (or steps) per chunk of the validation references and of the
@@ -463,10 +470,8 @@ def oracle_quadrature(sys: DeqSystem, panels: int = 4096) -> CoreResult:
         if R is not None:
             R += Phi[:n_x, :n_x] @ SR[p] @ Phi[:n_x, :n_x].T
         Phi = ends[p] @ Phi
-    return CoreResult(A=Phi[:n_x, :n_x], B_o=Phi[:n_x, n_x:],
-                      Q=symmetrize(Q), M=M,
-                      R_ww=None if R is None else symmetrize(R),
-                      method="oracle", steps=panels)
+    return _result(sys, Phi, Q, M, None if R is None else symmetrize(R),
+                   "oracle", steps=panels)
 
 
 def _power_sum(D: Mat, N: int) -> tuple[Mat, Mat]:

@@ -2,11 +2,13 @@
 
 Accepts either a state-space plant (optionally with per-input delays) or a
 MIMO transfer-function model with per-channel delays, plus the cost
-specification, and realizes every plant, delayed or not, into the stacked
-block structure used by the discretization pipeline: block-diagonal A_c,
-split input matrices B_1c/B_2c over (m_bar+1) input slots, the
-fractional-delay scaling V, and the shift/injector blocks of the augmented
-system. An undelayed plant has m_bar = 0.
+specification, and realizes every plant, delayed or not, over its physical
+state: A_c, C_c, G_c, a list of input columns (b, input j, m, v) and the
+feedthrough entries (i, j, D_ij, m, v), each path delayed by (m - v) Ts.
+A state-space plant is one block; a transfer model has one
+observable-canonical block per channel on the diagonal of A_c. The held
+input window of the augmented system (shift and injector blocks) spans
+m_bar + 1 input slots; an undelayed plant has m_bar = 0.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,15 +26,15 @@ from .matcore import DomainError, Mat, asmat, is_psd, is_symmetric
 
 # |tau/Ts - round(tau/Ts)| below this counts as an integer delay (v = 0).
 INTEGER_DELAY_TOL = 1e-12
-# Two fractional parts closer than this share one state block.
-UNIFORM_V_TOL = 1e-12
 # The longest horizon: every stage stores t_k, e^{-mu t_k}, rho_k and the
 # n_x + n_u entries of q_k, and both exports write a line or an array
 # row per stage.
 MAX_STAGES = 10 ** 6
-# The longest input delay, in sampling periods. Each period of delay adds
-# n_u held inputs to the lifted state, n_h = n_x + (m_bar + 1) n_u, and the
-# methods work on dense blocks of that size.
+# The longest input delay, in sampling periods. It bounds the size of the
+# output only: each period of delay adds n_u held inputs to the lifted
+# input, so B_o, Q and M have n_x + (m_bar + 1) n_u columns, and the
+# augmented state m_bar n_u more rows. The methods work over the state
+# and the at most two slots each delayed path uses, whatever the delay.
 MAX_DELAY_SAMPLES = 1000
 
 
@@ -289,62 +292,60 @@ class CostSpec:
         return self.zbar[np.minimum(k, self.zbar.shape[0] - 1)]
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """SISO realization of one delayed channel, for verification."""
-
-    i: int
-    j: int
-    A: Mat
-    B: Mat
-    C: Mat
-    D: float
-    tau: float
-    m: int
-    v: float
-
-
 @dataclass(frozen=True, eq=False)
 class DelayRealization:
-    """Stacked realization of a plant over (m_bar+1) input slots.
+    """A plant over its physical state, with its delayed input paths.
 
-    The lifted input is u_tilde_k = [u_{k-m_bar}; ...; u_{k-1}; u_k]; slot p
-    (1-based) holds u_{k-(m_bar+1)+p}. B_1c carries the coefficient slot of
-    u_{k-m_ij}, B_2c the slot of u_{k-m_ij+1}, and V holds the fractional
-    parts v_ij per state block. V = 0 when every delay is a whole number of
-    samples (none at all included: m_bar = 0).
+    The lifted input is u_tilde_k = [u_{k-m_bar}; ...; u_{k-1}; u_k]; slot
+    p (1-based) holds u_{k-(m_bar+1)+p}. Column c of B_c is an input
+    column b: input col_input[c] (0-based) drives the state through it
+    with the delay (col_m[c] - col_v[c]) Ts, m whole and 0 <= v < 1. The
+    feedthrough entries are the n_z x n_u grids D_c, m and v: the gain
+    D_ij with the delay (m_ij - v_ij) Ts. A path of delay (m - v) Ts reads
+    the slot of u_{k-m}, and from the switch time (1 - v) Ts the next one.
     """
 
     A_c: Mat
-    B_1c: Mat
-    B_2c: Mat
-    V: Mat
+    B_c: Mat
+    col_input: np.ndarray
+    col_m: np.ndarray
+    col_v: np.ndarray
     C_c: Mat
-    D_o: Mat
-    m_bar: int
-    n_u: int
+    D_c: Mat
     m: Mat
     v: Mat
     Ts: float
     G_c: Mat | None = None
-    channels: tuple[ChannelRealization, ...] = field(default=())
 
     @property
     def n_x(self):
         return self.A_c.shape[0]
 
     @property
+    def n_u(self):
+        return self.D_c.shape[1]
+
+    @property
     def n_z(self):
         return self.C_c.shape[0]
+
+    @cached_property
+    def m_bar(self) -> int:
+        """The longest whole delay, in samples, of any path."""
+        return int(max(self.col_m.max(initial=0), self.m.max(initial=0)))
 
     @property
     def n_slots(self):
         return (self.m_bar + 1) * self.n_u
 
-    @property
-    def B_2c_bar(self) -> Mat:
-        """V (B_2c - B_1c), the effective fractional-crossing input matrix."""
-        return self.V @ (self.B_2c - self.B_1c)
+    @cached_property
+    def D_o(self) -> Mat:
+        """The feedthrough over the lifted input: D_ij in the slot of
+        u_{k-m_ij}."""
+        out = np.zeros((self.n_z, self.n_slots))
+        out[np.arange(self.n_z)[:, None],
+            (self.m_bar - self.m) * self.n_u + np.arange(self.n_u)] = self.D_c
+        return out
 
     @property
     def I_A(self) -> Mat:
@@ -416,97 +417,53 @@ def realize_channel(num, den) -> tuple[Mat, Mat, Mat, float]:
     return A, beta.reshape(n, 1), C, float(D)
 
 
-def _stack(blocks, D: Mat, m: Mat, v: Mat, Ts: float, G_c: Mat | None = None,
-           channels: tuple[ChannelRealization, ...] = ()) -> DelayRealization:
-    """Stack state blocks block-diagonally over the (m_bar+1) input slots.
-
-    Each block is (A, B, C, inputs, delays, v_b): its dynamics, its input
-    columns B for the given 0-based inputs with their whole-sample delays,
-    its n_z-row output matrix and its fractional part. Column j of B enters
-    B_1c at the slot of u_{k-m} and B_2c at the next one (the same slot when
-    m = 0). D, m and v are the n_z x n_u feedthrough, whole and fractional
-    delay grids; D_ij enters D_o at the slot of u_{k-m_ij}. G_c drives the
-    first rows.
-    """
-    n_z, n_u = D.shape
-    m_bar = max(max(delays, default=0) for *_, delays, _ in blocks)
-    n_x = sum(A.shape[0] for A, *_ in blocks)
-    n_slots = (m_bar + 1) * n_u
-    A_c = np.zeros((n_x, n_x))
-    B_1c = np.zeros((n_x, n_slots))
-    B_2c = np.zeros((n_x, n_slots))
-    C_c = np.zeros((n_z, n_x))
-    v_x = []                                  # the diagonal of V
-    row = 0
-    for A, B, C, inputs, delays, v_b in blocks:
-        n = A.shape[0]
-        sl = slice(row, row + n)
-        A_c[sl, sl] = A
-        v_x += [v_b] * n
-        C_c[:, sl] = C
-        for b, j, m_j in zip(B.T, inputs, delays):
-            col1 = (m_bar - m_j) * n_u + j            # slot m_bar+1-m
-            B_1c[sl, col1] = b
-            B_2c[sl, col1 + n_u if m_j > 0 else col1] = b
-        row += n
-    D_o = np.zeros((n_z, n_slots))
-    D_o[np.arange(n_z)[:, None], (m_bar - m) * n_u + np.arange(n_u)] = D
-    if G_c is not None:
-        G_c = np.concatenate([G_c, np.zeros((n_x - len(G_c), G_c.shape[1]))])
-    return DelayRealization(A_c=A_c, B_1c=B_1c, B_2c=B_2c, V=np.diag(v_x),
-                            C_c=C_c, D_o=D_o, m_bar=m_bar, n_u=n_u, m=m, v=v,
-                            Ts=Ts, G_c=G_c, channels=channels)
-
-
 def _realize_transfer(model: DelayedTransferModel, Ts: float) -> DelayRealization:
     n_z, n_u = model.n_z, model.n_u
-    recs, blocks = [], []
     D = np.zeros((n_z, n_u))
     m = np.zeros((n_z, n_u), dtype=int)
     v = np.zeros((n_z, n_u))
-    # stacking order: input index outer, output index inner, so each
-    # input's channel blocks sit together
-    for j in range(1, n_u + 1):
-        for i in range(1, n_z + 1):
-            ch = model.channel(i, j)
-            A, B, C, d = realize_channel(ch.num, ch.den)
-            r = ChannelRealization(i, j, A, B, C, d, ch.tau,
-                                   *split_delay(ch.tau, Ts))
-            recs.append(r)
-            D[i - 1, j - 1], m[i - 1, j - 1], v[i - 1, j - 1] = d, r.m, r.v
-            C_i = np.zeros((n_z, A.shape[0]))
-            C_i[i - 1] = C[0]
-            blocks.append((A, B, C_i, [j - 1], [r.m], r.v))
-    return _stack(blocks, D, m, v, Ts, channels=tuple(recs))
+    blocks = []                 # (A, b, c, i, j) of each channel with states
+    # input index outer, output index inner, so each input's channel
+    # blocks sit together
+    for j in range(n_u):
+        for i in range(n_z):
+            ch = model.channel(i + 1, j + 1)
+            A, b, c, D[i, j] = realize_channel(ch.num, ch.den)
+            m[i, j], v[i, j] = split_delay(ch.tau, Ts)
+            if A.size:
+                blocks.append((A, b, c, i, j))
+    n_x = sum(A.shape[0] for A, *_ in blocks)
+    A_c, B_c = np.zeros((n_x, n_x)), np.zeros((n_x, len(blocks)))
+    C_c = np.zeros((n_z, n_x))
+    row = 0
+    for col, (A, b, c, i, _) in enumerate(blocks):
+        sl = slice(row, row + A.shape[0])
+        A_c[sl, sl], B_c[sl, col], C_c[i, sl] = A, b[:, 0], c[0]
+        row = sl.stop
+    i, j = np.array([blk[3:] for blk in blocks], dtype=int).reshape(-1, 2).T
+    return DelayRealization(A_c=A_c, B_c=B_c, col_input=j, col_m=m[i, j],
+                            col_v=v[i, j], C_c=C_c, D_c=D, m=m, v=v, Ts=Ts)
 
 
 def _realize_state_space(ss: ContinuousStateSpace, Ts: float) -> DelayRealization:
-    delays = ss.delays if ss.delays is not None else (0.0,) * ss.n_u
-    splits = [split_delay(t, Ts) for t in delays]
-    ms = [m for m, _ in splits]
-    vs = [v for _, v in splits]
-    inputs = range(ss.n_u)
-    if max(vs, default=0.0) - min(vs, default=0.0) <= UNIFORM_V_TOL:
-        # one shared block, all inputs (if any)
-        blocks = [(ss.A_c, ss.B_c, ss.C_c, inputs, ms, vs[0] if vs else 0.0)]
-    else:
-        # one replica of the plant per input so each block has a scalar v;
-        # the noise enters the first replica only
-        blocks = [(ss.A_c, ss.B_c[:, [j]], ss.C_c, [j], [ms[j]], vs[j])
-                  for j in inputs]
-    m = np.repeat(np.array([ms], dtype=int), ss.n_z, axis=0)
-    v = np.repeat(np.array([vs], dtype=float), ss.n_z, axis=0)
-    return _stack(blocks, ss.D_c, m, v, Ts, G_c=ss.G_c)
+    delays = ss.delays or (0.0,) * ss.n_u
+    m, v = np.array([split_delay(t, Ts) for t in delays]).reshape(-1, 2).T
+    m = m.astype(int)
+    return DelayRealization(
+        A_c=ss.A_c, B_c=ss.B_c, col_input=np.arange(ss.n_u), col_m=m,
+        col_v=v, C_c=ss.C_c, D_c=ss.D_c,
+        m=np.repeat(m[None], ss.n_z, axis=0),
+        v=np.repeat(v[None], ss.n_z, axis=0), Ts=Ts, G_c=ss.G_c)
 
 
 def realize_delays(model, Ts: float) -> DelayRealization:
-    """Realize a plant, delayed or not, into the stacked slot structure.
+    """Realize a plant, delayed or not, over its physical state.
 
-    An undelayed plant gets m_bar = 0: one slot, B_1c = B_2c = B_c, V = 0.
-    Transfer models are realized channel-by-channel in observable canonical
-    form and stacked block-diagonally (input index outer). State-space models
-    with uniform fractional parts keep one state block; non-uniform fractional
-    parts replicate the plant per input so each block has a scalar v.
+    A state-space plant keeps its matrices, with one input column per
+    input, whatever the delays. Transfer models are realized
+    channel-by-channel in observable canonical form and stacked
+    block-diagonally (input index outer), one input column per channel
+    with states. An undelayed plant gets m_bar = 0, one slot.
     """
     if isinstance(model, DelayedTransferModel):
         return _realize_transfer(model, Ts)

@@ -26,8 +26,8 @@ below 1e-40 of the leading one. The cost integrals
 
 are Gauss-Legendre sums with NODES nodes on every span between switch
 times, so the integrands are analytic on each. Nothing here is a matrix
-exponential routine, a Runge-Kutta stage, a Van Loan block or the
-three-block generator that the methods use.
+exponential routine, a Runge-Kutta stage or a Van Loan block, which the
+methods use, and the lifted input keeps all its slots.
 """
 
 from __future__ import annotations
@@ -166,11 +166,6 @@ def _spans(plant, Ts: float):
     n_x, n_z = A_c.shape[0], C.shape[0]
     n_u = plant.n_u
     delays = [_split(t, Ts) for *_, t in inputs + feed]
-    if (isinstance(plant, ContinuousStateSpace)
-            and len({v for _, v in delays}) > 1):
-        raise NotImplementedError(
-            "inputs with different fractional delays: the package "
-            "realizes one plant replica per input, not formed here")
     m_bar = max(m for m, _ in delays)
     n_xu = n_x + (m_bar + 1) * n_u
     Ts = mp.mpf(Ts)

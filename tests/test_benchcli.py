@@ -525,9 +525,9 @@ def test_realizations_that_differ_set_the_zero_delay_gap(monkeypatch):
         out = realize_delays(model, Ts)
         if model.delays is None:
             return out
-        B_1c = out.B_1c.copy()
-        B_1c[0, 0] += 1e-9
-        return dataclasses.replace(out, B_1c=B_1c)
+        B_c = out.B_c.copy()
+        B_c[0, 0] += 1e-9
+        return dataclasses.replace(out, B_c=B_c)
 
     monkeypatch.setattr(benchcli, "realize_delays", shifted)
     report = run_validation(seed=0, count=1)

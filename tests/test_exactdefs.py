@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lqdisc import (SCHEME_NAMES, discretize_core, exactdefs, fixedstep,
                     realize_plant, rww_expm, stepdouble, vanloan)
-from lqdisc.benchcli import random_system
-from lqdisc.matcore import DomainError, Mat, expm, is_psd, max_abs, symmetrize
+from lqdisc.benchcli import _gamma_identity_gap, random_system
+from lqdisc.matcore import DomainError, expm, is_psd, max_abs, symmetrize
 from lqdisc.model import (ContinuousStateSpace, CostSpec, DelayedTransferModel,
                           TransferChannel, realize_delays)
 from lqdisc.exactdefs import (DeqSystem, b_alternative, build_deq,
@@ -68,42 +68,35 @@ def test_oracle_scalar_discounted_closed_forms():
     assert got.R_ww[0, 0] == pytest.approx(-math.expm1(-2.0) / 2.0, abs=1e-13)
 
 
-def _selectors(n):
-    """E_1 = [I, I, -I] and E_2 = [I; I; I] of the three-block form."""
-    eye = np.eye(n)
-    return np.hstack([eye, eye, -eye]), np.vstack([eye, eye, eye])
+def _mixed_state_space():
+    """A two-state plant whose inputs have different fractional delays,
+    (0.4, 1.7) Ts, with a feedthrough and a diffusion matrix."""
+    plant = ContinuousStateSpace([[-1.0, 0.4], [0.0, -2.0]],
+                                 [[1.0, 0.0], [0.5, 1.0]], [[1.0, 0.0]],
+                                 [[0.0, 0.2]], G_c=[[0.3], [0.1]],
+                                 delays=(0.2, 0.85))
+    return plant, CostSpec(Q_c=[[1.0]], mu=0.3, Ts=0.5, N=1, zbar=[[1.0]])
 
 
-def test_gamma_identity_and_structure(mimo_deq):
-    """The three-exponential sum reproduces E1 e^{H_c t} E2 exactly, and at
-    Ts the product of the span transitions."""
-    sys = mimo_deq
-    n_x, n_in = sys.n_x, sys.n_in
-    E1, E2 = _selectors(sys.n_xu)
-    product = np.eye(sys.n_xu)
-    for G, h in zip(sys.G_p, sys.h_p):
-        product = expm(G * h) @ product
-    assert max_abs(sys.gamma(sys.Ts) - product) < 1e-12
-    for t in np.linspace(0.05, sys.Ts, 10):
-        direct = E1 @ expm(sys.H_c * t) @ E2
-        gam = sys.gamma(t)
-        assert max_abs(gam - direct) < 1e-12
+def test_gamma_identity_and_structure(mimo_model, mimo_realization,
+                                      mimo_deq):
+    """The paper's three-block transition, formed by the validation from
+    the realization (one state copy per distinct fractional part), splits
+    into its three exponentials, keeps [0 I] in its bottom rows and at Ts
+    maps to the product of the span transitions: on mimo_delayed.json and
+    on a state-space plant whose inputs have different fractional parts.
+    A wrong switch time in the spans shows in the gap."""
+    plant, cost = _mixed_state_space()
+    real = realize_delays(plant, cost.Ts)
+    mixed = build_deq(real, cost)
+    for r, sys in ((mimo_realization, mimo_deq), (real, mixed)):
+        split, bottom, product = _gamma_identity_gap(r, sys)
+        assert split < 1e-12
         # bottom rows stay [0 I]: held inputs are constant over the step
-        assert max_abs(gam[n_x:, :n_x]) < 1e-13
-        assert max_abs(gam[n_x:, n_x:] - np.eye(n_in)) < 1e-13
-
-
-@pytest.mark.parametrize("model", ["mimo_deq", "scalar_deq"])
-def test_gamma_on_an_array_of_times_is_the_per_time_calls(model, request):
-    """One stacked exponential over every time gives, matrix by matrix,
-    the bits of one call per time, in the shape of the times."""
-    sys = request.getfixturevalue(model)
-    ts = np.linspace(0.05, sys.Ts, 10).reshape(2, 5)
-    got = sys.gamma(ts)
-    assert got.shape == (2, 5, sys.n_xu, sys.n_xu)
-    for idx in np.ndindex(ts.shape):
-        assert np.array_equal(got[idx], sys.gamma(ts[idx]))
-    assert sys.gamma(sys.Ts).shape == (sys.n_xu, sys.n_xu)
+        assert bottom < 1e-13
+        assert product < 1e-12
+    late = dataclasses.replace(real, col_v=real.col_v + [0.0, 0.05])
+    assert max(_gamma_identity_gap(late, mixed)) > 1e-3
 
 
 def test_discount_shift_factors(mimo_deq):
@@ -187,6 +180,46 @@ def test_oracle_self_convergence_is_fourth_order(mimo_deq):
     assert 3.7 < order < 4.3
 
 
+def _long_delay(m_bar):
+    """The long_delay benchmark plant's form: a stable 4-state, 2-input
+    state-space plant with diffusion and delays (m_bar - 0.3, 0.6) Ts."""
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(4, 4))
+    A -= (max(np.linalg.eigvals(A).real) + 0.5) * np.eye(4)
+    plant = ContinuousStateSpace(
+        A, rng.normal(size=(4, 2)), rng.normal(size=(2, 4)), np.zeros((2, 2)),
+        G_c=0.5 * rng.normal(size=(4, 4)), delays=(m_bar - 0.3, 0.6))
+    return plant, CostSpec(Q_c=[[1.0, 0.0], [0.0, 2.0]], mu=0.2, Ts=1.0,
+                           N=1, zbar=[[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("m_bar", [1, 9, 21, 41])
+def test_long_delays_keep_the_span_stack_narrow(m_bar):
+    """Each delayed input feeds two slots, u_{k-m} and u_{k-m+1}, so the
+    spans are 4 states and 4 slots wide at every m_bar. Every method's
+    B_o columns and Q and M rows of the other slots are exact zeros."""
+    sys = build_deq(*_long_delay(m_bar))
+    assert sys.n_xu == 8
+    assert sys.n_in == 2 * (m_bar + 1)
+    # input 1 (m = m_bar) in slots 0 and 2, input 2 (m = 1) in the last two
+    assert np.array_equal(sys.slots, sorted({0, 2, 2 * m_bar - 1,
+                                             2 * m_bar + 1}))
+    dropped = np.setdiff1d(np.arange(sys.n_in), sys.slots)
+    rows = sys.n_x + dropped
+    tb = fixedstep.named_tableau("rk4")
+    for core in (vanloan.discretize_expm(sys),
+                 fixedstep.discretize_fixed(sys, tb, 64),
+                 stepdouble.discretize_step_doubling(sys, tb, 6),
+                 oracle_quadrature(sys, panels=64)):
+        assert core.B_o.shape == (4, sys.n_in)
+        assert core.Q.shape == (4 + sys.n_in,) * 2
+        assert core.M.shape == (4 + sys.n_in, 2)
+        assert not core.B_o[:, dropped].any(), core.method
+        assert not core.Q[rows].any() and not core.Q[:, rows].any()
+        assert not core.M[rows].any(), core.method
+        assert core.B_o[:, sys.slots].all(), core.method
+
+
 def test_oracle_rejects_odd_panels(mimo_deq):
     with pytest.raises(DomainError):
         oracle_quadrature(mimo_deq, panels=63)
@@ -224,58 +257,74 @@ def test_b_alternative_rejects_empty_grid():
 
 
 def test_deq_dimensions(mimo_deq, scalar_deq):
-    assert mimo_deq.delay
     assert mimo_deq.n_x == 6
     assert mimo_deq.n_in == 6
     assert mimo_deq.n_xu == 12
     assert mimo_deq.n_h == 36
+    assert np.array_equal(mimo_deq.slots, np.arange(6))
     # delays 0.1, 1.6 and 0.9 Ts switch at 0.1, 0.6 and 0.9 Ts; 2 Ts does not
     assert max_abs(mimo_deq.span_ends - [0.1, 0.6, 0.9, 1.0]) <= 1e-15
     assert mimo_deq.G_p.shape == (4, 12, 12)
     assert mimo_deq.Qbar_p.shape == (4, 12, 12)
     assert mimo_deq.Mbar_p.shape == (4, 12, 2)
-    assert not scalar_deq.delay
     assert scalar_deq.n_h == scalar_deq.n_xu == 2
-    # plain plants have one span, the single block
+    # a fractional delay on a static gain alone splits the spans but no
+    # B^(p): the lifted generator keeps its single block
+    gain = DelayedTransferModel((
+        TransferChannel(1, 1, (1.0,), (1.0, 1.0), 0.0),
+        TransferChannel(1, 2, (2.0,), (1.0,), 0.5)))
+    sys = build_deq(gain, CostSpec(Q_c=[[1.0]], mu=0.0, Ts=1.0, N=1,
+                                   zbar=[[0.0]]))
+    assert len(sys.span_ends) == 2
+    assert sys.n_h == sys.n_x + sys.n_in == 1 + 4
+    # plain plants have one span
     assert np.array_equal(scalar_deq.span_ends, [1.0])
-    assert np.array_equal(scalar_deq.G_p, scalar_deq.H_c[None])
+    assert np.array_equal(scalar_deq.G_p, [[[-1.0, 1.0], [0.0, 0.0]]])
 
 
-def _three_block(sys: DeqSystem) -> Mat:
-    """The three-block generator of a fractional delay, built from the
-    realization of `sys` whatever its V."""
-    zx = np.zeros((sys.n_in, sys.n_x))
-    zu = np.zeros((sys.n_in, sys.n_in))
-    VA = sys.V @ sys.A_c
-    H_1c = np.block([[sys.A_c, sys.B_1c], [zx, zu]])
-    H_2c = np.block([[VA, sys.B_2c_bar], [zx, zu]])
-    H_3c = np.block([[VA, np.zeros_like(sys.B_1c)], [zx, zu]])
-    zh = np.zeros_like(H_1c)
-    return np.block([[H_1c, zh, zh], [zh, H_2c, zh], [zh, zh, H_3c]])
+def _spans_by_hand(real, sys):
+    """Each span's [[A_c, B^(p)], [0, 0]] and [C_c, D^(p)] over all lifted
+    slots, from the realization's paths one by one: the slot of u_{k-m},
+    and the next one from the switch time (1 - v) Ts on."""
+    n_x, n_u, n_in = real.n_x, real.n_u, real.n_slots
+    out = []
+    for start in np.append(0.0, sys.span_ends[:-1]):
+        def slot(j, m, v):
+            late = v > 0 and start >= 1.0 - v
+            return (real.m_bar - m + late) * n_u + j
+        G = np.zeros((n_x + n_in, n_x + n_in))
+        G[:n_x, :n_x] = real.A_c
+        for b, j, m, v in zip(real.B_c.T, real.col_input, real.col_m,
+                              real.col_v):
+            G[:n_x, n_x + slot(j, m, v)] += b
+        CD = np.hstack([real.C_c, np.zeros((real.n_z, n_in))])
+        for (i, j), d in np.ndenumerate(real.D_c):
+            CD[i, n_x + slot(j, real.m[i, j], real.v[i, j])] += d
+        out.append((G, CD))
+    return out
 
 
-def test_generators_equal_their_block_assembly(mimo_deq, scalar_deq,
-                                               mimo_realization):
-    """The slice-assigned generators carry the bits of np.block's: H_c,
-    and each span's [[A_c, B^(p)], [0, 0]], whose rows take B_2c from the
-    switch time (1 - v) Ts of their block on."""
-    for sys in (scalar_deq, mimo_deq):
-        zx = np.zeros((sys.n_in, sys.n_x))
-        zu = np.zeros((sys.n_in, sys.n_in))
-        H_1c = np.block([[sys.A_c, sys.B_1c], [zx, zu]])
-        want = {"H_c": _three_block(sys) if sys.delay else H_1c,
-                "span 0": H_1c}
-        got = {"H_c": sys.H_c, "span 0": sys.G_p[0]}
-        if sys.delay:
-            v = np.diag(sys.V)[:, None]
-            for p, start in enumerate(np.append(0.0, sys.span_ends[:-1])):
-                B = np.where((v > 0) & (start >= 1.0 - v),
-                             mimo_realization.B_2c, sys.B_1c)
-                want[f"span {p}"] = np.block([[sys.A_c, B], [zx, zu]])
-                got[f"span {p}"] = sys.G_p[p]
-        for name, ref in want.items():
-            assert got[name].shape == ref.shape, name
-            assert got[name].tobytes() == ref.tobytes(), name
+def test_generators_equal_their_block_assembly(mimo_model, mimo_realization,
+                                               mimo_deq, scalar_model,
+                                               scalar_deq):
+    """Each span's generator and output map carry the bits of the lifted
+    ones assembled path by path, on the slots the spans use; no span
+    uses any other slot."""
+    mixed = _mixed_state_space()
+    real = realize_delays(mixed[0], mixed[1].Ts)
+    for r, sys, cost in (
+            (realize_plant(scalar_model[0], 1.0), scalar_deq, scalar_model[1]),
+            (mimo_realization, mimo_deq, mimo_model[1]),
+            (real, build_deq(real, mixed[1]), mixed[1])):
+        keep = np.append(np.arange(sys.n_x), sys.n_x + sys.slots)
+        for p, (G, CD) in enumerate(_spans_by_hand(r, sys)):
+            assert not np.delete(G, keep, axis=1).any()
+            assert not np.delete(CD, keep, axis=1).any()
+            assert sys.G_p[p].tobytes() == G[np.ix_(keep, keep)].tobytes(), p
+            assert np.array_equal(sys.Mbar_p[p], -CD[:, keep].T @ cost.Q_c)
+    # inputs 1 and 2 of the mixed plant: u_{k-1} then u_k, u_{k-2} then
+    # u_{k-1}: four of the six slots
+    assert np.array_equal(build_deq(real, mixed[1]).slots, [1, 2, 3, 4])
 
 
 def _whole_sample_plants():
@@ -308,22 +357,26 @@ def _whole_sample_plants():
 
 @pytest.mark.parametrize("plant,cost", _whole_sample_plants())
 def test_whole_sample_delays_take_the_single_block(plant, cost):
-    """A delay of whole samples only adds shift states: one span, whose
-    generator is [[A_c, B_1c], [0, 0]] over the lifted input and whose
-    output map is [C_c, D_o]. Every method's transition is what the
-    three-block generator gives, where V = 0 cancels two blocks."""
+    """A delay of whole samples only moves its input to an older slot: one
+    span, whose generator [[A_c, B^(0)], [0, 0]] and output map [C_c, D^(0)]
+    are those assembled path by path over the lifted input, on the slots
+    the paths use, one per path. Every method's transition is that lifted
+    generator's, and B_o is zero on every other slot."""
     real = realize_delays(plant, cost.Ts)
     sys = build_deq(real, cost)
-    assert not sys.V.any()
-    assert not sys.delay
-    assert sys.n_h == sys.n_xu
+    assert sys.n_h == sys.n_x + sys.n_in
     assert np.array_equal(sys.span_ends, [1.0])
-    assert np.array_equal(sys.G_p[0], sys.H_c)
-    CD = np.hstack([real.C_c, real.D_o])
-    assert np.array_equal(sys.Mbar_p[0], -CD.T @ cost.Q_c)
+    used = np.unique(np.append((real.m_bar - real.col_m) * real.n_u
+                               + real.col_input,
+                               (real.m_bar - real.m) * real.n_u
+                               + np.arange(real.n_u)))
+    assert np.array_equal(sys.slots, used)
     n_x = sys.n_x
-    E1, E2 = _selectors(sys.n_xu)
-    full = E1 @ expm(_three_block(sys) * cost.Ts) @ E2
+    keep = np.append(np.arange(n_x), n_x + used)
+    [(G, CD)] = _spans_by_hand(real, sys)
+    assert np.array_equal(sys.G_p[0], G[np.ix_(keep, keep)])
+    assert np.array_equal(sys.Mbar_p[0], -CD[:, keep].T @ cost.Q_c)
+    full = expm(G * cost.Ts)
     tb = fixedstep.named_tableau("rk4")
     for got, tol in ((fixedstep.discretize_fixed(sys, tb, 256), 1e-10),
                      (stepdouble.discretize_step_doubling(sys, tb, 8), 1e-10),
@@ -373,8 +426,14 @@ def _node_by_node_simpson(sys, panels):
                 XA = T[:n_x, :n_x]
                 R += w * XA @ sys.G_c @ sys.G_c.T @ XA.T
         Phi, t0 = T, t0 + h_p
-    return dict(A=Phi[:n_x, :n_x], B_o=Phi[:n_x, n_x:], Q=symmetrize(Q), M=M,
-                R_ww=None if R is None else symmetrize(R))
+    # scattered into the lifted input
+    rows = np.append(np.arange(n_x), n_x + sys.slots)
+    Q_l = np.zeros((n_x + sys.n_in,) * 2)
+    Q_l[np.ix_(rows, rows)] = symmetrize(Q)
+    M_l = np.zeros((n_x + sys.n_in, sys.n_z))
+    M_l[rows] = M
+    return dict(A=Phi[:n_x, :n_x], B_o=sys.lifted(Phi[:n_x, n_x:]), Q=Q_l,
+                M=M_l, R_ww=None if R is None else symmetrize(R))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -433,7 +433,7 @@ def _folded_step_by_step(coeffs, sys):
     eye = np.broadcast_to(np.eye(sys.n_xu), seed.T.shape)
     iv = Interval(eye, eye, np.zeros_like(seed.X_q), eye,
                   np.zeros_like(seed.Y_m))
-    B = np.zeros((len(seed.T), n_x, sys.n_in))
+    B = np.zeros((len(seed.T), n_x, sys.n_xu - n_x))
     for _ in range(coeffs.n_steps):
         B = B + iv.T[:, :n_x, :n_x] @ seed.T[:, :n_x, n_x:]
         iv = compose(iv, seed)
@@ -549,7 +549,8 @@ def test_seed_blocks_step_the_state_and_hold_the_input(plant, cost):
     decays, and only such a step, is refused with NumericalError."""
     sys = build_deq(plant, cost)
     n_x = sys.n_x
-    bottom = np.hstack([np.zeros((sys.n_in, n_x)), np.eye(sys.n_in)])
+    n_in = sys.n_xu - n_x
+    bottom = np.hstack([np.zeros((n_in, n_x)), np.eye(n_in)])
     for tableau in _tableau_cases():
         for n in (1, 4, 1024):
             outside = _step_grows(tableau, sys, n)

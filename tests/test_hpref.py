@@ -34,8 +34,7 @@ STEP_LIMITS = {"A": 1e-12, "B_o": 1e-10, "M": 1e-12, "Q": 1e-11}
 def _cases():
     """id -> (plant, cost, fractional) for every plant the reference covers:
     the bundled models, a plant with D and G_c, the pure-gain channel and
-    the seed-0 sweep systems 0-8, with the fractional ones up to 26 that
-    share one fractional part."""
+    the seed-0 sweep systems 0-8 and the fractional ones up to 26."""
     out = {}
     for name in ("scalar", "mimo_delayed"):
         plant, cost = load_model(MODELS / f"{name}.json")
@@ -53,11 +52,8 @@ def _cases():
     rng = np.random.default_rng(0)
     for i in range(27):
         plant, cost, kind = random_system(rng, i)
-        # hpref forms a state-space plant with one shared fractional part
-        shared = kind == "fractional" and len(
-            {d % cost.Ts for d in plant.delays}) == 1
-        if i < 9 and kind != "fractional" or shared:
-            out[f"sweep{i}-{kind}"] = (plant, cost, shared)
+        if i < 9 or kind == "fractional":
+            out[f"sweep{i}-{kind}"] = (plant, cost, kind == "fractional")
     return out
 
 

@@ -42,40 +42,24 @@ def _simulate_delayed(r, U, K, x0):
     """Sample the continuous plant exactly at t_k = k Ts.
 
     U maps step index k (from -m_bar on) to the held input vector over
-    [k Ts, (k+1) Ts). Channel (i, j) is driven by u_j(t - tau); with
-    tau = (m - v) Ts that input switches from U[k-m] to U[k-m+1] at
-    s = (1 - v) Ts inside step k, so each segment integrates a constant
-    input and the only error left is expm rounding.
+    [k Ts, (k+1) Ts). Input column c carries u_j(t - tau) with
+    tau = (m - v) Ts, which inside step k switches from U[k-m] to
+    U[k-m+1] at s = (1 - v) Ts; between the sorted switch times every
+    column sees a constant input, so the only error left is expm
+    rounding.
     """
     Ts = r.Ts
-    states = np.zeros((K + 1, r.n_x))
-    states[0] = x0
-    offsets = []
-    row = 0
-    for ch in r.channels:
-        offsets.append(row)
-        row += ch.A.shape[0]
-    x = x0.copy()
+    cuts = sorted({0.0, Ts} | {(1.0 - v) * Ts for v in r.col_v if v > 0})
+    states = [x0]
+    x = x0
     for k in range(K):
-        nxt = x.copy()
-        for ch, off in zip(r.channels, offsets):
-            n = ch.A.shape[0]
-            if n == 0:
-                continue
-            if ch.v > 0.0:
-                s1 = (1.0 - ch.v) * Ts
-                segments = ((s1, U[k - ch.m][ch.j - 1]),
-                            (Ts - s1, U[k - ch.m + 1][ch.j - 1]))
-            else:
-                segments = ((Ts, U[k - ch.m][ch.j - 1]),)
-            xc = x[off:off + n]
-            for h, u_val in segments:
-                Phi, J = _intexp(ch.A, h)
-                xc = Phi @ xc + (J @ ch.B).ravel() * u_val
-            nxt[off:off + n] = xc
-        x = nxt
-        states[k + 1] = x
-    return states
+        for s0, s1 in zip(cuts[:-1], cuts[1:]):
+            u = [U[k - m + (v > 0 and s0 >= (1.0 - v) * Ts)][j]
+                 for j, m, v in zip(r.col_input, r.col_m, r.col_v)]
+            Phi, J = _intexp(r.A_c, s1 - s0)
+            x = Phi @ x + J @ r.B_c @ u
+        states.append(x)
+    return np.array(states)
 
 
 def test_core_and_augmented_match_exact_simulation(mimo_model,
@@ -101,9 +85,8 @@ def test_core_and_augmented_match_exact_simulation(mimo_model,
     xa = np.concatenate([x0] + [U[k] for k in range(-r.m_bar, 0)])
     for k in range(K):
         z_direct = r.C_c @ states[k]
-        for ch in r.channels:
-            if ch.D != 0.0:
-                z_direct[ch.i - 1] += ch.D * U[k - ch.m][ch.j - 1]
+        for (i, j), d in np.ndenumerate(r.D_c):
+            z_direct[i] += d * U[k - r.m[i, j]][j]
         z_aug = dlq.C_aug @ xa + dlq.D_aug @ U[k]
         assert max_abs(z_aug - z_direct) < 1e-12
         xa = dlq.A_aug @ xa + dlq.B_aug @ U[k]
@@ -533,14 +516,13 @@ def test_realize_plant_dispatch(mimo_model, scalar_model):
     r = realize_plant(mimo_plant, cost.Ts)
     assert r.m_bar == 2
     assert realize_plant(r, cost.Ts) is r
-    # a plain plant is realized too, with one input slot and V = 0
+    # a plain plant is realized too, with one input slot and no delay
     scalar_plant, _ = scalar_model
     plain = realize_plant(scalar_plant, 1.0)
     assert isinstance(plain, DelayRealization)
     assert (plain.m_bar, plain.n_slots) == (0, 1)
-    assert np.array_equal(plain.B_1c, scalar_plant.B_c)
-    assert np.array_equal(plain.B_2c, scalar_plant.B_c)
-    assert not plain.V.any()
+    assert np.array_equal(plain.B_c, scalar_plant.B_c)
+    assert (plain.col_m.tolist(), plain.col_v.tolist()) == ([0], [0.0])
     delayed = ContinuousStateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]],
                                    delays=(0.25,))
     assert realize_plant(delayed, 1.0).m_bar == 1
@@ -585,5 +567,5 @@ def test_delayed_state_space_simulation_roundtrip():
         u_lift = np.concatenate([U[k - r.m_bar + p]
                                  for p in range(r.m_bar + 1)])
         xd = dlq.A @ xd + dlq.B_o @ u_lift
-        # replicas sum to the physical state through C_c
-        assert max_abs(r.C_c @ xd - plant.C_c @ truth[k + 1]) < 1e-12
+        # the discrete state is the plant's own
+        assert max_abs(xd - truth[k + 1]) < 1e-12

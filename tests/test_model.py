@@ -167,24 +167,25 @@ def test_mimo_realization_dimensions(mimo_realization):
 
 
 def test_mimo_slot_placement(mimo_realization):
-    """Each channel writes B into the slot holding u_{k-m} (and the next)."""
+    """One input column per channel, input index outer, in the rows of the
+    channel's block: b is the channel's B, with its input and its delay.
+    Each gain D_ij sits in D_o's slot of u_{k-m_ij}."""
     r = mimo_realization
+    channels = sorted(zip(MIMO_CHANNELS, (0.1, 1.6, 2.0, 0.9)),
+                      key=lambda ch: (ch[0][1], ch[0][0]))
+    assert r.B_c.shape == (r.n_x, len(channels))
     want_d = np.zeros_like(r.D_o)
     row = 0
-    for ch in r.channels:
-        n = ch.A.shape[0]
-        rows = slice(row, row + n)
-        col1 = (r.m_bar - ch.m) * r.n_u + (ch.j - 1)
-        col2 = col1 + r.n_u if ch.m > 0 else col1
-        assert max_abs(r.B_1c[rows, col1:col1 + 1] - ch.B) < 1e-15
-        assert max_abs(r.B_2c[rows, col2:col2 + 1] - ch.B) < 1e-15
-        other1 = np.delete(r.B_1c[rows], col1, axis=1)
-        other2 = np.delete(r.B_2c[rows], col2, axis=1)
-        assert max_abs(other1) == 0.0
-        assert max_abs(other2) == 0.0
-        assert r.V[rows, rows].diagonal() == pytest.approx(ch.v)
-        want_d[ch.i - 1, col1] += ch.D
-        row += n
+    for col, ((i, j, num, den), tau) in enumerate(channels):
+        A, B, _, D = realize_channel(num, den)
+        rows = np.arange(row, row + A.shape[0])
+        m, v = split_delay(tau, 1.0)
+        assert (r.col_input[col], r.col_m[col], r.col_v[col]) == (j - 1, m, v)
+        assert np.array_equal(r.A_c[np.ix_(rows, rows)], A)
+        assert np.array_equal(r.B_c[rows, col], B[:, 0])
+        assert not np.delete(r.B_c[:, col], rows).any()
+        want_d[i - 1, (r.m_bar - m) * r.n_u + j - 1] += D
+        row += A.shape[0]
     assert row == r.n_x
     # the one biproper channel (1,2) contributes its static gain
     assert want_d[0, 1] == pytest.approx(-4.0 / 3.4)
@@ -212,39 +213,31 @@ def _delayed_ss(delays):
 
 
 def test_state_space_uniform_fraction_single_block():
-    r = realize_delays(_delayed_ss((0.5, 1.5)), Ts=1.0)
-    assert r.n_x == 2  # no replication when all v agree
-    assert max_abs(r.V - 0.5 * np.eye(2)) < 1e-15
+    plant = _delayed_ss((0.5, 1.5))
+    r = realize_delays(plant, Ts=1.0)
+    assert r.A_c is plant.A_c and r.B_c is plant.B_c
     assert r.m_bar == 2
-    # columns: input 1 has m=1 -> slot col (2-1)*2+0 = 2; input 2 m=2 -> col 1
-    assert max_abs(r.B_1c[:, 2] - [1.0, 0.5]) < 1e-15
-    assert max_abs(r.B_1c[:, 1] - [0.0, 1.0]) < 1e-15
-    assert max_abs(r.B_2c[:, 4] - [1.0, 0.5]) < 1e-15
-    assert max_abs(r.B_2c[:, 3] - [0.0, 1.0]) < 1e-15
+    assert np.array_equal(r.col_input, [0, 1])
+    assert np.array_equal(r.col_m, [1, 2])
+    assert np.array_equal(r.col_v, [0.5, 0.5])
+    # input 2 has m = 2: its gain sits in the slot of u_{k-2}, column 1
     assert r.D_o[0, 1] == pytest.approx(0.2)
 
 
-def test_state_space_distinct_fractions_replicates():
-    r = realize_delays(_delayed_ss((0.3, 0.6)), Ts=1.0)
-    assert r.n_x == 4  # one copy of the plant per input
+def test_state_space_distinct_fractions_keep_the_physical_state():
+    """Inputs with different fractional parts drive the one plant: one
+    input column per input, each with its own delay."""
+    plant = _delayed_ss((0.3, 0.6))
+    r = realize_delays(plant, Ts=1.0)
+    assert r.n_x == 2
     assert r.m_bar == 1
     assert r.n_slots == 4
-    assert max_abs(r.V - np.diag([0.7, 0.7, 0.4, 0.4])) < 1e-15
-    # replica j only sees input j (both inputs have m=1, slots 0 and 1)
-    want_b1 = np.zeros((4, 4))
-    want_b1[0:2, 0] = [1.0, 0.5]
-    want_b1[2:4, 1] = [0.0, 1.0]
-    assert max_abs(r.B_1c - want_b1) < 1e-15
-    want_b2 = np.zeros((4, 4))
-    want_b2[0:2, 2] = [1.0, 0.5]
-    want_b2[2:4, 3] = [0.0, 1.0]
-    assert max_abs(r.B_2c - want_b2) < 1e-15
-    # noise enters the first replica only, so its covariance is not doubled
-    assert max_abs(r.G_c[0:2] - [[0.3], [0.1]]) < 1e-15
-    assert max_abs(r.G_c[2:4]) == 0.0
-    # outputs sum the replicas; the static gain rides the input-2 slot
-    assert max_abs(r.C_c - [[1.0, 0.0, 1.0, 0.0]]) < 1e-15
-    assert r.D_o[0, 1] == pytest.approx(0.2)
+    for name in ("A_c", "B_c", "C_c", "D_c", "G_c"):
+        assert getattr(r, name) is getattr(plant, name), name
+    assert np.array_equal(r.col_m, [1, 1])
+    assert max_abs(r.col_v - [0.7, 0.4]) < 1e-15
+    # the static gain rides the input-2 slot of u_{k-1}
+    assert max_abs(r.D_o - [[0, 0.2, 0, 0]]) == 0.0
 
 
 def _assert_realization(r, **want):
@@ -254,47 +247,41 @@ def _assert_realization(r, **want):
         assert max_abs(np.asarray(got, dtype=float) - value) < 1e-15, name
 
 
-def test_stacked_state_space_replicas_by_hand():
-    """Delays (0.4, 1.7) Ts: m = (1, 2), v = (0.6, 0.3), one plant replica
-    per input, slots of u_{k-2}, u_{k-1} and u_k two columns each."""
+def test_stacked_state_space_columns_by_hand():
+    """Delays (0.4, 1.7) Ts: m = (1, 2), v = (0.6, 0.3) on the plant's own
+    two states, slots of u_{k-2}, u_{k-1} and u_k two columns each."""
     r = realize_delays(_delayed_ss((0.2, 0.85)), Ts=0.5)
     assert (r.m_bar, r.n_u, r.Ts) == (2, 2, 0.5)
     _assert_realization(
         r,
-        A_c=[[-1.0, 0.4, 0, 0], [0.0, -2.0, 0, 0],
-             [0, 0, -1.0, 0.4], [0, 0, 0.0, -2.0]],
-        V=np.diag([0.6, 0.6, 0.3, 0.3]),
-        # input 1 (m = 1) feeds column 2 then 4, input 2 (m = 2) 1 then 3
-        B_1c=[[0, 0.0, 1.0, 0, 0, 0], [0, 0.0, 0.5, 0, 0, 0],
-              [0, 0.0, 0.0, 0, 0, 0], [0, 1.0, 0.0, 0, 0, 0]],
-        B_2c=[[0, 0, 0, 0.0, 1.0, 0], [0, 0, 0, 0.0, 0.5, 0],
-              [0, 0, 0, 0.0, 0.0, 0], [0, 0, 0, 1.0, 0.0, 0]],
-        C_c=[[1.0, 0.0, 1.0, 0.0]],
+        A_c=[[-1.0, 0.4], [0.0, -2.0]],
+        B_c=[[1.0, 0.0], [0.5, 1.0]],
+        col_input=[0, 1], col_m=[1, 2], col_v=[0.6, 0.3],
+        C_c=[[1.0, 0.0]],
+        D_c=[[0.0, 0.2]],
+        # input 2 (m = 2) reads column 1, the slot of u_{k-2}
         D_o=[[0, 0.2, 0, 0, 0, 0]],
-        G_c=[[0.3], [0.1], [0.0], [0.0]],
+        G_c=[[0.3], [0.1]],
         m=[[1, 2]], v=[[0.6, 0.3]])
 
 
 def test_stacked_transfer_pure_gain_by_hand():
-    """A 2x2 transfer plant whose channel (1,2) is a pure gain: an empty
-    state block that still puts its D in the slot of u_{k-2}."""
+    """A 2x2 transfer plant whose channel (1,2) is a pure gain: no state
+    block and no input column, but its D in the slot of u_{k-2}."""
     r = realize_delays(DelayedTransferModel((
         TransferChannel(1, 1, (1.0, 3.0), (1.0, 1.0), tau=0.5),
         TransferChannel(2, 1, (1.0,), (1.0, 2.0), tau=0.0),
         TransferChannel(1, 2, (3.0,), (1.0,), tau=2.0),
         TransferChannel(2, 2, (1.0,), (1.0, 4.0), tau=1.25))), Ts=1.0)
     assert (r.m_bar, r.n_u) == (2, 2)
-    assert [c.A.shape[0] for c in r.channels] == [1, 1, 0, 1]
-    # states: (1,1), (2,1), (2,2); (s+3)/(s+1) = 1 + 2/(s+1)
+    # states and columns: (1,1), (2,1), (2,2); (s+3)/(s+1) = 1 + 2/(s+1)
     _assert_realization(
         r,
         A_c=np.diag([-1.0, -2.0, -4.0]),
-        V=np.diag([0.5, 0.0, 0.75]),
-        B_1c=[[0, 0, 2.0, 0, 0.0, 0], [0, 0, 0.0, 0, 1.0, 0],
-              [0, 1.0, 0, 0, 0.0, 0]],
-        B_2c=[[0, 0, 0, 0.0, 2.0, 0], [0, 0, 0, 0.0, 1.0, 0],
-              [0, 0, 0, 1.0, 0.0, 0]],
+        B_c=np.diag([2.0, 1.0, 1.0]),
+        col_input=[0, 0, 1], col_m=[1, 0, 2], col_v=[0.5, 0.0, 0.75],
         C_c=[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+        D_c=[[1.0, 3.0], [0.0, 0.0]],
         D_o=[[0, 3.0, 1.0, 0, 0, 0], [0, 0, 0, 0, 0, 0]],
         m=[[1, 2], [0, 2]], v=[[0.5, 0.0], [0.0, 0.75]])
     assert r.G_c is None
@@ -304,13 +291,13 @@ def test_plants_without_inputs_or_outputs_realize():
     r = realize_delays(ContinuousStateSpace(
         [[-1.0]], np.zeros((1, 0)), [[1.0]], np.zeros((1, 0))), Ts=1.0)
     assert (r.m_bar, r.n_slots) == (0, 0)
-    assert r.B_1c.shape == r.D_o.shape == r.m.shape == (1, 0)
-    assert not r.V.any()
+    assert r.B_c.shape == (1, 0) and r.col_m.shape == (0,)
+    assert r.D_o.shape == r.m.shape == (1, 0)
     r = realize_delays(ContinuousStateSpace(
         [[-1.0]], [[1.0, 2.0]], np.zeros((0, 1)), np.zeros((0, 2)),
         delays=(0.5, 1.0)), Ts=1.0)
-    assert (r.m_bar, r.n_slots, r.n_x) == (1, 4, 2)
-    assert r.C_c.shape == (0, 2) and r.D_o.shape == (0, 4)
+    assert (r.m_bar, r.n_slots, r.n_x) == (1, 4, 1)
+    assert r.C_c.shape == (0, 1) and r.D_o.shape == (0, 4)
     assert r.m.shape == r.v.shape == (0, 2)
 
 

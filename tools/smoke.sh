@@ -77,6 +77,24 @@ print("Q of fixed, doubling, expm:", [Q.tolist() for Q in Qs], "against", want.t
 sys.exit(not all(Q.shape == want.shape and np.abs(Q - want).max() <= 1e-12 for Q in Qs))
 EOF
 
+# inputs with different fractional delays drive the plant's own state:
+# two states and delays (0.3, 1.6) Ts hold u_{k-1} and u_{k-2}, so A_aug
+# is 2 + 2 * 2 = 6 square for every method
+cat > "$out/mixed.json" <<'EOF'
+{"model": {"state_space": {"A_c": [[-1.0, 0.4], [0.0, -2.0]], "B_c": [[1.0, 0.0], [0.5, 1.0]],
+                           "C_c": [[1.0, 0.0]], "D_c": [[0.0, 0.2]], "delays": [0.3, 1.6]}},
+ "cost": {"Qc": [[1.0]], "mu": 0.2, "Ts": 1.0, "N": 1, "zbar": [[0.0]]}}
+EOF
+for M in fixed doubling expm; do
+    lqdisc discretize --model "$out/mixed.json" --method "$M" --verify --out "$out/mixed-$M"
+done
+python - "$out"/mixed-{fixed,doubling,expm}/result.json <<'EOF'
+import json, sys
+shapes = [(len(A), len(A[0])) for A in (json.load(open(path))["A_aug"] for path in sys.argv[1:])]
+print("A_aug of fixed, doubling, expm:", shapes, "(want 6 x 6)")
+sys.exit(shapes != [(6, 6)] * 3)
+EOF
+
 # 3000 discounted stages: result.json's stage arrays and the stages.csv
 # table take the vectorized writers; every JSON number must still be its
 # repr, and every CSV float its '%.16e'
