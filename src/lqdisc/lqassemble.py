@@ -58,7 +58,7 @@ class StageCosts:
 
     t_k: np.ndarray
     scale: np.ndarray          # e^{-mu t_k}
-    q_k: np.ndarray            # one row per stage, (N, n_xu)
+    q_k: np.ndarray            # one row per stage, (N, n_x + (m_bar+1) n_u)
     rho_k: np.ndarray
 
 
@@ -111,15 +111,13 @@ def assemble_augmented(core: CoreResult, realization) -> tuple[Mat, Mat, Mat, Ma
             f"for m_bar={m_bar}, n_u={n_u}")
     if m_bar == 0:
         return core.A, core.B_o, C_c, D_o
-    B_o1, B_o2 = core.B_o[:, :-n_u], core.B_o[:, -n_u:]
-    D_o1, D_o2 = D_o[:, :-n_u], D_o[:, -n_u:]
     n_x = core.A.shape[0]
-    I_A, I_B = realization.I_A, realization.I_B
-    A_aug = np.block([[core.A, B_o1],
-                      [np.zeros((m_bar * n_u, n_x)), I_A]])
-    B_aug = np.vstack([B_o2, I_B])
-    C_aug = np.hstack([C_c, D_o1])
-    return A_aug, B_aug, C_aug, D_o2
+    A_aug = np.zeros((n_x + m_bar * n_u,) * 2)
+    A_aug[:n_x, :n_x], A_aug[:n_x, n_x:] = core.A, core.B_o[:, :-n_u]
+    A_aug[n_x:, n_x:] = realization.I_A
+    B_aug = np.vstack([core.B_o[:, -n_u:], realization.I_B])
+    C_aug = np.hstack([C_c, D_o[:, :-n_u]])
+    return A_aug, B_aug, C_aug, D_o[:, -n_u:]
 
 
 def stage_costs(Q: Mat, M: Mat, cost: CostSpec) -> StageCosts:

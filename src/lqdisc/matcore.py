@@ -7,6 +7,8 @@ a pivot-checked linear solve, and symmetry/PSD helpers. The two seed
 kernels, `expm` and `solve`, take a stack (..., n, n) of same-size
 matrices and treat each matrix as a separate call would, with one
 batched pass of numpy work per stack; a single matrix is a stack of one.
+`expm` makes one Taylor pass per stack, with blocks zero above each
+matrix's degree.
 """
 
 from __future__ import annotations
@@ -88,9 +90,12 @@ _STEPS = tuple((3 + m // 4, math.log2(theta), d,
                for d, (m, theta) in reversed(list(enumerate(zip(_DEGREES,
                                                                  _THETA))))
                if m > 3)
-# Row j: the coefficients 1/(4j + i)!, i = 0..3, of the block B_j.
-_ROWS = tuple(np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)]
-                        for j in range(m // 4 + 1)]) for m in _DEGREES)
+# Per degree index d, row j: the coefficients 1/(4j + i)!, i = 0..3, of
+# the block B_j for j <= d, and zeros above (T_m, m = 4d + 3, has d + 1
+# blocks).
+_COEFFS = np.array([[[1.0 / math.factorial(4 * j + i) if j <= d else 0.0
+                      for i in range(4)] for j in range(len(_DEGREES))]
+                    for d in range(len(_DEGREES))])
 
 
 def _square_stack(X, name: str) -> Mat:
@@ -121,16 +126,21 @@ def _powers(X: Mat, k: int) -> Mat:
     return P
 
 
-def _taylor(P: Mat, d: int) -> Mat:
-    """T_m(X), m = _DEGREES[d], per matrix from P = [I, X, ..., X^4]
-    (p, 5, n, n) by Paterson-Stockmeyer: T_m = sum_j (X^4)^j B_j with
-    B_j = sum_i X^i / (4j + i)!, in Horner form in X^4."""
+def _taylor(P: Mat, degree: list) -> Mat:
+    """T_m(X), m = _DEGREES[degree[i]], of each matrix i from its powers
+    P = [I, X, ..., X^4] (p, 5, n, n), in one Paterson-Stockmeyer pass:
+    T_m = sum_j (X^4)^j B_j with B_j = sum_i X^i / (4j + i)!, in Horner
+    form in X^4. Each B_j is one product of row j of the matrix's
+    coefficients, zero above its degree, so a matrix below the stack's top
+    degree carries exact zeros up to its own top block, and no product's
+    shape depends on the stack."""
     p, n = P.shape[0], P.shape[-1]
-    B = (_ROWS[d] @ P[:, :4].reshape(p, 4, n * n)).reshape(p, -1, n, n)
-    R, X4 = B[:, -1], P[:, 4]
-    for j in range(B.shape[1] - 2, -1, -1):
-        R = R @ X4
-        R += B[:, j]
+    C, P4 = _COEFFS[degree], P[:, :4].reshape(p, 4, n * n)
+    top = max(degree)
+    R = (C[:, top, None] @ P4).reshape(p, n, n)
+    for j in range(top - 1, -1, -1):
+        R = R @ P[:, 4]
+        R += (C[:, j, None] @ P4).reshape(p, n, n)
     return R
 
 
@@ -148,9 +158,9 @@ def _step(log2_alpha: tuple) -> tuple:
     return best[1:]
 
 
-def _scaled(X: Mat, norm1: list) -> tuple:
-    """Degree index, squarings s and the powers [I, X_s, ..., X_s^4] of
-    X_s = 2^-s X, per matrix of a stack X (p, n, n) of 1-norms norm1.
+def _scaled(P: Mat, norm1: list, e: list) -> tuple:
+    """Degree index and squarings s per matrix of a stack X of 1-norms
+    norm1, from P = [I, Y, ..., Y^4] (p, 5, n, n), Y = 2^-e X.
 
     With d_k = ||X^k||^(1/k), alpha_p = max(d_p, d_(p+1)) bounds the
     backward error of T_m where p (p - 1) <= m + 1 (Al-Mohy & Higham 2011,
@@ -161,22 +171,16 @@ def _scaled(X: Mat, norm1: list) -> tuple:
     for two squarings or more and d_4 is at most alpha_3 / 2, X^5 and X^6
     give alpha_4 and alpha_5: on a non-normal matrix, such as a Van Loan
     block with a large coupling, they save squarings, and each squaring
-    costs accuracy. A matrix of 1-norm 2^128 or more has its powers taken
-    of 2^-e X, with 1-norm below 1, so that none overflows; the powers of
-    X_s are then scaled by 2^(k (e - s)), exactly.
+    costs accuracy.
     """
-    e = [math.frexp(x)[1] if x >= 2.0 ** 128 else 0 for x in norm1]
-    if any(e):
-        X = np.ldexp(X, np.negative(e)[:, None, None])
-    P = _powers(X, 4)
     alpha, steps, refine = [], [], []
-    for i, (x, (y2, y3, y4)) in enumerate(
-            zip(norm1, _norms(P[:, 2:], -2).tolist())):
+    for i, (x, ei, (y2, y3, y4)) in enumerate(
+            zip(norm1, e, _norms(P[:, 2:], -2).tolist())):
         d3, d4 = y3 ** (1 / 3), y4 ** 0.25
-        a = min(math.ldexp(x, -e[i]), max(y2 ** 0.5, d3), max(d3, d4))
+        a = min(math.ldexp(x, -ei), max(y2 ** 0.5, d3), max(d3, d4))
         alpha.append(a)
         # a zero alpha (vanishing powers) counts as the least double
-        t = e[i] + math.log2(max(a, 5e-324))
+        t = ei + math.log2(max(a, 5e-324))
         steps.append(_step((t, t, t)))
         if steps[-1][1] >= 2 and d4 <= a / 2:
             refine.append((i, d4))
@@ -190,12 +194,7 @@ def _scaled(X: Mat, norm1: list) -> tuple:
             a5 = min(a4, max(d5, x6 ** (1 / 6)))
             steps[i] = _step(tuple(e[i] + math.log2(max(a, 5e-324))
                                    for a in (alpha[i], a4, a5)))
-    degree = [d for d, _ in steps]
-    s = [si for _, si in steps]
-    shift = [[k * (ei - si) for k in range(1, 5)] for ei, si in zip(e, s)]
-    if any(map(any, shift)):
-        np.ldexp(P[:, 1:], np.array(shift)[..., None, None], out=P[:, 1:])
-    return degree, s, P
+    return [d for d, _ in steps], [s for _, s in steps]
 
 
 def expm(X: Mat) -> Mat:
@@ -211,13 +210,16 @@ def expm(X: Mat) -> Mat:
     squarings s come from alpha = min(||X||, max(d_2, d_3), max(d_3, d_4)),
     d_k = ||X^k||^(1/k), with 2^-s alpha <= theta_m (Al-Mohy & Higham
     2011), and from X^5 and X^6 too where the powers fall off fast (see
-    `_scaled`). X^2, X^3 and X^4 are formed once for both. No 1-norm in the
-    double range overflows them, and e^X below the double range comes
-    back as zeros.
+    `_scaled`). X^2, X^3 and X^4 are formed once for both. A matrix of
+    1-norm 2^128 or more has its powers taken of 2^-e X, with 1-norm
+    below 1, and scaled by 2^(k (e - s)) once s is known, exactly; so no
+    1-norm in the double range overflows them, and e^X below the double
+    range comes back as zeros.
 
     Each matrix gets its own degree and squarings, so a stack gives, matrix
-    by matrix, the results of separate calls. The matrices of one degree,
-    scaled or not, go through the approximant as one stack.
+    by matrix, the results of separate calls: one power table and one
+    Taylor pass per stack, with blocks zero above each matrix's degree,
+    then squarings of the matrices that need more.
     """
     X = _square_stack(X, "expm argument")
     if X.size == 0:
@@ -229,46 +231,33 @@ def expm(X: Mat) -> Mat:
         _require_finite(X, "expm argument")
         raise DomainError("expm argument has a 1-norm that overflows")
     degree = [bisect.bisect_left(_THETA, x) for x in norm1]
+    e = [math.frexp(x)[1] if x >= 2.0 ** 128 else 0 for x in norm1]
+    if any(e):
+        X = np.ldexp(X, np.negative(e)[:, None, None])
+    P = _powers(X, 4 if any(degree) else 3)
     s = [0] * len(degree)
-    direct = [i for i, d in enumerate(degree) if d < len(_THETA)]
-    R = None
-    if len(direct) < len(degree):
-        scaled = [i for i, d in enumerate(degree) if d == len(_THETA)]
-        ds, ss, P = _scaled(_rows_of(X, scaled), [norm1[i] for i in scaled])
+    scaled = [i for i, d in enumerate(degree) if d == len(_THETA)]
+    if scaled:
+        ds, ss = _scaled(_rows_of(P, scaled), [norm1[i] for i in scaled],
+                         [e[i] for i in scaled])
         for i, di, si in zip(scaled, ds, ss):
             degree[i], s[i] = di, si
-        R = _fill(R, X, scaled, degree, P)
-    if direct:
-        k = 4 if max(degree[i] for i in direct) else 3
-        R = _fill(R, X, direct, degree, _powers(_rows_of(X, direct), k))
-    for k in range(max(s, default=0)):
+        shift = [[k * (ei - si) for k in range(1, 5)] for ei, si in zip(e, s)]
+        if any(map(any, shift)):
+            np.ldexp(P[:, 1:], np.array(shift)[..., None, None], out=P[:, 1:])
+    R = _taylor(P, degree)
+    for k in range(max(s)):
         live = [i for i, si in enumerate(s) if si > k]
         if len(live) == len(s):
             R = R @ R
         else:
             R[live] = R[live] @ R[live]
-    return (X.copy() if R is None else R).reshape(shape)
+    return R.reshape(shape)
 
 
 def _rows_of(X: Mat, index: list) -> Mat:
     """X[index], without a copy when index is the whole stack."""
     return X if len(index) == len(X) else X[index]
-
-
-def _fill(R, X: Mat, index: list, degree: list, P: Mat) -> Mat:
-    """R with R[index] = T_m of the matrices X[index], whose powers are P,
-    m = _DEGREES[degree[i]], one stack per degree; R is made when None."""
-    groups = {}
-    for j, i in enumerate(index):
-        groups.setdefault(degree[i], []).append(j)
-    for d, sel in groups.items():
-        T = _taylor(_rows_of(P, sel), d)
-        if len(sel) == len(X):
-            return T
-        if R is None:
-            R = np.empty_like(X)
-        R[[index[j] for j in sel]] = T
-    return R
 
 
 def _first_small_pivot(A: Mat, tol: float):

@@ -27,8 +27,8 @@ from .matcore import DomainError, Mat, asmat, is_psd, is_symmetric
 # |tau/Ts - round(tau/Ts)| below this counts as an integer delay (v = 0).
 INTEGER_DELAY_TOL = 1e-12
 # The longest horizon: every stage stores t_k, e^{-mu t_k}, rho_k and the
-# n_x + n_u entries of q_k, and both exports write a line or an array
-# row per stage.
+# n_x + (m_bar + 1) n_u entries of q_k, and both exports write a line or
+# an array row per stage.
 MAX_STAGES = 10 ** 6
 # The longest input delay, in sampling periods. It bounds the size of the
 # output only: each period of delay adds n_u held inputs to the lifted
@@ -350,19 +350,13 @@ class DelayRealization:
     @property
     def I_A(self) -> Mat:
         """Shift block: drops u_{k-m_bar} from the held-input window."""
-        n = self.m_bar * self.n_u
-        out = np.zeros((n, n))
-        if self.m_bar > 1:
-            out[: n - self.n_u, self.n_u:] = np.eye(n - self.n_u)
-        return out
+        return np.eye(self.m_bar * self.n_u, k=self.n_u)
 
     @property
     def I_B(self) -> Mat:
         """Injector: appends u_k at the end of the held-input window."""
-        out = np.zeros((self.m_bar * self.n_u, self.n_u))
-        if self.m_bar > 0:
-            out[-self.n_u:, :] = np.eye(self.n_u)
-        return out
+        n = self.m_bar * self.n_u
+        return np.eye(n, self.n_u, k=self.n_u - n)
 
 
 def split_delay(tau: float, Ts: float) -> tuple[int, float]:
@@ -401,18 +395,24 @@ def realize_channel(num, den) -> tuple[Mat, Mat, Mat, float]:
     and the constant gain in D. Raises ModelError as TransferChannel does,
     naming channel.num, channel.den or channel.
     """
-    num, den = _proper(num, den, "channel")
+    return _observable(*_proper(num, den, "channel"))
+
+
+def _observable(num, den) -> tuple[Mat, Mat, Mat, float]:
+    """`realize_channel` of coefficients that are trimmed and over a monic
+    denominator, as `_proper` leaves them and TransferChannel holds them."""
+    den = np.asarray(den, dtype=float)
     n = den.size - 1
-    num_full = np.concatenate([np.zeros(den.size - num.size), num])
+    num_full = np.zeros(n + 1)
+    num_full[n + 1 - len(num):] = num
     D = num_full[0]
     beta = num_full[1:] - D * den[1:]  # strictly proper remainder
-    alpha = den[1:]
-    # observable canonical: -alpha down the first column, identity superdiagonal
-    A = np.zeros((n, n))
+    # observable canonical: -den[1:] down the first column, identity
+    # superdiagonal
+    A = np.eye(n, k=1)
     C = np.zeros((1, n))
     if n > 0:
-        A[:-1, 1:] += np.eye(n - 1)
-        A[:, 0] = -alpha
+        A[:, 0] = -den[1:]
         C[0, 0] = 1.0
     return A, beta.reshape(n, 1), C, float(D)
 
@@ -428,7 +428,7 @@ def _realize_transfer(model: DelayedTransferModel, Ts: float) -> DelayRealizatio
     for j in range(n_u):
         for i in range(n_z):
             ch = model.channel(i + 1, j + 1)
-            A, b, c, D[i, j] = realize_channel(ch.num, ch.den)
+            A, b, c, D[i, j] = _observable(ch.num, ch.den)
             m[i, j], v[i, j] = split_delay(ch.tau, Ts)
             if A.size:
                 blocks.append((A, b, c, i, j))

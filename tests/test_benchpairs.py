@@ -80,11 +80,14 @@ def test_bench_document_layout():
     traced = [{"seed": 1,
                "parent": _record(400.0, 0.0, commit="p"),
                "change": _record(180.0, 0.0, commit="c")}]
+    bytecode = {"PYTHONDONTWRITEBYTECODE": True,
+                "pycache_after_runs": {"parent": False, "change": False}}
     doc = benchpairs.bench_document(
         {"validate_sweep": runs}, {"validate_sweep": traced}, END_TO_END,
-        30.0, {"parent": "p", "change": "c"},
+        30.0, {"parent": "p", "change": "c"}, bytecode,
         claim=("validate_sweep", "ops_per_s"))
     assert doc["commits"] == {"parent": "p", "change": "c"}
+    assert doc["bytecode"] == bytecode
     # 3 of 3 wins far beyond the parent's spread, but fewer than ten pairs
     assert doc["claim"]["holds"] is False
     w = doc["workloads"]["validate_sweep"]
@@ -100,6 +103,18 @@ def test_bench_document_layout():
     assert w["metrics"]["ops_per_s"]["change_wins"] == 3
     assert w["traced"]["seeds"] == [1]
     assert w["traced"]["fixed_ms"] == {"parent": [400.0], "change": [180.0]}
+
+
+def test_bytecode_record_reads_the_environment_and_each_tree(tmp_path):
+    trees = {side: tmp_path / side for side in benchpairs.SIDES}
+    (trees["change"] / "src" / "lqdisc" / "__pycache__").mkdir(parents=True)
+    trees["parent"].mkdir()
+    assert benchpairs.bytecode_record(trees, {}) == {
+        "PYTHONDONTWRITEBYTECODE": False,
+        "pycache_after_runs": {"parent": False, "change": True}}
+    record = benchpairs.bytecode_record(
+        trees, {"PYTHONDONTWRITEBYTECODE": "1"})
+    assert record["PYTHONDONTWRITEBYTECODE"] is True
 
 
 def test_parse_seeds():

@@ -1,6 +1,7 @@
 """Unit tests for the dense-matrix kernel."""
 
 import dataclasses
+import math
 import warnings
 
 import mpmath as mp
@@ -351,6 +352,63 @@ def test_expm_on_a_stack_mixing_both_regimes_matches_separate_calls(n):
         assert max_abs(R - want) <= EXPM_RTOL * max_abs(want)
 
 
+def test_expm_makes_one_taylor_pass_per_call(monkeypatch):
+    """A stack that takes every degree, both regimes and several squaring
+    counts goes through the Taylor evaluation once, as one stack."""
+    passes = []
+    taylor = lqdisc.matcore._taylor
+
+    def record(P, degree):
+        passes.append(sorted(set(degree)))
+        return taylor(P, degree)
+
+    monkeypatch.setattr(lqdisc.matcore, "_taylor", record)
+    for n in (1, 4, 12):
+        stack = _taylor_generators(n)
+        passes.clear()
+        expm(stack)
+        assert len(passes) == 1, n
+        assert len(passes[0]) >= 6, n
+
+
+def _exact_seed_stacks(monkeypatch, deq):
+    """The stacks exact_seed gives expm for one `discretize_expm`."""
+    seen = []
+
+    def record(X):
+        seen.append(np.array(X, dtype=float))
+        return expm(X)
+
+    monkeypatch.setattr(lqdisc.vanloan, "expm", record)
+    discretize_expm(deq)
+    monkeypatch.undo()
+    return seen
+
+
+def test_expm_on_the_mimo_seed_stacks_matches_separate_calls(monkeypatch,
+                                                            mimo_deq):
+    """The two Van Loan stacks and T's stack of `mimo_delayed`, one per
+    span: each matrix gets the bits of its separate call, in any order."""
+    stacks = _exact_seed_stacks(monkeypatch, mimo_deq)
+    assert [X.shape for X in stacks] == [(4, 24, 24), (4, 24, 24),
+                                         (4, 12, 12)]
+    for stack in stacks:
+        single = [expm(X) for X in stack]
+        for order in (np.arange(len(stack)), np.arange(len(stack))[::-1]):
+            for i, R in zip(order, expm(stack[order])):
+                assert np.array_equal(R, single[i]), i
+
+
+@pytest.mark.xfail(strict=True, reason="open: the scaling of a large "
+                   "coupling loses the unit entries; at 1e200 X^2 of 2^-e X "
+                   "flushes them to zero")
+@pytest.mark.parametrize("coupling", (1e200, 1e38))
+def test_expm_of_a_large_coupling_over_unit_entries(coupling):
+    """e^X of [[1, c], [0, -1]] has the entry c sinh(1) at (0, 1)."""
+    got = expm(np.array([[1.0, coupling], [0.0, -1.0]]))[0, 1] / coupling
+    assert abs(got - math.sinh(1.0)) <= EXPM_RTOL * math.sinh(1.0)
+
+
 def test_expm_makes_products_only(monkeypatch):
     """No solve and no inverse, over stacks that take every degree, both
     regimes and several squaring counts."""
@@ -362,12 +420,12 @@ def test_expm_makes_products_only(monkeypatch):
     degrees, squarings = set(), set()
     taylor, scaled = lqdisc.matcore._taylor, lqdisc.matcore._scaled
 
-    def record_taylor(P, d):
-        degrees.add(lqdisc.matcore._DEGREES[d])
-        return taylor(P, d)
+    def record_taylor(P, degree):
+        degrees.update(lqdisc.matcore._DEGREES[d] for d in degree)
+        return taylor(P, degree)
 
-    def record_scaled(X, norm1):
-        out = scaled(X, norm1)
+    def record_scaled(P, norm1, e):
+        out = scaled(P, norm1, e)
         squarings.update(out[1])
         return out
 

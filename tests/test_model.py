@@ -192,6 +192,42 @@ def test_mimo_slot_placement(mimo_realization):
     assert max_abs(r.D_o - want_d) < 1e-15
 
 
+def _assert_blocks_are_realize_channel(r, channels):
+    """Each channel's A_c, B_c, C_c and D_c entries of the realization r
+    are, bit for bit, realize_channel of its raw coefficients (i, j, num,
+    den), input index outer."""
+    row = col = 0
+    for i, j, num, den in sorted(channels, key=lambda ch: (ch[1], ch[0])):
+        A, B, C, D = realize_channel(num, den)
+        rows = slice(row, row + A.shape[0])
+        assert np.array_equal(r.A_c[rows, rows], A)
+        assert np.array_equal(r.D_c[i - 1, j - 1], D)
+        if A.size:
+            assert np.array_equal(r.B_c[rows, col], B[:, 0])
+            assert np.array_equal(r.C_c[i - 1, rows], C[0])
+            col += 1
+        row = rows.stop
+    assert (row, col) == r.B_c.shape
+
+
+def test_transfer_blocks_are_realize_channel_of_the_file():
+    """The realization builds each channel from the coefficients its
+    TransferChannel holds, trimmed and monic, and gets the bits that
+    realize_channel gives on the model file's own coefficients."""
+    path = MODELS / "mimo_delayed.json"
+    doc = json.loads(path.read_text())
+    channels = [(ch["i"], ch["j"], ch["num"], ch["den"])
+                for ch in doc["model"]["transfer"]["channels"]]
+    plant, cost = load_model(path)
+    _assert_blocks_are_realize_channel(realize_delays(plant, cost.Ts),
+                                       channels)
+    num, den = (0.0, 2.0, 1.0), (0.0, 2.0, 8.0, 10.0)
+    r = realize_delays(DelayedTransferModel(
+        (TransferChannel(1, 1, num, den, tau=0.4),)), Ts=1.0)
+    assert r.n_x == 2 and r.D_c[0, 0] == 0.0
+    _assert_blocks_are_realize_channel(r, [(1, 1, num, den)])
+
+
 def test_held_window_shift(mimo_realization):
     """I_A drops the oldest held input, I_B appends the newest."""
     r = mimo_realization

@@ -24,6 +24,10 @@ The file holds, per workload and end-to-end metric of ``BENCHMARK.json``:
 the per-seed values, the quartiles of each side, the change of the
 medians, the pairs the change won or tied and the parent's quartile
 spread; the ops attempted and failed; and each side's environment block.
+Its ``bytecode`` block says whether ``PYTHONDONTWRITEBYTECODE`` was set
+for the runs and whether each tree had ``src/lqdisc/__pycache__`` after
+them: a cold child that compiles the package takes about a quarter
+longer to its first result than one that reads cached bytecode.
 A claim is checked with the rule of the benchmark: over at least ten
 pairs the change wins at least 9 in 10, and its median beats the parent's
 by more than the parent's quartile spread.
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -137,11 +142,13 @@ def aggregate_traced(runs: list) -> dict:
 
 
 def bench_document(untraced: dict, traced: dict, end_to_end: list,
-                   seconds: float, commits: dict, claim=None) -> dict:
+                   seconds: float, commits: dict, bytecode: dict,
+                   claim=None) -> dict:
     """The BENCH_<n>.json document.
 
     `untraced` and `traced` map a workload name to its list of runs (see
-    `aggregate_workload`); `claim` is (workload, metric) or None.
+    `aggregate_workload`); `bytecode` is the `bytecode_record` of the
+    runs; `claim` is (workload, metric) or None.
     """
     workloads = {}
     for name, runs in untraced.items():
@@ -155,6 +162,7 @@ def bench_document(untraced: dict, traced: dict, end_to_end: list,
                  "reference machine speed by lqbench"),
         "seconds": seconds,
         "commits": commits,
+        "bytecode": bytecode,
     }
     if claim is not None:
         workload, metric = claim
@@ -202,6 +210,16 @@ def copy_working_tree(tree: Path) -> Path:
             (tree / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, tree / name)
     return tree
+
+
+def bytecode_record(trees: dict, environ=os.environ) -> dict:
+    """Whether the runs were told not to write bytecode, and whether each
+    tree (side -> directory) holds compiled package modules after them."""
+    return {"PYTHONDONTWRITEBYTECODE": bool(
+                environ.get("PYTHONDONTWRITEBYTECODE")),
+            "pycache_after_runs": {
+                side: (tree / "src" / "lqdisc" / "__pycache__").is_dir()
+                for side, tree in trees.items()}}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
@@ -282,10 +300,11 @@ def main(argv=None) -> int:
                  "change": copy_working_tree(scratch / "change")}
         untraced = run_pairs(trees, untraced_plan, seconds, 0)
         traced = run_pairs(trees, traced_plan, seconds, 1)
+        bytecode = bytecode_record(trees)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     doc = bench_document(untraced, traced, benchmark["end_to_end"], seconds,
-                         commits, claim)
+                         commits, bytecode, claim)
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     if claim is not None:
         print(f"claim {args.claim}: "
