@@ -482,10 +482,26 @@ def oracle_quadrature(sys: DeqSystem, panels: int = 4096) -> CoreResult:
                    "oracle", steps=panels)
 
 
+def _power_end(D: Mat, N: int) -> Mat:
+    """For P = I + D and N >= 1: P^N - I, per matrix of D when D is a
+    stack, by binary powering in differences: the doubling step of
+    `_powers`, D_2n = D_n + D_n + D_n D_n, and for each set bit of N
+    E <- E + D_n + E D_n. The `fixed` fold takes T^N from it, where the
+    power sum of T is not needed."""
+    end = None
+    while True:
+        if N & 1:
+            end = D if end is None else end + D + end @ D
+        N >>= 1
+        if not N:
+            return end
+        D = D + D + D @ D
+
+
 def _power_sum(D: Mat, N: int) -> tuple[Mat, Mat]:
     """For P = I + D and N >= 0: sum_{k<N} (P^k - I) and P^N - I, per
     matrix of D when D is a stack. `b_alternative` takes its RK4 step sum
-    from it, and the `fixed` fold its transitions and the power sum of M.
+    from it, and the `fixed` fold omega_m^N and the power sum of M.
 
     Step k = C j + i (C = _CHUNK) has P^k - I = E_j + D_i + E_j D_i, with
     D_i = P^i - I (i < C) from one `_powers` and E_j = P^{Cj} - I. So the

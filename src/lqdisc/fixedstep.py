@@ -28,7 +28,7 @@ import numpy as np
 from .matcore import (DimensionError, DomainError, Mat, NumericalError,
                       SingularMatrixError, solve, symmetrize)
 from .exactdefs import (_CHUNK, _SLAB, CoreResult, DeqSystem, Interval,
-                        _power_sum, _powers, core_result)
+                        _power_end, _power_sum, _powers, core_result)
 
 _TABLEAU_TOL = 1e-12
 
@@ -336,41 +336,59 @@ def build_coefficients(sys: DeqSystem, tableau: ButcherTableau,
 def integrate(coeffs: CoefficientSet, sys: DeqSystem) -> CoreResult:
     """Fold the seed of every span N times from the identity.
 
-    T, omega_m and Y_m are geometric in the seed transitions P: closed
-    forms from `_power_sum` on the stack [T - I, omega_m - I], with Y_m =
-    (N I + sum_{k<N} (P_m^k - I))' Y_m,seed. X_q = sum_{k<N} P_q^k' X_q,seed
-    P_q^k is formed step by step, m <= C = 64 steps per iteration. `eigh`
-    factors the seed once, X_q,seed = F' diag(s) F with s the signs of its
-    eigenvalues (rounding and negative weights can make it indefinite, so
-    Cholesky may fail), and the blocks (F P_q^i)' (i < C) are stacked once
-    from the `_powers` of P_q. A chunk from the base W = P_q^k adds
-    Z' diag(s) Z, Z' = W' [(F P_q^i)' ...]: one factor block per step, so
-    the fold stays O(N). Both products are split into blocks of whole
-    steps of at most _SLAB = 2^18 multiply-adds each, the size OpenBLAS
-    runs on the calling thread: one block per chunk up to n_xu = 16, one
-    step per block from n_xu = 41. A non-finite entry of the seed's X_q
-    is NaN in X_q (`eigh` factors the seed with it zeroed).
+    T, omega_m and Y_m are geometric in the seed transitions P, each
+    formed from the differences P^i - I: T^N - I by binary powering
+    (`_power_end`), and omega_m^N - I with the power sum of Y_m =
+    (N I + sum_{k<N} (P_m^k - I))' Y_m,seed from `_power_sum`. X_q =
+    sum_{k<N} P_q^k' X_q,seed P_q^k is formed step by step, m <= C = 64
+    steps per iteration. `eigh` factors the seed once, X_q,seed =
+    F' diag(s) F with s the signs of its eigenvalues (rounding and
+    negative weights can make it indefinite, so Cholesky may fail), and
+    the blocks (F P_q^i)' (i < C) are written once, side by side, from the
+    `_powers` of P_q, whose stack is then dropped. A chunk from the base
+    W = P_q^k adds Z' diag(s) Z, Z' = W' [(F P_q^i)' ...]: one factor
+    block per step, so the fold stays O(N). Both products are split into
+    blocks of whole steps of at most _SLAB = 2^18 multiply-adds each, the
+    size OpenBLAS runs on the calling thread: one block per chunk up to
+    n_xu = 16, one step per block from n_xu = 41. Z' and its signed copy
+    are allocated once per call and filled in place by every block. A
+    non-finite entry of the seed's X_q is NaN in X_q (`eigh` factors the
+    seed with it zeroed).
     """
-    seed, n = coeffs.seed, coeffs.n_steps
-    eye = np.eye(sys.n_xu)
-    sums, ends = _power_sum(np.stack([seed.T, seed.omega_m]) - eye, n)
+    seed, n, n_xu = coeffs.seed, coeffs.n_steps, sys.n_xu
+    eye = np.eye(n_xu)
+    sum_m, end_m = _power_sum(seed.omega_m - eye, n)
+    end_t = _power_end(seed.T - eye, n)
     finite = np.isfinite(seed.X_q)      # eigh may fail on inf or NaN
     lam, vec = np.linalg.eigh(np.where(finite, seed.X_q, 0.0))
     Ft = vec * np.sqrt(np.abs(lam))[..., None, :]        # F'
     pow_q, step_q = _powers(seed.omega_q - eye, min(_CHUNK, n + 1))
-    cols = np.concatenate(Ft + pow_q[:n].swapaxes(-1, -2) @ Ft, axis=-1)
-    signs = np.tile(np.sign(lam), _CHUNK)[..., None, :]
-    width = max(1, _SLAB // sys.n_xu ** 3) * sys.n_xu   # columns per product
+    c = min(_CHUNK, n)
+    cols = np.empty(Ft.shape[:-1] + (c, n_xu))      # [(F P_q^i)' ...]
+    blocks = np.moveaxis(cols, -2, 0)               # block i: (F P_q^i)'
+    np.matmul(pow_q[:c].swapaxes(-1, -2), Ft, out=blocks)
+    blocks += Ft
+    cols = cols.reshape(Ft.shape[:-1] + (c * n_xu,))
+    last = step_q if n % _CHUNK == 0 else pow_q[n % _CHUNK].copy()
+    del pow_q
+    width = min(max(1, _SLAB // n_xu ** 3), c) * n_xu   # columns per product
+    Zt = np.empty(lam.size * width)     # Z' and Z' diag(s) of one block,
+    Zs = np.empty_like(Zt)              # contiguous whatever its width
+    signs = np.tile(np.sign(lam), width // n_xu)[..., None, :]
     W_q = np.broadcast_to(eye, seed.omega_q.shape)
     X_q = np.where(finite, 0.0, np.nan)
     for k in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - k) * sys.n_xu
+        m = min(_CHUNK, n - k) * n_xu
         for j in range(0, m, width):
-            Zt = W_q.swapaxes(-1, -2) @ cols[..., j:min(j + width, m)]
-            X_q += (Zt * signs[..., :Zt.shape[-1]]) @ Zt.swapaxes(-1, -2)
-        W_q = W_q + (step_q if n - k >= _CHUNK else pow_q[n - k]) @ W_q
-    Y_m = (n * eye + sums[1]).swapaxes(-1, -2) @ seed.Y_m
-    return core_result(sys, Interval(eye + ends[0], W_q, X_q, eye + ends[1],
+            w = min(width, m - j)
+            z = Zt[:lam.size * w].reshape(lam.shape + (w,))
+            zs = Zs[:lam.size * w].reshape(lam.shape + (w,))
+            np.matmul(W_q.swapaxes(-1, -2), cols[..., j:j + w], out=z)
+            np.multiply(z, signs[..., :w], out=zs)
+            X_q += zs @ z.swapaxes(-1, -2)
+        W_q = W_q + (step_q if n - k >= _CHUNK else last) @ W_q
+    Y_m = (n * eye + sum_m).swapaxes(-1, -2) @ seed.Y_m
+    return core_result(sys, Interval(eye + end_t, W_q, X_q, eye + end_m,
                                      Y_m), "fixed",
                        scheme=coeffs.scheme, steps=coeffs.n_steps)
 

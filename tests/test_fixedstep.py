@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +509,27 @@ def test_fold_products_of_whole_steps_match_one_product_per_chunk(
         for name in ("A", "B_o", "Q", "M"):
             x, y = getattr(got, name), getattr(want, name)
             assert max_abs(x - y) <= 1e-14 * max_abs(y), (n, name)
+
+
+def test_fold_peak_memory_stays_below_three_and_a_half_chunk_stacks(mimo_deq):
+    """A chunk stack of mimo_delayed's spans, 64 steps of S n_xu x n_xu
+    blocks, is 8 S 64 n_xu^2 bytes (295 KB). The fold holds three of them
+    at once, the factor columns, Z' and its signed copy, each allocated
+    once per call; the seed's power stack is dropped before Z' is made.
+    The peak of one call (after a warm one) is the same at 4096 steps,
+    and where the last chunk is short (1000 steps)."""
+    tableau = named_tableau("esdirk4")
+    stack = 8 * len(mimo_deq.G_p) * 64 * mimo_deq.n_xu ** 2
+    for n in (1024, 4096, 1000):
+        coeffs = build_coefficients(mimo_deq, tableau, n)
+        integrate(coeffs, mimo_deq)
+        tracemalloc.start()
+        try:
+            integrate(coeffs, mimo_deq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * stack, (n, peak / stack)
 
 
 def _invariant_systems():

@@ -22,6 +22,16 @@ for S in $schemes; do
     lqdisc discretize --model models/mimo_delayed.json --method doubling --scheme "$S" --verify --out "$out/scheme-$S"
 done
 lqdisc discretize --model models/scalar.json --method fixed --scheme esdirk4 --verify --out "$out/scalar"
+# 1000 steps are 15 chunks of 64 and a short last chunk of 40, which the
+# fold advances with its own power of the seed: every gap that --verify
+# prints against expm must stay below 1e-10 (about 1e-13 when it works)
+lqdisc discretize --model models/mimo_delayed.json --method fixed --scheme esdirk4 --steps 1000 --verify --out "$out/tail" | tee "$out/tail.log"
+python - "$out/tail.log" <<'EOF'
+import re, sys
+gaps = [float(g) for g in re.findall(r"^e\(\w+\) = (\S+)$", open(sys.argv[1]).read(), re.M)]
+print("gaps to expm at 1000 steps:", gaps, "(want each <= 1e-10)")
+sys.exit(not gaps or not all(g <= 1e-10 for g in gaps))
+EOF
 lqdisc validate --count 9
 lqdisc convergence --model models/mimo_delayed.json --method doubling --scheme rk4 --steps 64,128 --verify --out "$out/conv"
 lqdisc bench --model models/scalar.json --reps 5 --out "$out/bench"
