@@ -351,7 +351,8 @@ def integrate(coeffs: CoefficientSet, sys: DeqSystem) -> CoreResult:
     blocks of whole steps of at most _SLAB = 2^18 multiply-adds each, the
     size OpenBLAS runs on the calling thread: one block per chunk up to
     n_xu = 16, one step per block from n_xu = 41. Z' and its signed copy
-    are allocated once per call and filled in place by every block. A
+    are allocated once per call and filled in place by every block, and
+    the views of a whole chunk's blocks are made once per call. A
     non-finite entry of the seed's X_q is NaN in X_q (`eigh` factors the
     seed with it zeroed).
     """
@@ -375,16 +376,21 @@ def integrate(coeffs: CoefficientSet, sys: DeqSystem) -> CoreResult:
     Zt = np.empty(lam.size * width)     # Z' and Z' diag(s) of one block,
     Zs = np.empty_like(Zt)              # contiguous whatever its width
     signs = np.tile(np.sign(lam), width // n_xu)[..., None, :]
+
+    def views(m):       # columns, Z', Z' diag(s) and signs of each block
+        for j in range(0, m, width):
+            w = min(width, m - j)
+            z, zs = (b[:lam.size * w].reshape(lam.shape + (w,))
+                     for b in (Zt, Zs))
+            yield cols[..., j:j + w], z, zs, signs[..., :w]
+    chunk = list(views(c * n_xu))       # the same for every whole chunk
     W_q = np.broadcast_to(eye, seed.omega_q.shape)
     X_q = np.where(finite, 0.0, np.nan)
     for k in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - k) * n_xu
-        for j in range(0, m, width):
-            w = min(width, m - j)
-            z = Zt[:lam.size * w].reshape(lam.shape + (w,))
-            zs = Zs[:lam.size * w].reshape(lam.shape + (w,))
-            np.matmul(W_q.swapaxes(-1, -2), cols[..., j:j + w], out=z)
-            np.multiply(z, signs[..., :w], out=zs)
+        Wt = W_q.swapaxes(-1, -2)
+        for col, z, zs, s in chunk if n - k >= c else views((n - k) * n_xu):
+            np.matmul(Wt, col, out=z)
+            np.multiply(z, s, out=zs)
             X_q += zs @ z.swapaxes(-1, -2)
         W_q = W_q + (step_q if n - k >= _CHUNK else last) @ W_q
     Y_m = (n * eye + sum_m).swapaxes(-1, -2) @ seed.Y_m
